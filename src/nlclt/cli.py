@@ -60,6 +60,7 @@ from .measure_dp import (
 )
 from .numerics import Grid1D, SeedSpec
 from .sublinear import (
+    DEFAULT_SPACE_POINTS,
     GMean,
     GVariance,
     HjbProblem,
@@ -222,9 +223,11 @@ def validate_config(cfg: dict) -> list:
     _positive(cfg, "delta", problems)
     if "p" in cfg and not 0 < float(cfg["p"]) < 1:
         problems.append("p must lie in (0, 1)")
-    for key in ("n", "reps", "kn", "space_points", "time_steps", "tree_steps"):
+    for key in ("n", "reps", "kn", "time_steps", "tree_steps"):
         if key in cfg and int(cfg[key]) < 1:
             problems.append(f"{key} must be a positive integer")
+    if "space_points" in cfg and int(cfg["space_points"]) < 3:
+        problems.append("space_points must be an integer >= 3")
     if "schedule" in cfg:
         try:
             sched = parse_int_list(cfg["schedule"])
@@ -353,7 +356,7 @@ def cmd_figures(cfg: dict) -> int:
 def cmd_solve(cfg: dict) -> int:
     problem_name = cfg.get("problem")
     terminal = build_payoff(cfg, "terminal")
-    space_points = int(cfg.get("space_points", 2001))
+    space_points = int(cfg.get("space_points", DEFAULT_SPACE_POINTS))
     time_steps = int(cfg["time_steps"]) if "time_steps" in cfg else None
     rows = []
     if problem_name == "g-heat":

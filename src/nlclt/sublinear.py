@@ -19,6 +19,10 @@ from .errors import InvalidParams, InvalidTheta, UnstableResolution
 
 CFL_SAFETY = 0.4
 DEFAULT_SPACE_POINTS = 2001
+# Not a cap: a march stores its terminal layer, every
+# (steps // (MAX_VALUE_SNAPSHOTS - 1))-th layer and its last layer.  From 100
+# steps up that is 11 layers when 10 divides the step count and 12 otherwise
+# (a default 2001-point solve stores 12); fewer steps store more layers.
 MAX_VALUE_SNAPSHOTS = 11
 
 
@@ -214,8 +218,6 @@ class HjbProblem:
     generator: object  # GVariance | GMean
     terminal: TestFunction
     domain_halfwidth: Optional[float] = None
-    space_points: int = DEFAULT_SPACE_POINTS
-    time_steps: Optional[int] = None
 
     def halfwidth(self) -> float:
         if self.domain_halfwidth is not None:
@@ -244,45 +246,66 @@ class ValueGrid:
                 yield t, xi, ui
 
 
-def _march(u0: np.ndarray, dx: float, steps: int, dt: float,
-           update: Callable) -> tuple:
-    """Explicit backward march; returns snapshots and global bounds."""
-    u = u0.astype(float).copy()
+def _march(u0: np.ndarray, steps: int, step: Callable) -> tuple:
+    """Explicit backward march from t = 1 to t = 0 through `steps` calls of
+    `step(u)`, each of which advances the one state vector u in place.
+
+    Stores the terminal layer, every (steps // (MAX_VALUE_SNAPSHOTS - 1))-th
+    layer and the last layer, which is 11 or 12 layers from 100 steps up
+    (see MAX_VALUE_SNAPSHOTS).  Returns the layer times (1.0 down to 0.0),
+    the layers, and the least and greatest value over every marched step.
+    """
+    u = u0.astype(float)
     snap_every = max(1, steps // (MAX_VALUE_SNAPSHOTS - 1))
-    snaps = [(1.0, u.copy())]
-    lo = float(u.min())
-    hi = float(u.max())
-    for k in range(1, steps + 1):
-        u = update(u, dx, dt)
-        lo = min(lo, float(u.min()))
-        hi = max(hi, float(u.max()))
-        if k % snap_every == 0 or k == steps:
-            snaps.append(((steps - k) / steps, u.copy()))
-    times = np.array([t for t, _ in snaps])
-    values = np.stack([v for _, v in snaps])
-    return times, values, lo, hi
+    ends = list(range(snap_every, steps + 1, snap_every))
+    if ends[-1] != steps:
+        ends.append(steps)
+    times = np.empty(len(ends) + 1)
+    values = np.empty((len(ends) + 1, len(u)))
+    times[0] = 1.0
+    values[0] = u
+    run_lo = u.copy()
+    run_hi = u.copy()
+    done = 0
+    for layer, end in enumerate(ends, start=1):
+        for _ in range(end - done):
+            step(u)
+            np.minimum(run_lo, u, out=run_lo)
+            np.maximum(run_hi, u, out=run_hi)
+        done = end
+        times[layer] = (steps - end) / steps
+        values[layer] = u
+    return times, values, float(run_lo.min()), float(run_hi.max())
 
 
-def _second_difference(u: np.ndarray, dx: float) -> np.ndarray:
-    d2 = np.zeros_like(u)
-    d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-    # boundary: vanishing second difference (linear extrapolation)
-    return d2
+def _second_difference_into(u: np.ndarray, dx2: float, d2: np.ndarray) -> None:
+    """Write (u[i+1] - 2 u[i] + u[i-1]) / dx2 into the interior of d2.
+
+    The ends of d2 are left as they are; the callers keep them at 0, a
+    vanishing second difference at the boundary (linear extrapolation).
+    """
+    inner = d2[1:-1]
+    np.multiply(u[1:-1], 2.0, out=inner)
+    np.subtract(u[2:], inner, out=inner)
+    np.add(inner, u[:-2], out=inner)
+    np.divide(inner, dx2, out=inner)
 
 
-def solve_g_heat(v: VarianceInterval, terminal: TestFunction,
-                 space_points: int = DEFAULT_SPACE_POINTS,
-                 time_steps: Optional[int] = None,
-                 domain_halfwidth: Optional[float] = None) -> ValueGrid:
-    """March the G-heat equation back from t = 1; u(0,0) is the upper
-    expectation of the terminal under the variance interval."""
-    problem = HjbProblem(GVariance(v), terminal, domain_halfwidth, space_points,
-                         time_steps)
+def _solve(problem: HjbProblem, space_points: int, time_steps: Optional[int],
+           dt_bound: Callable, make_step: Callable) -> ValueGrid:
+    """Grid, step count, march and root value shared by both solvers.
+
+    dt_bound(dx) is the largest stable time step; make_step(n, dx, dt)
+    returns the in-place one-step update on n grid points.
+    """
+    if space_points < 3:
+        raise InvalidParams(f"space_points must be >= 3, got {space_points}")
+    if time_steps is not None and time_steps < 1:
+        raise InvalidParams(f"time_steps must be >= 1, got {time_steps}")
     L = problem.halfwidth()
     x = np.linspace(-L, L, space_points)
     dx = x[1] - x[0]
-    sig_max2 = v.sigma_high ** 2
-    dt_max = dx * dx / sig_max2
+    dt_max = dt_bound(dx)
     if time_steps is None:
         steps = math.ceil(1.0 / (CFL_SAFETY * dt_max))
     else:
@@ -291,19 +314,45 @@ def solve_g_heat(v: VarianceInterval, terminal: TestFunction,
             raise UnstableResolution(
                 f"dt = {1.0 / steps:.3e} exceeds the stability bound "
                 f"{dt_max:.3e}; increase time_steps")
-    dt = 1.0 / steps
-    a_pos = 0.5 * v.sigma_high ** 2
-    a_neg = 0.5 * v.sigma_low ** 2
-
-    def update(u, dx, dt):
-        d2 = _second_difference(u, dx)
-        return u + dt * np.where(d2 >= 0, a_pos * d2, a_neg * d2)
-
-    times, values, lo, hi = _march(terminal(x), dx, steps, dt, update)
+    step = make_step(space_points, dx, 1.0 / steps)
+    times, values, lo, hi = _march(problem.terminal(x), steps, step)
     mid = space_points // 2
     u0 = float(np.interp(0.0, x, values[-1])) if x[mid] != 0.0 else float(values[-1][mid])
     return ValueGrid(x=x, times=times, values=values, u0=u0,
                      min_seen=lo, max_seen=hi)
+
+
+def solve_g_heat(v: VarianceInterval, terminal: TestFunction,
+                 space_points: int = DEFAULT_SPACE_POINTS,
+                 time_steps: Optional[int] = None,
+                 domain_halfwidth: Optional[float] = None) -> ValueGrid:
+    """March the G-heat equation back from t = 1; u(0,0) is the upper
+    expectation of the terminal under the variance interval."""
+    problem = HjbProblem(GVariance(v), terminal, domain_halfwidth)
+    sig_max2 = v.sigma_high ** 2
+    a_pos = 0.5 * sig_max2
+    a_neg = 0.5 * v.sigma_low ** 2
+
+    def make_step(n, dx, dt):
+        dx2 = dx * dx
+        d2 = np.zeros(n)
+        rate = np.empty(n)
+        rate_pos = np.empty(n)
+        convex = np.empty(n, dtype=bool)
+
+        def step(u):
+            # u += dt * G(d2): np.where(d2 >= 0, a_pos * d2, a_neg * d2)
+            _second_difference_into(u, dx2, d2)
+            np.multiply(d2, a_neg, out=rate)
+            np.multiply(d2, a_pos, out=rate_pos)
+            np.greater_equal(d2, 0.0, out=convex)
+            np.copyto(rate, rate_pos, where=convex)
+            np.multiply(rate, dt, out=rate)
+            np.add(u, rate, out=u)
+        return step
+
+    return _solve(problem, space_points, time_steps,
+                  lambda dx: dx * dx / sig_max2, make_step)
 
 
 def solve_g_expectation(m: MeanInterval, terminal: TestFunction, side: str,
@@ -320,39 +369,42 @@ def solve_g_expectation(m: MeanInterval, terminal: TestFunction, side: str,
         raise InvalidParams(f"unknown side {side!r}")
     if terminal.growth != "bounded_with_limits":
         raise InvalidParams("mean-uncertain solve needs a bounded terminal")
-    problem = HjbProblem(GMean(m, side=side), terminal, domain_halfwidth,
-                         space_points, time_steps)
-    L = problem.halfwidth()
-    x = np.linspace(-L, L, space_points)
-    dx = x[1] - x[0]
+    problem = HjbProblem(GMean(m, side=side), terminal, domain_halfwidth)
     mu_max = max(abs(m.mu_low), abs(m.mu_high))
-    dt_max = min(dx * dx, dx / mu_max) if mu_max > 0 else dx * dx
-    if time_steps is None:
-        steps = math.ceil(1.0 / (CFL_SAFETY * dt_max))
-    else:
-        steps = time_steps
-        if 1.0 / steps > dt_max:
-            raise UnstableResolution(
-                f"dt = {1.0 / steps:.3e} exceeds the stability bound "
-                f"{dt_max:.3e}; increase time_steps")
-    dt = 1.0 / steps
     hi_coef = m.mu_high if side == "sup" else m.mu_low
     lo_coef = m.mu_low if side == "sup" else m.mu_high
 
-    def update(u, dx, dt):
-        d2 = _second_difference(u, dx)
-        d1 = np.zeros_like(u)
-        d1[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-        d1[0] = (u[1] - u[0]) / dx
-        d1[-1] = (u[-1] - u[-2]) / dx
-        drift = hi_coef * np.maximum(d1, 0.0) + lo_coef * np.minimum(d1, 0.0)
-        return u + dt * (0.5 * d2 + drift)
+    def dt_bound(dx):
+        return min(dx * dx, dx / mu_max) if mu_max > 0 else dx * dx
 
-    times, values, lo, hi = _march(terminal(x), dx, steps, dt, update)
-    mid = space_points // 2
-    u0 = float(np.interp(0.0, x, values[-1])) if x[mid] != 0.0 else float(values[-1][mid])
-    return ValueGrid(x=x, times=times, values=values, u0=u0,
-                     min_seen=lo, max_seen=hi)
+    def make_step(n, dx, dt):
+        dx2 = dx * dx
+        two_dx = 2.0 * dx
+        d2 = np.zeros(n)
+        d1 = np.empty(n)
+        drift = np.empty(n)
+        down = np.empty(n)
+        rate = np.empty(n)
+
+        def step(u):
+            # u += dt * (0.5 * d2 + (hi * max(d1, 0) + lo * min(d1, 0)))
+            _second_difference_into(u, dx2, d2)
+            np.subtract(u[2:], u[:-2], out=d1[1:-1])
+            np.divide(d1[1:-1], two_dx, out=d1[1:-1])
+            d1[0] = (u[1] - u[0]) / dx
+            d1[-1] = (u[-1] - u[-2]) / dx
+            np.maximum(d1, 0.0, out=drift)
+            np.multiply(drift, hi_coef, out=drift)
+            np.minimum(d1, 0.0, out=down)
+            np.multiply(down, lo_coef, out=down)
+            np.add(drift, down, out=drift)
+            np.multiply(d2, 0.5, out=rate)
+            np.add(rate, drift, out=rate)
+            np.multiply(rate, dt, out=rate)
+            np.add(u, rate, out=u)
+        return step
+
+    return _solve(problem, space_points, time_steps, dt_bound, make_step)
 
 
 # ---------------------------------------------------------------------------

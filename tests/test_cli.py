@@ -100,6 +100,18 @@ class TestSolveCommand:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("points", ["1", "2"])
+    def test_too_few_space_points_is_config_error(self, tmp_path, capsys,
+                                                  points):
+        out = tmp_path / "solve.csv"
+        code = run("solve", "--problem", "g-heat", "--sigma-low", "1",
+                   "--sigma-high", "2", "--terminal", "gauss",
+                   "--space-points", points, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "space_points" in err
+
     def test_g_expectation_with_tree(self, tmp_path):
         out = tmp_path / "solve.csv"
         code = run("solve", "--problem", "g-expectation", "--mu-low", "0",
@@ -200,6 +212,14 @@ class TestConfigHandling:
         text = capsys.readouterr().out
         assert "sigma_low <= sigma_high" in text
         assert "schedule" in text
+
+    def test_validate_reports_too_few_space_points(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({
+            "command": "solve", "problem": "g-heat", "sigma_low": 1.0,
+            "sigma_high": 2.0, "terminal": "gauss", "space_points": 2}))
+        assert run("validate", "--config", str(cfg_path)) == 0
+        assert "space_points must be an integer >= 3" in capsys.readouterr().out
 
     def test_validate_clean_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "good.json"

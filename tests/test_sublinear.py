@@ -129,6 +129,38 @@ class TestGHeat:
         assert np.all(grid.values >= grid.min_seen - 1e-15)
         assert np.all(grid.values <= grid.max_seen + 1e-15)
 
+    def test_stable_explicit_time_steps(self):
+        # 401 points on [-8, 8] give dt_max = 1.6e-3; 700 steps are stable
+        grid = solve_g_heat(VarianceInterval(1.0, 1.0),
+                            named_test_function("gauss_half"), space_points=401,
+                            time_steps=700)
+        assert grid.u0 == pytest.approx(ONE_OVER_SQRT2, abs=1e-4)
+        assert len(grid.times) == 11
+
+    @pytest.mark.parametrize("time_steps, layers", [
+        (1000, 11),   # 10 divides the step count: the last step is a stored one
+        (1001, 12),   # otherwise the last step adds a 12th layer
+        (None, 12),   # the default 1563 CFL steps of this grid
+    ])
+    def test_snapshot_layers(self, time_steps, layers):
+        grid = solve_g_heat(VarianceInterval(1.0, 2.0),
+                            named_test_function("gauss"), space_points=401,
+                            time_steps=time_steps)
+        assert grid.values.shape == (layers, 401)
+        assert len(grid.times) == layers
+        assert grid.times[0] == 1.0
+        assert grid.times[-1] == 0.0
+        assert np.all(np.diff(grid.times) < 0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(space_points=1), dict(space_points=2),
+        dict(time_steps=0), dict(time_steps=-5),
+    ])
+    def test_bad_resolution_rejected(self, kwargs):
+        with pytest.raises(InvalidParams):
+            solve_g_heat(VarianceInterval(1.0, 2.0),
+                         named_test_function("gauss"), **kwargs)
+
     def test_value_grid_rows(self):
         grid = solve_g_heat(VarianceInterval(1.0, 1.0),
                             named_test_function("gauss"), space_points=101,
@@ -169,6 +201,44 @@ class TestGExpectation:
             solve_g_expectation(MeanInterval(-0.5, 0.5),
                                 named_test_function("gauss"),
                                 "sup", space_points=2001, time_steps=1000)
+
+    def test_stable_explicit_time_steps(self):
+        # 401 points on [-8.5, 8.5] give dt_max = 1.8e-3; 600 steps are stable
+        grid = solve_g_expectation(MeanInterval(0.0, 0.5),
+                                   named_test_function("normal_cdf"), "sup",
+                                   space_points=401, time_steps=600)
+        assert grid.u0 == pytest.approx(PHI_HALF_SQRT2, abs=2e-4)
+        assert len(grid.times) == 11
+
+    @pytest.mark.parametrize("side", ["sup", "inf"])
+    def test_maximum_principle_tracked_globally(self, side):
+        tf = named_test_function("gauss")
+        grid = solve_g_expectation(MeanInterval(-0.5, 0.5), tf, side, **FAST)
+        assert grid.min_seen >= 0.0 - 1e-12
+        assert grid.max_seen <= 1.0 + 1e-12
+        assert np.all(grid.values >= grid.min_seen)
+        assert np.all(grid.values <= grid.max_seen)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the one-sided end differences are downwind where the drift points "
+        "out of the domain, so the end values leave the terminal's range"))
+    @pytest.mark.parametrize("side", ["sup", "inf"])
+    @pytest.mark.parametrize("name", ["normal_cdf", "tanh"])
+    def test_maximum_principle_at_the_ends(self, name, side):
+        tf = named_test_function(name)
+        low, high = tf.limits
+        grid = solve_g_expectation(MeanInterval(-0.5, 0.5), tf, side, **FAST)
+        assert grid.min_seen >= low - 1e-12
+        assert grid.max_seen <= high + 1e-12
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(space_points=1), dict(space_points=2),
+        dict(time_steps=0), dict(time_steps=-5),
+    ])
+    def test_bad_resolution_rejected(self, kwargs):
+        with pytest.raises(InvalidParams):
+            solve_g_expectation(MeanInterval(-0.5, 0.5),
+                                named_test_function("gauss"), "sup", **kwargs)
 
     def test_sup_dominates_inf(self):
         for name in ("gauss", "normal_cdf", "tanh", "clip_linear"):
