@@ -58,7 +58,6 @@ from .numerics import (
     SeedSpec,
     generator,
     ks_one_sample,
-    ks_two_sample,
     quad_integrate,
     rademacher_stream,
     std_normal_cdf,

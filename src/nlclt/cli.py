@@ -97,6 +97,12 @@ COMMAND_KEYS = {
                  "s_envelope", "side"},
     "validate": set(),
 }
+# keys the commands coerce with int() or float()
+INT_KEYS = {"seed", "stream", "n", "reps", "kn", "space_points", "time_steps",
+            "tree_steps"}
+FLOAT_KEYS = {"alpha", "beta", "c", "sigma_low", "sigma_high", "mu_low",
+              "mu_high", "sigma", "s_theta", "s_center", "p", "delta", "eps",
+              "sigma_plus", "sigma_minus", "t"}
 
 
 def worker_count() -> int:
@@ -126,20 +132,18 @@ def parse_grid(text: str) -> Grid1D:
 
 
 def parse_float_list(text) -> list:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
+    items = text if isinstance(text, (list, tuple)) else str(text).split(",")
     try:
-        return [float(v) for v in str(text).split(",") if v != ""]
-    except ValueError as exc:
+        return [float(v) for v in items if v != ""]
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed number list {text!r}: {exc}")
 
 
 def parse_int_list(text) -> list:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
+    items = text if isinstance(text, (list, tuple)) else str(text).split(",")
     try:
-        return [int(v) for v in str(text).split(",") if v != ""]
-    except ValueError as exc:
+        return [int(v) for v in items if v != ""]
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed integer list {text!r}: {exc}")
 
 
@@ -180,18 +184,22 @@ def check_keys(cfg: dict) -> list:
     return problems
 
 
-def _positive(cfg, key, problems, strict=True):
-    if key not in cfg:
-        return
-    try:
-        v = float(cfg[key])
-    except (TypeError, ValueError):
-        problems.append(f"{key} must be a number")
-        return
-    if strict and not v > 0:
-        problems.append(f"{key} must be > 0")
-    if not strict and v < 0:
-        problems.append(f"{key} must be >= 0")
+def _numbers(cfg: dict, problems: list) -> dict:
+    """The numeric config values, coerced as the commands coerce them; a
+    value that does not coerce is reported and left out."""
+    numbers = {}
+    for key in sorted(cfg):
+        if key in INT_KEYS:
+            kind, what = int, "an integer"
+        elif key in FLOAT_KEYS:
+            kind, what = float, "a number"
+        else:
+            continue
+        try:
+            numbers[key] = kind(cfg[key])
+        except (TypeError, ValueError, OverflowError):
+            problems.append(f"{key} must be {what}")
+    return numbers
 
 
 def validate_config(cfg: dict) -> list:
@@ -200,33 +208,28 @@ def validate_config(cfg: dict) -> list:
     if problems:
         return problems
     command = cfg["command"]
-    if "seed" in cfg and not (0 <= int(cfg["seed"]) < 2 ** 64):
+    num = _numbers(cfg, problems)
+    if "seed" in num and not 0 <= num["seed"] < 2 ** 64:
         problems.append("seed must be an unsigned 64-bit integer")
-    if "stream" in cfg and int(cfg["stream"]) < 0:
+    if "stream" in num and num["stream"] < 0:
         problems.append("stream must be non-negative")
-
-    def vhas(*keys):
-        return all(k in cfg for k in keys)
-
-    if vhas("sigma_low", "sigma_high"):
-        lo, hi = float(cfg["sigma_low"]), float(cfg["sigma_high"])
-        if not 0 < lo <= hi:
+    if "sigma_low" in num and "sigma_high" in num:
+        if not 0 < num["sigma_low"] <= num["sigma_high"]:
             problems.append("variance interval needs 0 < sigma_low <= sigma_high")
-    if vhas("mu_low", "mu_high"):
-        if not float(cfg["mu_low"]) <= float(cfg["mu_high"]):
+    if "mu_low" in num and "mu_high" in num:
+        if not num["mu_low"] <= num["mu_high"]:
             problems.append("mean interval needs mu_low <= mu_high")
-    _positive(cfg, "sigma", problems)
-    _positive(cfg, "s_theta", problems)
-    if "s_theta" in cfg and float(cfg.get("s_theta", 1)) > 1:
+    for key in ("sigma", "s_theta", "eps", "delta"):
+        if key in num and not num[key] > 0:
+            problems.append(f"{key} must be > 0")
+    if num.get("s_theta", 1) > 1:
         problems.append("s_theta must lie in (0, 1]")
-    _positive(cfg, "eps", problems)
-    _positive(cfg, "delta", problems)
-    if "p" in cfg and not 0 < float(cfg["p"]) < 1:
+    if "p" in num and not 0 < num["p"] < 1:
         problems.append("p must lie in (0, 1)")
     for key in ("n", "reps", "kn", "time_steps", "tree_steps"):
-        if key in cfg and int(cfg[key]) < 1:
+        if key in num and num[key] < 1:
             problems.append(f"{key} must be a positive integer")
-    if "space_points" in cfg and int(cfg["space_points"]) < 3:
+    if "space_points" in num and num["space_points"] < 3:
         problems.append("space_points must be an integer >= 3")
     if "schedule" in cfg:
         try:
@@ -252,7 +255,7 @@ def validate_config(cfg: dict) -> list:
         if cfg["family"] not in ("chen-epstein", "cez"):
             problems.append("family must be chen-epstein or cez")
         if cfg["family"] == "cez":
-            if float(cfg.get("alpha", 0)) <= 0 or float(cfg.get("beta", 0)) <= 0:
+            if not (num.get("alpha", 0) > 0 and num.get("beta", 0) > 0):
                 problems.append("cez needs alpha > 0 and beta > 0")
     if "side" in cfg and cfg["side"] not in ("sup", "inf"):
         problems.append("side must be sup or inf")

@@ -128,32 +128,6 @@ class AdversaryPolicy:
     controls: np.ndarray  # int8, shape (n, points)
 
 
-def _clamped_int_shift(v: np.ndarray, m: int) -> np.ndarray:
-    """v displaced by m cells with edge clamping (bounded payoffs)."""
-    if m == 0:
-        return v
-    m = max(-(len(v) - 1), min(len(v) - 1, m))
-    out = np.empty_like(v)
-    if m > 0:
-        out[:len(v) - m] = v[m:]
-        out[len(v) - m:] = v[-1]
-    else:
-        out[-m:] = v[:m]
-        out[:-m] = v[0]
-    return out
-
-
-def _shift(v: np.ndarray, offset_cells: float) -> np.ndarray:
-    """Real-valued displacement: exact lookup on integers, linear
-    interpolation otherwise."""
-    m = math.floor(offset_cells + 0.5)
-    if abs(offset_cells - m) < 1e-9:
-        return _clamped_int_shift(v, m)
-    m = math.floor(offset_cells)
-    w = offset_cells - m
-    return (1.0 - w) * _clamped_int_shift(v, m) + w * _clamped_int_shift(v, m + 1)
-
-
 def _snapped_spacing(shifts: np.ndarray, halfwidth: float,
                      target_points: int) -> Optional[float]:
     """Grid spacing making every |shift| an exact integer multiple, or None.
@@ -211,51 +185,99 @@ def _dp_grid(model: RectangularModel, target_points: int,
     return x, h, offsets, exact
 
 
+def _shift_plan(offsets: np.ndarray, points: int):
+    """Integer shifts and interpolation weights, one row per control.
+
+    An offset within 1e-9 of an integer m is the exact shift m (weight
+    None); otherwise it interpolates between m = floor(offset) and m + 1
+    with weight offset - m.  Shifts are clamped to +-(points - 1): past that
+    every cell reads the edge value anyway (bounded payoffs).
+    """
+    limit = points - 1
+    plan = []
+    for row in offsets:
+        terms = []
+        for off in row:
+            m = math.floor(off + 0.5)
+            if abs(off - m) < 1e-9:
+                terms.append((max(-limit, min(limit, m)), None, None))
+            else:
+                m = math.floor(off)
+                terms.append((max(-limit, min(limit, m)),
+                              max(-limit, min(limit, m + 1)), off - m))
+        plan.append(terms)
+    return plan
+
+
 def _backward_induction(model: RectangularModel, phi: TestFunction, side: str,
                         target_points: int, record_policy: bool,
                         controls: Optional[np.ndarray] = None):
+    """Root value, grid, spacing and (optionally) the int8 policy table.
+
+    The value vector lives in the middle of one buffer whose margins repeat
+    its end values, so the clamped shift by m cells is a fixed view of that
+    buffer.  Each step refreshes the margins and fills preallocated rows
+    with `out=` ufuncs: per control, 0.0 + sum over atoms of
+    p * ((1 - w) * A + w * B), or p * A for an exact shift.
+    """
     if controls is None:
         controls = model.controls()
-    x, h, offsets, exact = _dp_grid(model, target_points, controls)
+    x, h, offsets, _ = _dp_grid(model, target_points, controls)
     probs = np.asarray(model.innovation.probs, dtype=float)
     n = model.n
-    values = phi(x)
+    points = len(x)
+    plan = _shift_plan(offsets, points)
+    pad = max(abs(m) for terms in plan for t in terms for m in t[:2]
+              if m is not None)
+    padded = np.empty(points + 2 * pad)
+    values = padded[pad:pad + points]
+    values[:] = phi(x)
+
+    def view(m):
+        return padded[pad + m:pad + m + points]
+
+    # per control: (p, A, B, 1 - w, w) per atom, B None for an exact shift
+    stencil = [[(p, view(m), None, None, None) if w is None
+                else (p, view(m), view(m1), 1.0 - w, w)
+                for p, (m, m1, w) in zip(probs, terms)] for terms in plan]
+    stacked = np.empty((len(controls), points))
+    term = np.empty(points)
+    upper = np.empty(points)
     take_best = np.max if side == "sup" else np.min
     arg_best = np.argmax if side == "sup" else np.argmin
-    policy = np.empty((n, len(x)), dtype=np.int8) if record_policy else None
+    policy = np.empty((n, points), dtype=np.int8) if record_policy else None
     for step in range(n - 1, -1, -1):
-        stacked = np.empty((len(controls), len(x)))
-        for ci in range(len(controls)):
-            acc = np.zeros(len(x))
-            for aj, p in enumerate(probs):
-                off = offsets[ci, aj]
-                shifted = _clamped_int_shift(values, int(off)) if exact \
-                    else _shift(values, off)
-                acc += p * shifted
-            stacked[ci] = acc
+        padded[:pad] = values[0]
+        padded[pad + points:] = values[-1]
+        for acc, terms in zip(stacked, stencil):
+            acc.fill(0.0)
+            for p, lower, higher, w_lower, w in terms:
+                if higher is None:
+                    np.multiply(lower, p, out=term)
+                else:
+                    np.multiply(lower, w_lower, out=term)
+                    np.multiply(higher, w, out=upper)
+                    np.add(term, upper, out=term)
+                    np.multiply(term, p, out=term)
+                np.add(acc, term, out=acc)
         if record_policy:
             # first occurrence wins, so ties resolve to the lower control
             policy[step] = arg_best(stacked, axis=0)
-        values = take_best(stacked, axis=0)
-    root = float(values[len(x) // 2])
+        take_best(stacked, axis=0, out=values)
+    root = float(values[points // 2])
     return root, x, h, policy
 
 
-def sup_expectation_dp(model: RectangularModel, phi: TestFunction, side: str,
-                       target_points: int = DEFAULT_GRID_POINTS,
-                       check_points: Optional[int] = COARSE_GRID_POINTS):
-    """Adversarial value of E[phi(statistic)] and the achieving policy.
-
-    The interpolation error is estimated by re-solving on a coarser grid
-    (Richardson comparison); GridTooCoarse is raised above 1e-3.  Pass
-    check_points=None to skip the comparison run.
-    """
+def _dp_root(model: RectangularModel, phi: TestFunction, side: str,
+             target_points: int, check_points: Optional[int],
+             record_policy: bool):
+    """Root value and, when record_policy, the AdversaryPolicy (else None)."""
     if side not in ("sup", "inf"):
         raise InvalidParams(f"unknown side {side!r}")
     if phi.growth != "bounded_with_limits":
         raise InvalidParams("the adversarial DP needs a bounded payoff")
     root, x, h, policy = _backward_induction(model, phi, side, target_points,
-                                             record_policy=True)
+                                             record_policy)
     if check_points is not None:
         coarse_root, _, _, _ = _backward_induction(model, phi, side,
                                                    check_points,
@@ -264,11 +286,27 @@ def sup_expectation_dp(model: RectangularModel, phi: TestFunction, side: str,
             raise GridTooCoarse(
                 f"grid refinement changes the DP value by "
                 f"{abs(root - coarse_root):.2e} > {INTERP_TOLERANCE}")
-    pol = AdversaryPolicy(kind=model.kind, side=side, n=model.n,
-                          x0=float(x[0]), h=h,
-                          control_values=tuple(model.controls()),
-                          controls=policy)
-    return root, pol
+    if not record_policy:
+        return root, None
+    return root, AdversaryPolicy(kind=model.kind, side=side, n=model.n,
+                                 x0=float(x[0]), h=h,
+                                 control_values=tuple(model.controls()),
+                                 controls=policy)
+
+
+def sup_expectation_dp(model: RectangularModel, phi: TestFunction, side: str,
+                       target_points: int = DEFAULT_GRID_POINTS,
+                       check_points: Optional[int] = COARSE_GRID_POINTS):
+    """Adversarial value of E[phi(statistic)] and the achieving policy.
+
+    The policy table (int8, n x grid points) is recorded only on this path;
+    convergence_experiment, which needs only values, skips it.  The
+    interpolation error is estimated by re-solving on a coarser grid
+    (Richardson comparison); GridTooCoarse is raised above 1e-3.  Pass
+    check_points=None to skip the comparison run.
+    """
+    return _dp_root(model, phi, side, target_points, check_points,
+                    record_policy=True)
 
 
 def terminal_dp_state(model: RectangularModel, phi: TestFunction,
@@ -345,7 +383,8 @@ def convergence_experiment(model: RectangularModel, phi: TestFunction,
     rows = []
     for n in n_schedule:
         work = replace(model, n=int(n))
-        value, _ = sup_expectation_dp(work, phi, side)
+        value, _ = _dp_root(work, phi, side, DEFAULT_GRID_POINTS,
+                            COARSE_GRID_POINTS, record_policy=False)
         rows.append((int(n), value, limit, abs(value - limit)))
     return rows
 

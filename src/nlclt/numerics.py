@@ -275,14 +275,3 @@ def ks_one_sample(sample: Sequence[float], cdf: Callable) -> float:
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - fvals, fvals - (i - 1) / n)))
 
-
-def ks_two_sample(x: Sequence[float], y: Sequence[float]) -> float:
-    """Two-sample KS distance between empirical CDFs."""
-    x = np.sort(np.asarray(x, dtype=float))
-    y = np.sort(np.asarray(y, dtype=float))
-    if len(x) == 0 or len(y) == 0:
-        raise InvalidParams("KS statistic needs non-empty samples")
-    allv = np.concatenate([x, y])
-    cx = np.searchsorted(x, allv, side="right") / len(x)
-    cy = np.searchsorted(y, allv, side="right") / len(y)
-    return float(np.max(np.abs(cx - cy)))

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from nlclt.cli import main, parse_grid, validate_config
+from nlclt.cli import COMMAND_KEYS, main, parse_grid, validate_config
 from nlclt.errors import ConfigError
 from nlclt.numerics import std_normal_pdf
 
@@ -271,3 +271,47 @@ class TestDeterminism:
         run("simulate", "--target", "clt", "--n", "400", "--reps", "500",
             "--seed", "2", "--out", str(b))
         assert read(a) != read(b)
+
+
+class TestMalformedValues:
+    def test_validate_reports_non_integer_seed(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"command": "solve", "seed": "abc"}))
+        assert run("validate", "--config", str(cfg_path)) == 0
+        captured = capsys.readouterr()
+        assert "seed must be an integer" in captured.out
+        assert captured.err == ""
+
+    def test_solve_with_non_numeric_sigma_is_config_error(self, tmp_path,
+                                                          capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({
+            "command": "solve", "problem": "g-heat", "sigma_low": "x",
+            "sigma_high": 2.0, "terminal": "gauss"}))
+        out = tmp_path / "never.csv"
+        assert run("solve", "--config", str(cfg_path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: sigma_low must be a number\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["x", None, [1, "a"], {"a": 1}, 1e400])
+    def test_any_single_value_gives_a_documented_exit(self, tmp_path, capsys,
+                                                      value):
+        # every key of every command, alone in a config: no traceback, an
+        # exit code of 1 or 2 and only config/numerical lines on stderr;
+        # validate exits 0 on the same files
+        for command, keys in COMMAND_KEYS.items():
+            if command == "validate":
+                continue
+            for key in sorted(keys | {"seed", "stream"}):
+                cfg_path = tmp_path / "cfg.json"
+                cfg_path.write_text(json.dumps({"command": command,
+                                                key: value}))
+                code = run(command, "--config", str(cfg_path))
+                err = capsys.readouterr().err
+                assert code in (1, 2), (command, key)
+                assert err and all(
+                    line.startswith(("config error:", "numerical failure:"))
+                    for line in err.splitlines()), (command, key, err)
+                assert run("validate", "--config", str(cfg_path)) == 0
+                assert capsys.readouterr().err == ""

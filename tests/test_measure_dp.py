@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from helpers_dp import (
     lattice_tree_value_split,
     lattice_tree_value_two_layer,
 )
+from nlclt import measure_dp
 from nlclt.classical import DiscreteLaw
 from nlclt.densities import DensityParams, MeanInterval, VarianceInterval, chen_epstein_pdf
 from nlclt.errors import GridTooCoarse, InvalidParams, PolicyMismatch
@@ -200,6 +202,28 @@ class TestConvergenceExperiment:
                                       [25, 100], "sup")
         assert rows[0][2] == pytest.approx(ONE_OVER_SQRT3, abs=2e-3)
         assert rows[1][3] < rows[0][3]
+
+    def test_grid_too_coarse_raises(self, monkeypatch):
+        # the values-only path keeps the refinement check of the policy path
+        monkeypatch.setattr(measure_dp, "DEFAULT_GRID_POINTS", 41)
+        model = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, 1)
+        with pytest.raises(GridTooCoarse):
+            convergence_experiment(model, named_test_function("gauss"),
+                                   [200], "sup")
+
+    @pytest.mark.parametrize("side", ["sup", "inf"])
+    def test_dp_value_equals_sup_expectation_dp(self, side):
+        cases = [
+            (RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, 1),
+             named_test_function("gauss")),
+            (RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), 1),
+             s_shaped("phibar" if side == "sup" else "phi")),
+        ]
+        for model, phi in cases:
+            rows = convergence_experiment(model, phi, [10, 40], side)
+            for n, value, _, _ in rows:
+                ref, _ = sup_expectation_dp(replace(model, n=n), phi, side)
+                assert np.float64(value).tobytes() == np.float64(ref).tobytes()
 
 
 class TestPolicySimulate:
