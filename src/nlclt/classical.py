@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams
-from .numerics import SeedSpec, generator, ks_one_sample, std_normal_cdf
+from .numerics import (SeedSpec, generator, ks_one_sample, std_normal_cdf,
+                       std_normal_cdf_arr)
 
 
 @dataclass(frozen=True)
@@ -209,5 +210,4 @@ def simulate_clt_distance(model: IidModel, n: int, reps: int,
     mu = model.law.mean()
     sigma = math.sqrt(model.law.variance())
     standardized = (sums - n * mu) / (sigma * math.sqrt(n))
-    return ks_one_sample(standardized,
-                         np.vectorize(std_normal_cdf, otypes=[float]))
+    return ks_one_sample(standardized, std_normal_cdf_arr)

@@ -305,7 +305,7 @@ def cmd_density(cfg: dict) -> int:
                            float(cfg.get("c", 0.0)))
     grid = parse_grid(cfg.get("grid", "-4:4:801"))
     curve = emit_density_curve(params, family, grid)
-    csvio.write_csv_atomic(require_out(cfg), "y,density", map(tuple, curve))
+    csvio.write_csv_atomic(require_out(cfg), "y,density", curve.tolist())
     return 0
 
 
@@ -330,12 +330,12 @@ def _figure_rows(entry, grid: Grid1D):
             label = f"{fam}({csvio.format_value(params.alpha)}," \
                     f"{csvio.format_value(params.beta)},{csvio.format_value(params.c)})"
             curve = emit_density_curve(params, fam, grid)
-            rows.extend((y, label, d) for y, d in curve)
+            rows.extend((y, label, d) for y, d in curve.tolist())
     else:
         for params in param_list:
             label = f"alpha={csvio.format_value(params.alpha)}"
             curve = emit_density_curve(params, family, grid)
-            rows.extend((y, label, d) for y, d in curve)
+            rows.extend((y, label, d) for y, d in curve.tolist())
     return name, rows
 
 

@@ -244,7 +244,6 @@ def _backward_induction(model: RectangularModel, phi: TestFunction, side: str,
     term = np.empty(points)
     upper = np.empty(points)
     take_best = np.max if side == "sup" else np.min
-    arg_best = np.argmax if side == "sup" else np.argmin
     policy = np.empty((n, points), dtype=np.int8) if record_policy else None
     for step in range(n - 1, -1, -1):
         padded[:pad] = values[0]
@@ -260,10 +259,15 @@ def _backward_induction(model: RectangularModel, phi: TestFunction, side: str,
                     np.add(term, upper, out=term)
                     np.multiply(term, p, out=term)
                 np.add(acc, term, out=acc)
-        if record_policy:
-            # first occurrence wins, so ties resolve to the lower control
-            policy[step] = arg_best(stacked, axis=0)
         take_best(stacked, axis=0, out=values)
+        if record_policy:
+            # the first control whose row reaches the best value: np.argmax's
+            # index for non-NaN rows (ties go to the lower control), without
+            # its cost of twice the rest of the step
+            row = policy[step]
+            row.fill(len(stacked) - 1)
+            for k in range(len(stacked) - 2, -1, -1):
+                np.copyto(row, k, where=stacked[k] == values)
     root = float(values[points // 2])
     return root, x, h, policy
 

@@ -241,8 +241,9 @@ class ValueGrid:
     max_seen: float
 
     def rows(self):
-        for t, layer in zip(self.times, self.values):
-            for xi, ui in zip(self.x, layer):
+        x = self.x.tolist()
+        for t, layer in zip(self.times.tolist(), self.values):
+            for xi, ui in zip(x, layer.tolist()):
                 yield t, xi, ui
 
 

@@ -4,10 +4,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nlclt import csvio
 from nlclt.cli import COMMAND_KEYS, main, parse_grid, validate_config
 from nlclt.errors import ConfigError
 from nlclt.numerics import std_normal_pdf
+from nlclt.sublinear import ValueGrid
 
 
 def read(path):
@@ -315,3 +319,37 @@ class TestMalformedValues:
                     for line in err.splitlines()), (command, key, err)
                 assert run("validate", "--config", str(cfg_path)) == 0
                 assert capsys.readouterr().err == ""
+
+
+class TestCsvRowsAsPythonFloats:
+    """The commands hand render_csv Python floats (ndarray.tolist()), not
+    np.float64; the bytes must match the rendering of np.float64 rows."""
+
+    SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300,
+               -1e300, 1.7976931348623157e308, 0.1, 1 / 3, math.inf, -math.inf,
+               math.nan]
+
+    @staticmethod
+    def assert_same_bytes(values):
+        table = np.array(values, dtype=float).reshape(-1, 1)
+        table = np.column_stack([table, table[::-1]])
+        frozen = csvio.render_csv("a,b", map(tuple, table))   # np.float64 cells
+        assert csvio.render_csv("a,b", table.tolist()) == frozen
+
+    def test_special_values(self):
+        self.assert_same_bytes(self.SPECIAL)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_drawn_doubles(self, values):
+        self.assert_same_bytes(values)
+
+    def test_value_grid_rows(self):
+        x = np.array([-1e300, -0.0, 5e-324, 0.1, 1 / 3])
+        values = np.outer([1.0, -2.5e-310, 7.0], x)
+        grid = ValueGrid(x=x, times=np.array([1.0, 0.5, 0.0]), values=values,
+                         u0=0.0, min_seen=0.0, max_seen=0.0)
+        frozen = [(t, xi, ui) for t, layer in zip(grid.times, grid.values)
+                  for xi, ui in zip(grid.x, layer)]
+        assert all(type(v) is float for row in grid.rows() for v in row)
+        assert csvio.render_csv("t,x,u", grid.rows()) == csvio.render_csv("t,x,u", frozen)
