@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import json
 import math
 import os
@@ -211,8 +212,8 @@ def validate_config(cfg: dict) -> list:
     num = _numbers(cfg, problems)
     if "seed" in num and not 0 <= num["seed"] < 2 ** 64:
         problems.append("seed must be an unsigned 64-bit integer")
-    if "stream" in num and num["stream"] < 0:
-        problems.append("stream must be non-negative")
+    if "stream" in num and not 0 <= num["stream"] < 2 ** 64:
+        problems.append("stream must be an unsigned 64-bit integer")
     if "sigma_low" in num and "sigma_high" in num:
         if not 0 < num["sigma_low"] <= num["sigma_high"]:
             problems.append("variance interval needs 0 < sigma_low <= sigma_high")
@@ -294,6 +295,15 @@ def require_out(cfg: dict) -> str:
     return str(out)
 
 
+def write_table(path: str, header: str, rows) -> None:
+    """csvio.write_csv_atomic, reporting a path it cannot write (a
+    directory, or a path under a regular file) as a ConfigError."""
+    try:
+        csvio.write_csv_atomic(path, header, rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
@@ -304,8 +314,8 @@ def cmd_density(cfg: dict) -> int:
                            float(cfg.get("beta", 0.0)),
                            float(cfg.get("c", 0.0)))
     grid = parse_grid(cfg.get("grid", "-4:4:801"))
-    curve = emit_density_curve(params, family, grid)
-    csvio.write_csv_atomic(require_out(cfg), "y,density", curve.tolist())
+    ys, ds = emit_density_curve(params, family, grid).T.tolist()
+    write_table(require_out(cfg), "y,density", zip(ys, ds))
     return 0
 
 
@@ -322,21 +332,27 @@ PAPER_FIGURES = (
 )
 
 
-def _figure_rows(entry, grid: Grid1D):
+def _figure_curves(entry, grid: Grid1D):
+    """(file name, [(label, curve), ...]) for one paper figure."""
     name, family, param_list = entry
-    rows = []
-    if family == "mixed":
-        for fam, params in param_list:
+    curves = []
+    for item in param_list:
+        if family == "mixed":
+            fam, params = item
             label = f"{fam}({csvio.format_value(params.alpha)}," \
                     f"{csvio.format_value(params.beta)},{csvio.format_value(params.c)})"
-            curve = emit_density_curve(params, fam, grid)
-            rows.extend((y, label, d) for y, d in curve.tolist())
-    else:
-        for params in param_list:
+        else:
+            fam, params = family, item
             label = f"alpha={csvio.format_value(params.alpha)}"
-            curve = emit_density_curve(params, family, grid)
-            rows.extend((y, label, d) for y, d in curve.tolist())
-    return name, rows
+        curves.append((label, emit_density_curve(params, fam, grid)))
+    return name, curves
+
+
+def _figure_rows(curves):
+    """(y, label, density) rows, made one curve at a time as they are written."""
+    for label, curve in curves:
+        ys, ds = curve.T.tolist()
+        yield from zip(ys, itertools.repeat(label), ds)
 
 
 def cmd_figures(cfg: dict) -> int:
@@ -347,12 +363,11 @@ def cmd_figures(cfg: dict) -> int:
     workers = min(worker_count(), len(PAPER_FIGURES))
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            tables = list(pool.map(lambda e: _figure_rows(e, grid), PAPER_FIGURES))
+            tables = list(pool.map(lambda e: _figure_curves(e, grid), PAPER_FIGURES))
     else:
-        tables = [_figure_rows(e, grid) for e in PAPER_FIGURES]
-    os.makedirs(out_dir, exist_ok=True)
-    for name, rows in tables:  # compute everything before writing anything
-        csvio.write_csv_atomic(os.path.join(out_dir, name), "y,curve,density", rows)
+        tables = [_figure_curves(e, grid) for e in PAPER_FIGURES]
+    for name, curves in tables:  # compute everything before writing anything
+        write_table(os.path.join(out_dir, name), "y,curve,density", _figure_rows(curves))
     return 0
 
 
@@ -383,8 +398,8 @@ def cmd_solve(cfg: dict) -> int:
         rows.append(("tree_value", tree))
         rows.append(("abs_gap", abs(grid.u0 - tree)))
     if cfg.get("grid_out"):
-        csvio.write_csv_atomic(str(cfg["grid_out"]), "t,x,u", grid.rows())
-    csvio.write_csv_atomic(require_out(cfg), "name,value", rows)
+        write_table(str(cfg["grid_out"]), "t,x,u", grid.rows())
+    write_table(require_out(cfg), "name,value", rows)
     return 0
 
 
@@ -404,7 +419,7 @@ def cmd_converge(cfg: dict) -> int:
     model = _rect_model(cfg, schedule[0])
     phi = build_payoff(cfg, "phi")
     rows = convergence_experiment(model, phi, schedule, cfg.get("side", "sup"))
-    csvio.write_csv_atomic(require_out(cfg), "n,dp_value,limit_value,gap", rows)
+    write_table(require_out(cfg), "n,dp_value,limit_value,gap", rows)
     return 0
 
 
@@ -482,7 +497,7 @@ def cmd_check(cfg: dict) -> int:
         header, rows = _check_lindeberg(cfg)
     else:
         raise ConfigError("chain must be classical, martingale or lindeberg")
-    csvio.write_csv_atomic(require_out(cfg), header, rows)
+    write_table(require_out(cfg), header, rows)
     return 0
 
 
@@ -522,7 +537,7 @@ def cmd_simulate(cfg: dict) -> int:
         rows.append(("policy_stderr", se))
     else:
         raise ConfigError("target must be clt, hall, mixture or policy")
-    csvio.write_csv_atomic(require_out(cfg), "name,value", rows)
+    write_table(require_out(cfg), "name,value", rows)
     return 0
 
 

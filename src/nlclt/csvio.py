@@ -13,8 +13,23 @@ def format_value(v) -> str:
 
 
 def render_csv(header: str, rows) -> str:
+    """The table as text, each cell as format_value writes it.
+
+    Each row is formatted by a single % template: "%.15g" for a float cell
+    (f"{v:.15g}", as format_value) and "%s" (str) for any other.  The
+    template follows the row's cell types and is rebuilt only when they
+    change from the previous row.
+    """
     lines = [header]
-    lines.extend(",".join(format_value(v) for v in row) for row in rows)
+    types = template = None
+    for row in rows:
+        row = tuple(row)
+        row_types = tuple(map(type, row))
+        if row_types != types:
+            types = row_types
+            template = ",".join("%.15g" if issubclass(t, float) else "%s"
+                                for t in types)
+        lines.append(template % row)
     return "\n".join(lines) + "\n"
 
 

@@ -92,9 +92,13 @@ def chen_epstein_pdf(p: DensityParams, y):
     # alpha * exp(2 alpha t) * Phi(-z); for z >= 0 rewrite through erfcx
     safe = z >= 0
     zs = np.where(safe, z, 0.0)
-    tail = 0.5 * alpha * erfcx_arr(zs / SQRT2) * np.exp(2.0 * alpha * t - 0.5 * zs * zs)
-    direct = alpha * np.exp(2.0 * alpha * t) * std_normal_cdf_arr(-z)
-    second = np.where(safe, tail, direct)
+    # an array even for scalar y, so that the z < 0 entries can be replaced
+    second = np.asarray(
+        0.5 * alpha * erfcx_arr(zs / SQRT2) * np.exp(2.0 * alpha * t - 0.5 * zs * zs))
+    if not safe.all():
+        # the direct form, evaluated only where it is used
+        neg = ~safe
+        second[neg] = alpha * np.exp(2.0 * alpha * t[neg]) * std_normal_cdf_arr(-z[neg])
     out = first - second
     return float(out) if out.ndim == 0 else out
 

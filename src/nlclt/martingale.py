@@ -14,7 +14,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParams
-from .numerics import SeedSpec, generator, ks_one_sample, std_normal_cdf_arr
+from .numerics import (
+    SeedSpec,
+    categorical_choice,
+    generator,
+    ks_one_sample,
+    std_normal_cdf_arr,
+)
 
 IID_RADEMACHER = "iid_rademacher"
 HALL_MIXTURE = "hall_mixture"
@@ -75,8 +81,8 @@ class MdsModel:
         if self.kind == IID_RADEMACHER:
             sig = np.ones((reps, self.n))
         elif self.kind == HALL_MIXTURE:
-            eta = gen.choice(np.asarray(self.eta_values, dtype=float),
-                             size=reps, p=np.asarray(self.eta_probs, dtype=float))
+            eta = categorical_choice(gen, np.asarray(self.eta_values, dtype=float),
+                                     self.eta_probs, reps)
             sig = np.repeat(eta[:, None], self.n, axis=1)
         else:
             sig = np.empty((reps, self.n))
@@ -229,7 +235,7 @@ def hall_mixture_sampler(limit: MixtureLimit, reps: int,
     gen = generator(spec)
     tvals = np.asarray([t for t, _ in limit.atoms], dtype=float)
     probs = np.asarray([p for _, p in limit.atoms], dtype=float)
-    t = gen.choice(tvals, size=reps, p=probs)
+    t = categorical_choice(gen, tvals, probs, reps)
     z = gen.standard_normal(reps)
     return t * z
 
@@ -250,7 +256,7 @@ def hall_convergence_check(eta_values, eta_probs, k_n: int, reps: int,
     gen = generator(spec)
     tvals = np.asarray([t for t, _ in limit.atoms], dtype=float)
     probs = np.asarray([p for _, p in limit.atoms], dtype=float)
-    eta = gen.choice(tvals, size=reps, p=probs)
+    eta = categorical_choice(gen, tvals, probs, reps)
     # sum of k_n iid signs through a single binomial draw per row
     heads = gen.binomial(k_n, 0.5, size=reps)
     s = eta * (2.0 * heads - k_n) / math.sqrt(k_n)

@@ -26,7 +26,7 @@ from .densities import (
     select_variance_limit_params,
 )
 from .errors import GridTooCoarse, InvalidParams, PolicyMismatch, UnsupportedCombination
-from .numerics import Grid1D, SeedSpec, generator, quad_integrate
+from .numerics import Categorical, Grid1D, SeedSpec, generator, quad_integrate
 from .sublinear import TestFunction, solve_g_expectation, solve_g_heat
 
 MEAN_KIND = "mean_uncertain"
@@ -412,22 +412,40 @@ def policy_simulate(model: RectangularModel, policy: AdversaryPolicy,
     if not np.allclose(policy.control_values, model.controls()):
         raise PolicyMismatch("policy control set differs from the model's")
     gen = generator(spec)
+    innovations = Categorical(model.innovation.probs, reps)
     atoms = np.asarray(model.innovation.values, dtype=float)
-    probs = np.asarray(model.innovation.probs, dtype=float)
     cvals = np.asarray(policy.control_values, dtype=float)
-    points = policy.controls.shape[1]
-    x = np.zeros(reps)
+    mean_model = model.kind == MEAN_KIND
+    if mean_model:
+        # x + chosen/n + k*eps adds two looked-up terms: chosen/n per
+        # control and k*eps per atom, each rounded as in the sum
+        cvals = cvals / model.n
+        atoms = model.mean_step_scale() * atoms
     rtn = math.sqrt(model.n)
-    k = model.mean_step_scale() if model.kind == MEAN_KIND else 0.0
+    # every step writes into these buffers
+    x = np.zeros(reps)
+    eps = np.empty(reps)
+    chosen = np.empty(reps)
+    scratch = np.empty(reps)
+    cell = np.empty(reps, dtype=int)
+    row = np.empty(policy.controls.shape[1])
     for step in range(model.n):
-        idx = np.clip(np.rint((x - policy.x0) / policy.h).astype(int),
-                      0, points - 1)
-        chosen = cvals[policy.controls[step][idx]]
-        eps = gen.choice(atoms, size=reps, p=probs)
-        if model.kind == VARIANCE_KIND:
-            x = x + chosen * eps / rtn
-        else:
-            x = x + chosen / model.n + k * eps
+        # cell = rint((x - x0)/h) cast to int; mode="clip" in the take
+        # clamps it to the grid as np.clip did
+        np.subtract(x, policy.x0, out=scratch)
+        np.divide(scratch, policy.h, out=scratch)
+        np.rint(scratch, out=scratch)
+        np.copyto(cell, scratch, casting="unsafe")
+        np.take(cvals, policy.controls[step], out=row)
+        np.take(row, cell, out=chosen, mode="clip")
+        np.take(atoms, innovations.draw(gen), out=eps)
+        if mean_model:  # (x + chosen/n) + k*eps
+            np.add(x, chosen, out=x)
+            np.add(x, eps, out=x)
+        else:  # x + (chosen*eps)/rtn
+            np.multiply(chosen, eps, out=scratch)
+            np.divide(scratch, rtn, out=scratch)
+            np.add(x, scratch, out=x)
     vals = phi(x)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0

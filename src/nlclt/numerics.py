@@ -71,13 +71,18 @@ class SeedSpec:
     def __post_init__(self):
         if not (0 <= self.seed < 2**64):
             raise InvalidParams("seed must be an unsigned 64-bit integer")
-        if self.stream < 0:
-            raise InvalidParams("stream must be non-negative")
+        if not (0 <= self.stream < 2**64):
+            raise InvalidParams("stream must be an unsigned 64-bit integer")
 
 
 def generator(spec: SeedSpec) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, stream)."""
-    return np.random.Generator(np.random.Philox(key=[spec.seed, spec.stream]))
+    """Counter-based generator keyed by (seed, stream).
+
+    The key is built as uint64 words: a Python list would pass seeds of
+    2**63 and above through float64, merging neighbouring seeds.
+    """
+    key = np.array([spec.seed, spec.stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def rademacher_stream(spec: SeedSpec, n: int) -> np.ndarray:
@@ -87,6 +92,57 @@ def rademacher_stream(spec: SeedSpec, n: int) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=np.int64)
     return generator(spec).integers(0, 2, size=n) * 2 - 1
+
+
+# Generator.choice accepts p when its sum is this close to 1.
+_CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+class Categorical:
+    """Atom indices of a finite law, draw for draw those of ``Generator.choice``.
+
+    ``gen.choice(a, size, p=probs)`` builds ``cdf = probs.cumsum()``,
+    divides it by ``cdf[-1]``, draws ``u = gen.random(size)`` and returns
+    ``a[cdf.searchsorted(u, side="right")]``.  As ``u < 1 = cdf[-1]``, that
+    index is the number of inner edges ``cdf[:-1]`` that u reaches.  This
+    class checks ``probs`` and builds the edges once, then each ``draw``
+    fills preallocated buffers of ``size``: the same indices from the same
+    uniforms, leaving the generator in the same state.
+    """
+
+    def __init__(self, probs, size: int):
+        p = np.asarray(probs, dtype=float)
+        if p.ndim != 1 or len(p) == 0:
+            raise InvalidParams("probabilities must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(p)):
+            raise InvalidParams("probabilities must be finite")
+        if np.any(p < 0):
+            raise InvalidParams("probabilities must be non-negative")
+        if abs(math.fsum(p.tolist()) - 1.0) > _CHOICE_SUM_TOL:
+            raise InvalidParams("probabilities must sum to 1")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self._edges = cdf[:-1].tolist()
+        self._uniforms = np.empty(size)
+        self._reached = np.empty(size, dtype=bool)
+        self._index = np.empty(size, dtype=np.intp)
+
+    def draw(self, gen: np.random.Generator) -> np.ndarray:
+        """Fresh atom indices, in a buffer the next draw overwrites."""
+        gen.random(out=self._uniforms)
+        self._index.fill(0)
+        for edge in self._edges:
+            np.greater_equal(self._uniforms, edge, out=self._reached)
+            self._index += self._reached
+        return self._index
+
+
+def categorical_choice(gen: np.random.Generator, atoms, probs, size: int) -> np.ndarray:
+    """``gen.choice(atoms, size=size, p=probs)`` for a 1-d sequence of atoms."""
+    atoms = np.asarray(atoms)
+    if atoms.ndim != 1 or len(atoms) != len(probs):
+        raise InvalidParams("atoms and probabilities must match")
+    return atoms[Categorical(probs, size).draw(gen)]
 
 
 # ---------------------------------------------------------------------------

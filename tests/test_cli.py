@@ -298,6 +298,26 @@ class TestMalformedValues:
         assert err == "config error: sigma_low must be a number\n"
         assert not out.exists()
 
+    def test_stream_beyond_64_bits_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        code = run("simulate", "--target", "mixture", "--reps", "10",
+                   "--stream", str(2**64), "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "config error: stream must be an unsigned 64-bit integer\n"
+        assert not out.exists()
+
+    def test_negative_mixing_probability_is_config_error(self, tmp_path, capsys):
+        # the probabilities sum to 1, so only the sampler sees the sign
+        out = tmp_path / "never.csv"
+        code = run("check", "--chain", "martingale", "--mds", "hall", "--etas", "1,2",
+                   "--probs", "1.5,-0.5", "--ns", "100", "--reps", "100",
+                   "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "config error: probabilities must be non-negative\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["x", None, [1, "a"], {"a": 1}, 1e400])
     def test_any_single_value_gives_a_documented_exit(self, tmp_path, capsys,
                                                       value):
@@ -319,6 +339,88 @@ class TestMalformedValues:
                     for line in err.splitlines()), (command, key, err)
                 assert run("validate", "--config", str(cfg_path)) == 0
                 assert capsys.readouterr().err == ""
+
+
+class TestUnwritableOutput:
+    """An --out the commands cannot write is one config error line, exit 2,
+    and no temporary file left behind."""
+
+    @staticmethod
+    def assert_config_error(code, capsys, root):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+        assert not [p for p in root.rglob("*.tmp")]
+
+    def test_density_out_is_a_directory(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.mkdir()
+        code = run("density", "--family", "cez", "--alpha", "1", "--beta", "2",
+                   "--out", str(target))
+        self.assert_config_error(code, capsys, tmp_path)
+        assert target.is_dir() and not any(target.iterdir())
+
+    def test_density_out_under_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "plain.txt"
+        blocker.write_text("keep")
+        code = run("density", "--family", "cez", "--alpha", "1", "--beta", "2",
+                   "--out", str(blocker / "sub" / "curve.csv"))
+        self.assert_config_error(code, capsys, tmp_path)
+        assert blocker.read_text() == "keep"
+
+    def test_figures_out_is_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "plain.txt"
+        blocker.write_text("keep")
+        code = run("figures", "--grid=-2:2:41", "--out", str(blocker))
+        self.assert_config_error(code, capsys, tmp_path)
+        assert blocker.read_text() == "keep"
+
+    def test_simulate_out_is_a_directory(self, tmp_path, capsys):
+        code = run("simulate", "--target", "mixture", "--reps", "10",
+                   "--out", str(tmp_path))
+        self.assert_config_error(code, capsys, tmp_path)
+
+
+def ref_render_csv(header, rows):
+    """The per-cell renderer render_csv replaced, kept as the byte reference."""
+    def value(v):
+        if isinstance(v, float):
+            return f"{v:.15g}"
+        return str(v)
+    lines = [header]
+    lines.extend(",".join(value(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+CELLS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan,
+                     1e16, 123456789012345678.0]),
+    st.integers(-2**70, 2**70),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.text(max_size=6),
+    st.sampled_from(["%", "%s", "%.15g", "50%d", "a,b", "%%"]),
+    st.floats(width=32).map(np.float32),
+)
+
+
+class TestRenderCsvBytes:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(CELLS, max_size=5), max_size=12))
+    def test_mixed_rows_match_the_per_cell_renderer(self, rows):
+        assert csvio.render_csv("h", rows) == ref_render_csv("h", rows)
+        tuples = [tuple(r) for r in rows]
+        assert csvio.render_csv("h", iter(tuples)) == ref_render_csv("h", tuples)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(), min_size=1, max_size=30),
+           st.lists(CELLS, min_size=1, max_size=3))
+    def test_type_changes_between_rows(self, floats, tail):
+        # runs of equal row types, then a change: the template must follow
+        rows = [(v, "x", v) for v in floats] + [tuple(tail)] + [(v,) for v in floats]
+        assert csvio.render_csv("h", rows) == ref_render_csv("h", rows)
 
 
 class TestCsvRowsAsPythonFloats:

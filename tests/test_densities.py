@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlclt.densities import (
     DensityParams,
@@ -14,7 +16,14 @@ from nlclt.densities import (
     select_variance_limit_params,
 )
 from nlclt.errors import InvalidParams, UnsupportedCombination
-from nlclt.numerics import Grid1D, std_normal_pdf
+from nlclt.numerics import (
+    INV_SQRT_2PI,
+    SQRT2,
+    Grid1D,
+    erfcx_arr,
+    std_normal_cdf_arr,
+    std_normal_pdf,
+)
 
 # point values from 40-digit mpmath evaluations of the closed forms,
 # frozen before the build
@@ -216,3 +225,41 @@ class TestCurves:
         with pytest.raises(InvalidParams):
             VarianceInterval(0.0, 1.0)
         assert VarianceInterval(1.0, 2.0).theta == 0.5
+
+
+# ---------------------------------------------------------------------------
+# Phi(-z) only where z < 0: same bytes as evaluating it everywhere
+# ---------------------------------------------------------------------------
+
+def ref_chen_epstein_pdf(p, y):
+    """The density with the direct term evaluated on every element."""
+    y = np.asarray(y, dtype=float)
+    alpha, beta, c = p.alpha, p.beta, p.c
+    t = np.abs(y - c)
+    a = abs(c - beta)
+    first = INV_SQRT_2PI * np.exp(
+        -0.5 * ((y - beta) ** 2 - 2.0 * alpha * (t - a) + alpha * alpha))
+    z = a + t + alpha
+    safe = z >= 0
+    zs = np.where(safe, z, 0.0)
+    tail = 0.5 * alpha * erfcx_arr(zs / SQRT2) * np.exp(2.0 * alpha * t - 0.5 * zs * zs)
+    direct = alpha * np.exp(2.0 * alpha * t) * std_normal_cdf_arr(-z)
+    out = first - np.where(safe, tail, direct)
+    return float(out) if out.ndim == 0 else out
+
+
+PARAM = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(PARAM, PARAM, PARAM,
+       st.lists(st.floats(-40.0, 40.0, allow_nan=False), min_size=1, max_size=40))
+def test_chen_epstein_direct_term_only_where_used(alpha, beta, c, ys):
+    p = DensityParams(alpha, beta, c)
+    y = np.array(ys + [c, beta, c - alpha, np.inf, -np.inf])
+    with np.errstate(all="ignore"):
+        assert chen_epstein_pdf(p, y).tobytes() == ref_chen_epstein_pdf(p, y).tobytes()
+        for v in (ys[0], c - 1.0, c + 1.0):
+            got, ref = chen_epstein_pdf(p, v), ref_chen_epstein_pdf(p, v)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()

@@ -148,11 +148,27 @@ class TestRandomStreams:
         g2 = generator(SeedSpec(7, 2)).standard_normal(64)
         assert g1.tobytes() == g2.tobytes()
 
+    def test_every_64_bit_seed_is_its_own_key(self):
+        # seeds of 2**63 and above must not pass through float64
+        for seed in (2**63 - 1, 2**63, 12345678901234567890, 2**64 - 2, 2**64 - 1):
+            for stream in (0, 2**64 - 1):
+                gen = generator(SeedSpec(seed, stream))
+                assert gen.bit_generator.state["state"]["key"].tolist() == [seed, stream]
+        assert generator(SeedSpec(2**64 - 1)).random(4).tobytes() != \
+            generator(SeedSpec(2**64 - 2)).random(4).tobytes()
+        # small keys are unchanged: the same stream as a plain key list
+        ref = np.random.Generator(np.random.Philox(key=[7, 2])).random(8)
+        assert generator(SeedSpec(7, 2)).random(8).tobytes() == ref.tobytes()
+
     def test_seed_spec_validation(self):
         with pytest.raises(InvalidParams):
             SeedSpec(-1, 0)
         with pytest.raises(InvalidParams):
             SeedSpec(0, -2)
+        with pytest.raises(InvalidParams):
+            SeedSpec(2**64, 0)
+        with pytest.raises(InvalidParams):
+            SeedSpec(0, 2**64)
         with pytest.raises(InvalidParams):
             rademacher_stream(SeedSpec(0, 0), -1)
 

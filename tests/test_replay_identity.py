@@ -1,0 +1,194 @@
+"""Draw-for-draw guard for the categorical sampler and the policy replay.
+
+``Categorical`` counts the cdf edges a uniform reaches instead of calling
+``Generator.choice``, and ``policy_simulate`` writes every step into
+preallocated buffers.  This file requires the same indices and generator
+state as ``Generator.choice``, and keeps a frozen copy of the earlier
+replay (one ``gen.choice`` and fresh arrays per step) whose
+``(estimate, stderr)`` the replay must reproduce bit for bit.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from nlclt.classical import DiscreteLaw
+from nlclt.densities import MeanInterval, VarianceInterval
+from nlclt.errors import InvalidParams
+from nlclt.measure_dp import (
+    MEAN_KIND,
+    VARIANCE_KIND,
+    RectangularModel,
+    policy_simulate,
+    sup_expectation_dp,
+)
+from nlclt.numerics import Categorical, SeedSpec, categorical_choice, generator
+from nlclt.sublinear import SShapeSpec, make_s_shaped, named_test_function
+
+SEEDS = st.integers(0, 2**64 - 1)
+STREAMS = st.integers(0, 2**20)
+
+
+# ---------------------------------------------------------------------------
+# categorical sampler against Generator.choice
+# ---------------------------------------------------------------------------
+
+@st.composite
+def laws(draw):
+    """1 to 5 atoms; some probabilities zero; normalised like user input."""
+    k = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                            min_size=k, max_size=k))
+    if sum(weights) == 0.0:
+        weights[draw(st.integers(0, k - 1))] = 1.0
+    total = math.fsum(weights)
+    return np.array([w / total for w in weights])
+
+
+def assert_same_as_choice(probs, size, spec):
+    atoms = np.linspace(-2.0, 3.0, len(probs))
+    ref_gen, gen = generator(spec), generator(spec)
+    expected = ref_gen.choice(atoms, size=size, p=probs)
+    drawn = Categorical(probs, size).draw(gen)
+    assert drawn.dtype == np.intp
+    assert atoms[drawn].tobytes() == expected.tobytes()
+    assert categorical_choice(generator(spec), atoms, probs, size).tobytes() \
+        == expected.tobytes()
+    # both generators sit at the same point of the stream
+    assert gen.random(3).tobytes() == ref_gen.random(3).tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(laws(), st.sampled_from([0, 1, 2, 7, 1000]), SEEDS, STREAMS)
+def test_indices_and_state_match_generator_choice(probs, size, seed, stream):
+    assert_same_as_choice(probs, size, SeedSpec(seed, stream))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.floats(0.001, 0.999), SEEDS)
+def test_bernoulli_matches_generator_choice(p, seed):
+    assert_same_as_choice(np.array([1.0 - p, p]), 2000, SeedSpec(seed))
+
+
+def test_edges_of_zero_mass_are_never_chosen():
+    probs = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
+    index = Categorical(probs, 10_000).draw(generator(SeedSpec(5)))
+    assert set(np.unique(index)) == {1, 3}
+    assert_same_as_choice(probs, 10_000, SeedSpec(5))
+
+
+def test_repeated_draws_follow_the_stream():
+    probs = np.array([0.2, 0.3, 0.5])
+    sampler = Categorical(probs, 500)
+    gen, ref_gen = generator(SeedSpec(9, 2)), generator(SeedSpec(9, 2))
+    for _ in range(5):
+        expected = ref_gen.choice(3, size=500, p=probs)
+        assert np.array_equal(sampler.draw(gen), expected)
+
+
+@pytest.mark.parametrize("probs", [[], [[0.5, 0.5]], [0.5, -0.1, 0.6], [0.5, 0.4],
+                                   [0.5, math.nan], [math.inf, 0.0]])
+def test_invalid_probabilities_are_rejected(probs):
+    with pytest.raises(InvalidParams):
+        Categorical(probs, 3)
+
+
+def test_atoms_must_match_probabilities():
+    with pytest.raises(InvalidParams):
+        categorical_choice(generator(SeedSpec(0)), [1.0, 2.0, 3.0], [0.5, 0.5], 4)
+
+
+# ---------------------------------------------------------------------------
+# frozen allocating replay
+# ---------------------------------------------------------------------------
+
+def ref_policy_simulate(model, policy, phi, reps, spec):
+    gen = generator(spec)
+    atoms = np.asarray(model.innovation.values, dtype=float)
+    probs = np.asarray(model.innovation.probs, dtype=float)
+    cvals = np.asarray(policy.control_values, dtype=float)
+    points = policy.controls.shape[1]
+    x = np.zeros(reps)
+    rtn = math.sqrt(model.n)
+    k = model.mean_step_scale() if model.kind == MEAN_KIND else 0.0
+    for step in range(model.n):
+        idx = np.clip(np.rint((x - policy.x0) / policy.h).astype(int),
+                      0, points - 1)
+        chosen = cvals[policy.controls[step][idx]]
+        eps = gen.choice(atoms, size=reps, p=probs)
+        if model.kind == VARIANCE_KIND:
+            x = x + chosen * eps / rtn
+        else:
+            x = x + chosen / model.n + k * eps
+    vals = phi(x)
+    est = float(np.mean(vals))
+    se = float(np.std(vals, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    return est, se
+
+
+def standardized_bernoulli(p):
+    """Bernoulli(p) shifted and scaled to zero mean and unit variance."""
+    law = DiscreteLaw.bernoulli(p)
+    s = math.sqrt(p * (1.0 - p))
+    return DiscreteLaw(values=tuple((v - p) / s for v in law.values),
+                       probs=law.probs)
+
+
+@st.composite
+def replays(draw):
+    n = draw(st.integers(1, 12))
+    law = draw(st.one_of(st.just(DiscreteLaw.rademacher()),
+                         st.floats(0.01, 0.99).map(standardized_bernoulli)))
+    if draw(st.booleans()):
+        lo = draw(st.sampled_from([0.5, 1.0]))
+        ratio = draw(st.sampled_from([1.0, 2.0, math.sqrt(2.0)]))
+        model = RectangularModel.variance_uncertain(
+            VarianceInterval(lo, lo * ratio), n, innovation=law)
+    else:
+        mu_low = draw(st.floats(-1.0, 0.0))
+        mu_high = draw(st.floats(0.0, 1.0))
+        sigma = draw(st.sampled_from([0.5, 1.0, 3.0]))
+        model = RectangularModel.mean_uncertain(MeanInterval(mu_low, mu_high),
+                                                sigma, n, innovation=law)
+    name = draw(st.sampled_from(["gauss", "tanh", "normal_cdf", "s_shape"]))
+    if name == "s_shape":
+        phi = make_s_shaped(SShapeSpec(phi1=named_test_function("tanh"), c=0.2,
+                                       theta=0.5), "phibar")
+    else:
+        phi = named_test_function(name)
+    side = draw(st.sampled_from(["sup", "inf"]))
+    reps = draw(st.sampled_from([1, 2, 1000]))
+    spec = SeedSpec(draw(SEEDS), draw(STREAMS))
+    return model, phi, side, reps, spec
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(replays())
+def test_replay_is_bit_identical(case):
+    model, phi, side, reps, spec = case
+    _, policy = sup_expectation_dp(model, phi, side)
+    got = policy_simulate(model, policy, phi, reps, spec)
+    ref = ref_policy_simulate(model, policy, phi, reps, spec)
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+@pytest.mark.parametrize("model", [
+    RectangularModel.mean_uncertain(MeanInterval(-0.3, 0.9), 1.0, 30),
+    RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, 30,
+                                    innovation=standardized_bernoulli(0.3)),
+    RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), 30),
+    RectangularModel.variance_uncertain(VarianceInterval(0.5, 0.5 * math.sqrt(2.0)), 30,
+                                        innovation=standardized_bernoulli(0.7)),
+], ids=["mean", "mean-bernoulli", "variance", "variance-bernoulli"])
+@pytest.mark.parametrize("side", ["sup", "inf"])
+def test_replay_is_bit_identical_at_larger_n(model, side):
+    # enough steps and paths that any change in rounding order shows
+    phi = named_test_function("gauss")
+    _, policy = sup_expectation_dp(model, phi, side)
+    spec = SeedSpec(2024, 3)
+    got = policy_simulate(model, policy, phi, 5000, spec)
+    assert np.array(got).tobytes() == \
+        np.array(ref_policy_simulate(model, policy, phi, 5000, spec)).tobytes()
