@@ -71,7 +71,6 @@ from .sublinear import (
     SShapeSpec,
     TestFunction,
     ValueGrid,
-    compute_G,
     make_s_shaped,
     named_test_function,
     solve_g_expectation,

@@ -24,6 +24,9 @@ DEFAULT_SPACE_POINTS = 2001
 # steps up that is 11 layers when 10 divides the step count and 12 otherwise
 # (a default 2001-point solve stores 12); fewer steps store more layers.
 MAX_VALUE_SNAPSHOTS = 11
+# Steps a march takes between two reductions of its running min/max: a
+# block of 16 rows at 2001 points is 256 KiB, and stays in cache.
+MARCH_BLOCK_STEPS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +187,6 @@ def make_s_shaped(spec: SShapeSpec, envelope: str) -> TestFunction:
 # generators and problems
 # ---------------------------------------------------------------------------
 
-def compute_G(a: float, v: VarianceInterval) -> float:
-    """Sublinear envelope of a/2 * conditional second moment."""
-    if a >= 0:  # ties take the + branch
-        return 0.5 * v.sigma_high ** 2 * a
-    return 0.5 * v.sigma_low ** 2 * a
-
-
 @dataclass(frozen=True)
 class GVariance:
     interval: VarianceInterval
@@ -218,6 +214,12 @@ class HjbProblem:
     generator: object  # GVariance | GMean
     terminal: TestFunction
     domain_halfwidth: Optional[float] = None
+
+    def __post_init__(self):
+        if self.domain_halfwidth is not None and not (
+                0.0 < self.domain_halfwidth < math.inf):
+            raise InvalidParams(f"domain_halfwidth must be finite and > 0, "
+                                f"got {self.domain_halfwidth}")
 
     def halfwidth(self) -> float:
         if self.domain_halfwidth is not None:
@@ -249,34 +251,44 @@ class ValueGrid:
 
 def _march(u0: np.ndarray, steps: int, step: Callable) -> tuple:
     """Explicit backward march from t = 1 to t = 0 through `steps` calls of
-    `step(u)`, each of which advances the one state vector u in place.
+    `step(u, out)`, each of which writes the state one step on from u into
+    out (a different row).
 
-    Stores the terminal layer, every (steps // (MAX_VALUE_SNAPSHOTS - 1))-th
-    layer and the last layer, which is 11 or 12 layers from 100 steps up
-    (see MAX_VALUE_SNAPSHOTS).  Returns the layer times (1.0 down to 0.0),
-    the layers, and the least and greatest value over every marched step.
+    The steps fill the rows of a block of at most MARCH_BLOCK_STEPS rows
+    after the row they start from, and the block's least and greatest values
+    are reduced once per block, not once per step.  Stores the terminal
+    layer, every (steps // (MAX_VALUE_SNAPSHOTS - 1))-th layer and the last
+    layer, which is 11 or 12 layers from 100 steps up (see
+    MAX_VALUE_SNAPSHOTS).  Returns the layer times (1.0 down to 0.0), the
+    layers, and the least and greatest value over every marched step.
     """
-    u = u0.astype(float)
     snap_every = max(1, steps // (MAX_VALUE_SNAPSHOTS - 1))
     ends = list(range(snap_every, steps + 1, snap_every))
     if ends[-1] != steps:
         ends.append(steps)
+    block = np.empty((min(MARCH_BLOCK_STEPS, steps) + 1, len(u0)))
+    rows = list(block)
+    block[0] = u0
     times = np.empty(len(ends) + 1)
-    values = np.empty((len(ends) + 1, len(u)))
+    values = np.empty((len(ends) + 1, len(u0)))
     times[0] = 1.0
-    values[0] = u
-    run_lo = u.copy()
-    run_hi = u.copy()
+    values[0] = block[0]
+    lo = block[0].min()
+    hi = block[0].max()
     done = 0
     for layer, end in enumerate(ends, start=1):
-        for _ in range(end - done):
-            step(u)
-            np.minimum(run_lo, u, out=run_lo)
-            np.maximum(run_hi, u, out=run_hi)
-        done = end
+        while done < end:
+            count = min(len(rows) - 1, end - done)
+            for k in range(count):
+                step(rows[k], rows[k + 1])
+            marched = block[1:count + 1]
+            lo = min(lo, marched.min())
+            hi = max(hi, marched.max())
+            block[0] = block[count]
+            done += count
         times[layer] = (steps - end) / steps
-        values[layer] = u
-    return times, values, float(run_lo.min()), float(run_hi.max())
+        values[layer] = block[0]
+    return times, values, float(lo), float(hi)
 
 
 def _second_difference_into(u: np.ndarray, dx2: float, d2: np.ndarray) -> None:
@@ -297,7 +309,7 @@ def _solve(problem: HjbProblem, space_points: int, time_steps: Optional[int],
     """Grid, step count, march and root value shared by both solvers.
 
     dt_bound(dx) is the largest stable time step; make_step(n, dx, dt)
-    returns the in-place one-step update on n grid points.
+    returns the one-step update step(u, out) on n grid points.
     """
     if space_points < 3:
         raise InvalidParams(f"space_points must be >= 3, got {space_points}")
@@ -339,17 +351,20 @@ def solve_g_heat(v: VarianceInterval, terminal: TestFunction,
         d2 = np.zeros(n)
         rate = np.empty(n)
         rate_pos = np.empty(n)
-        convex = np.empty(n, dtype=bool)
 
-        def step(u):
-            # u += dt * G(d2): np.where(d2 >= 0, a_pos * d2, a_neg * d2)
+        def step(u, out):
+            # out = u + dt * G(d2), where G(d2) is the larger control product.
+            # It is the product np.where(d2 >= 0, a_pos * d2, a_neg * d2)
+            # picks, bit for bit: a_pos >= a_neg > 0 and rounding is
+            # monotone, so fl(a_pos * d2) >= fl(a_neg * d2) when d2 >= 0 (and
+            # <= when d2 < 0), and two products of one d2 that are equal
+            # carry the sign of d2, zeros included, so they have equal bits.
             _second_difference_into(u, dx2, d2)
             np.multiply(d2, a_neg, out=rate)
             np.multiply(d2, a_pos, out=rate_pos)
-            np.greater_equal(d2, 0.0, out=convex)
-            np.copyto(rate, rate_pos, where=convex)
+            np.maximum(rate, rate_pos, out=rate)
             np.multiply(rate, dt, out=rate)
-            np.add(u, rate, out=u)
+            np.add(u, rate, out=out)
         return step
 
     return _solve(problem, space_points, time_steps,
@@ -383,15 +398,24 @@ def solve_g_expectation(m: MeanInterval, terminal: TestFunction, side: str,
         two_dx = 2.0 * dx
         d2 = np.zeros(n)
         d1 = np.empty(n)
+        d1_inner = d1[1:-1]
         drift = np.empty(n)
         down = np.empty(n)
         rate = np.empty(n)
 
-        def step(u):
-            # u += dt * (0.5 * d2 + (hi * max(d1, 0) + lo * min(d1, 0)))
+        def step(u, out):
+            # out = u + dt * (0.5 * d2 + (hi * max(d1, 0) + lo * min(d1, 0)))
+            #
+            # Not the cheaper max(mu_high * d1, mu_low * d1) (min for inf):
+            # the sign of a zero drift can differ.  At d1 = -0 with
+            # mu = [-1, -1], np.maximum(d1, 0) and np.minimum(d1, 0) are +0,
+            # so this sum is -1 * +0 + -1 * +0 = -0, while both products
+            # -1 * -0 are +0 and any max or min of them is +0.  At d1 = +0
+            # with mu = [-1, 1] the products are +0 and -0, the sum is +0,
+            # and the max is whichever zero numpy's tie rule returns.
             _second_difference_into(u, dx2, d2)
-            np.subtract(u[2:], u[:-2], out=d1[1:-1])
-            np.divide(d1[1:-1], two_dx, out=d1[1:-1])
+            np.subtract(u[2:], u[:-2], out=d1_inner)
+            np.divide(d1_inner, two_dx, out=d1_inner)
             d1[0] = (u[1] - u[0]) / dx
             d1[-1] = (u[-1] - u[-2]) / dx
             np.maximum(d1, 0.0, out=drift)
@@ -402,7 +426,7 @@ def solve_g_expectation(m: MeanInterval, terminal: TestFunction, side: str,
             np.multiply(d2, 0.5, out=rate)
             np.add(rate, drift, out=rate)
             np.multiply(rate, dt, out=rate)
-            np.add(u, rate, out=u)
+            np.add(u, rate, out=out)
         return step
 
     return _solve(problem, space_points, time_steps, dt_bound, make_step)
@@ -412,31 +436,6 @@ def solve_g_expectation(m: MeanInterval, terminal: TestFunction, side: str,
 # lattice oracle
 # ---------------------------------------------------------------------------
 
-def _shift_interp(v: np.ndarray, offset_cells: float) -> np.ndarray:
-    """Values of v displaced by a real number of grid cells, with linear
-    interpolation off integer displacements and linear extrapolation at
-    the edges."""
-    m = math.floor(offset_cells)
-    w = offset_cells - m
-
-    def integer_shift(v, m):
-        n = len(v)
-        out = np.empty_like(v)
-        if m == 0:
-            return v.copy()
-        if m > 0:
-            out[:n - m] = v[m:]
-            out[n - m:] = v[-1] + (v[-1] - v[-2]) * np.arange(1, m + 1)
-        else:
-            out[-m:] = v[:m]
-            out[:-m] = v[0] + (v[0] - v[1]) * np.arange(-m, 0, -1)
-        return out
-
-    if w == 0.0:
-        return integer_shift(v, m)
-    return (1.0 - w) * integer_shift(v, m) + w * integer_shift(v, m + 1)
-
-
 def tree_value_oracle(problem: HjbProblem, steps: int,
                       grid_points: int = 4001) -> float:
     """Backward induction on a recombining lattice with +-1 innovations.
@@ -444,37 +443,77 @@ def tree_value_oracle(problem: HjbProblem, steps: int,
     At each step the adversary takes whichever extreme control (scale or
     drift) optimizes the one-step expectation of the continuation value.
     Serves as the solver-independent cross-check of the PDE values.
+
+    A displacement by a real number of grid cells interpolates linearly
+    between the two integer shifts around it.  The values live in the middle
+    of one buffer whose margins extend them linearly past each end, so every
+    integer shift is a fixed view of that buffer.
     """
     if steps < 1:
         raise InvalidParams("steps must be >= 1")
+    if grid_points < 3:
+        raise InvalidParams(f"grid_points must be >= 3, got {grid_points}")
     L = problem.halfwidth()
     x = np.linspace(-L, L, grid_points)
     h = x[1] - x[0]
-    v = problem.terminal(x)
     gen = problem.generator
+    # per control, the displacements in cells of its two equally likely moves
     if isinstance(gen, GVariance):
-        opt = np.maximum if gen.side == "sup" else np.minimum
-        controls = (gen.interval.sigma_low, gen.interval.sigma_high)
         rtn = math.sqrt(steps)
-        for _ in range(steps):
-            best = None
-            for sig in controls:
-                d = sig / rtn / h
-                c = 0.5 * (_shift_interp(v, d) + _shift_interp(v, -d))
-                best = c if best is None else opt(best, c)
-            v = best
+        moves = [(sig / rtn / h, -(sig / rtn / h))
+                 for sig in (gen.interval.sigma_low, gen.interval.sigma_high)]
     elif isinstance(gen, GMean):
-        opt = np.maximum if gen.side == "sup" else np.minimum
-        controls = (gen.interval.mu_low, gen.interval.mu_high)
         rtn = 1.0 / math.sqrt(steps)
-        for _ in range(steps):
-            best = None
-            for mu in controls:
-                up = (mu / steps + rtn) / h
-                dn = (mu / steps - rtn) / h
-                c = 0.5 * (_shift_interp(v, up) + _shift_interp(v, dn))
-                best = c if best is None else opt(best, c)
-            v = best
+        moves = [((mu / steps + rtn) / h, (mu / steps - rtn) / h)
+                 for mu in (gen.interval.mu_low, gen.interval.mu_high)]
     else:
         raise InvalidParams(f"unknown generator {type(gen).__name__}")
+    widest = max(abs(d) for pair in moves for d in pair)
+    if widest >= grid_points - 1:
+        raise InvalidParams(
+            f"a lattice move of {widest:.4g} cells spans the whole grid of "
+            f"{grid_points} points; use a wider domain or more steps")
+    # each move as (m, w): the value at x + d is (1 - w) v(x + m) + w v(x + m + 1)
+    cells = [[(math.floor(d), d - math.floor(d)) for d in pair] for pair in moves]
+    left = max(0, max(-m for pair in cells for m, _ in pair))
+    right = max(0, max(m + (w != 0.0) for pair in cells for m, w in pair))
+    padded = np.empty(left + grid_points + right)
+    v = padded[left:left + grid_points]
+    v[:] = problem.terminal(x)
+    left_margin = padded[:left]
+    right_margin = padded[left + grid_points:]
+    left_ramp = np.arange(left, 0, -1, dtype=float)
+    right_ramp = np.arange(1, right + 1, dtype=float)
+
+    def view(m):
+        return padded[left + m:left + m + grid_points]
+
+    def move(m, w):
+        return (view(m), None, None, None) if w == 0.0 else (
+            view(m), view(m + 1), 1.0 - w, w)
+
+    plan = [[move(m, w) for m, w in pair] for pair in cells]
+    lerped = [np.empty(grid_points), np.empty(grid_points)]
+    upper = np.empty(grid_points)
+    expected = [np.empty(grid_points) for _ in plan]
+    opt = np.maximum if gen.side == "sup" else np.minimum
+    for _ in range(steps):
+        # linear extrapolation past the ends: v[-1] + (v[-1] - v[-2]) * k
+        np.multiply(right_ramp, v[-1] - v[-2], out=right_margin)
+        np.add(right_margin, v[-1], out=right_margin)
+        np.multiply(left_ramp, v[0] - v[1], out=left_margin)
+        np.add(left_margin, v[0], out=left_margin)
+        for pair, mean in zip(plan, expected):
+            shifted = []
+            for (lower, higher, w_lower, w), out in zip(pair, lerped):
+                if higher is None:
+                    shifted.append(lower)
+                    continue
+                np.multiply(lower, w_lower, out=out)
+                np.multiply(higher, w, out=upper)
+                np.add(out, upper, out=out)
+                shifted.append(out)
+            np.add(shifted[0], shifted[1], out=mean)
+            np.multiply(mean, 0.5, out=mean)
+        opt(expected[0], expected[1], out=v)
     return float(v[grid_points // 2])

@@ -1,6 +1,7 @@
-"""Bit-identity guard for the in-place PDE marches.
+"""Bit-identity guard for the PDE marches.
 
-The solvers advance one state vector in place through preallocated buffers.
+The solvers march through preallocated buffers, writing each step into the
+next row of a small block and reducing the running min/max once per block.
 This file keeps a frozen copy of the earlier allocating marches (a fresh
 array per operation) and requires the solvers to return the same bytes on
 hypothesis-drawn problems: same IEEE operations, same order, same results.
@@ -8,6 +9,7 @@ hypothesis-drawn problems: same IEEE operations, same order, same results.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -188,3 +190,87 @@ def test_in_place_march_is_bit_identical(problem):
     assert grid.values.shape == values.shape
     assert grid.values.tobytes() == values.tobytes()
     assert (grid.u0, grid.min_seen, grid.max_seen) == (u0, lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# explicit zero paths and block boundaries
+# ---------------------------------------------------------------------------
+
+# step counts around the 16-step bound block and the snapshot layers
+EXPLICIT_STEPS = [1, 15, 16, 17, 33, 100]
+
+
+def stable_points(problem, dt_max_of, steps, most=201):
+    """The most odd grid sizes (<= most) at which `steps` steps are stable."""
+    for space_points in range(most, 4, -2):
+        if 1.0 / steps <= dt_max_of(spacing(problem, space_points)):
+            return space_points
+    return 5
+
+
+def heat_case(sigma_low, sigma_high, name):
+    return ("g_heat", VarianceInterval(sigma_low, sigma_high),
+            named_test_function(name), None)
+
+
+def mean_case(mu_low, mu_high, name, side):
+    return ("g_expectation", MeanInterval(mu_low, mu_high),
+            named_test_function(name), side)
+
+
+ZERO_PATH_CASES = {
+    # -0.0 at the centre of -|x|
+    "neg_abs": heat_case(1.0, 2.0, "neg_abs"),
+    # flat tails beyond |x| = 10, where d1 = d2 = 0 exactly
+    "clip_linear_heat": heat_case(1.5, 2.0, "clip_linear"),
+    "clip_linear_sup": mean_case(-2.0, 3.0, "clip_linear", "sup"),
+    "clip_linear_inf": mean_case(-2.0, 3.0, "clip_linear", "inf"),
+    # the two control products are equal
+    "sigma_equal": heat_case(1.5, 1.5, "clip_linear"),
+    "mu_equal": mean_case(2.0, 2.0, "clip_linear", "sup"),
+    # a zero mean bound
+    "mu_low_zero_sup": mean_case(0.0, 2.5, "clip_linear", "sup"),
+    "mu_low_zero_inf": mean_case(0.0, 2.5, "normal_cdf", "inf"),
+    "mu_high_zero_sup": mean_case(-2.5, 0.0, "normal_cdf", "sup"),
+    "mu_high_zero_inf": mean_case(-2.5, 0.0, "clip_linear", "inf"),
+    "mu_both_zero": mean_case(0.0, 0.0, "clip_linear", "sup"),
+}
+
+
+@pytest.mark.parametrize("steps", EXPLICIT_STEPS)
+@pytest.mark.parametrize("case", sorted(ZERO_PATH_CASES))
+def test_zero_paths_and_block_ends_are_bit_identical(case, steps):
+    kind, interval, terminal, side = ZERO_PATH_CASES[case]
+    if kind == "g_heat":
+        problem = HjbProblem(GVariance(interval), terminal)
+        space_points = stable_points(
+            problem, lambda dx: dx * dx / interval.sigma_high ** 2, steps)
+        grid = solve_g_heat(interval, terminal, space_points, steps)
+        ref = ref_g_heat(interval, terminal, space_points, steps)
+    else:
+        problem = HjbProblem(GMean(interval, side=side), terminal)
+        mu_max = max(abs(interval.mu_low), abs(interval.mu_high))
+        space_points = stable_points(
+            problem, lambda dx: min(dx * dx, dx / mu_max) if mu_max > 0
+            else dx * dx, steps)
+        grid = solve_g_expectation(interval, terminal, side, space_points, steps)
+        ref = ref_g_expectation(interval, terminal, side, space_points, steps)
+    x, times, values, u0, lo, hi = ref
+    assert len(times) == len(grid.times)
+    assert grid.values.tobytes() == values.tobytes()
+    assert grid.times.tobytes() == times.tobytes()
+    assert (grid.u0, grid.min_seen, grid.max_seen) == (u0, lo, hi)
+
+
+def test_zero_paths_reach_exact_zeros():
+    """The explicit grids do hold the zeros they are named for: -0.0 at the
+    centre of -|x|, and flat clip_linear tails beyond |x| = 10."""
+    problem = HjbProblem(GVariance(VarianceInterval(1.0, 2.0)),
+                         named_test_function("neg_abs"))
+    x = np.linspace(-problem.halfwidth(), problem.halfwidth(), 65)
+    centre = problem.terminal(x)[32]
+    assert x[32] == 0.0 and centre == 0.0 and np.signbit(centre)
+    problem = HjbProblem(GMean(MeanInterval(-2.0, 3.0)),
+                         named_test_function("clip_linear"))
+    x = np.linspace(-problem.halfwidth(), problem.halfwidth(), 105)
+    assert np.count_nonzero(np.diff(problem.terminal(x), 2) == 0.0) > 20

@@ -19,7 +19,6 @@ from nlclt.sublinear import (
     Shape,
     SShapeSpec,
     TestFunction,
-    compute_G,
     make_s_shaped,
     named_test_function,
     solve_g_expectation,
@@ -40,14 +39,6 @@ FAST = dict(space_points=1201)
 
 def tanh_s_spec(theta=0.5, c=0.0):
     return SShapeSpec(phi1=named_test_function("tanh"), c=c, theta=theta)
-
-
-class TestComputeG:
-    def test_values(self):
-        v = VarianceInterval(1.0, 2.0)
-        assert compute_G(0.0, v) == 0.0
-        assert compute_G(2.0, v) == 4.0
-        assert compute_G(-2.0, v) == -1.0
 
 
 class TestSShapes:
@@ -287,6 +278,56 @@ class TestTreeOracle:
         tf = named_test_function("gauss")
         with pytest.raises(InvalidParams):
             tree_value_oracle(HjbProblem(GVariance(VarianceInterval(1.0, 2.0)), tf), 0)
+
+    @pytest.mark.parametrize("grid_points", [-1, 0, 1, 2])
+    def test_grid_points_floor(self, grid_points):
+        tf = named_test_function("gauss")
+        problem = HjbProblem(GVariance(VarianceInterval(1.0, 2.0)), tf)
+        with pytest.raises(InvalidParams, match="grid_points"):
+            tree_value_oracle(problem, 10, grid_points)
+
+    def test_three_grid_points_run(self):
+        tf = named_test_function("gauss")
+        problem = HjbProblem(GVariance(VarianceInterval(1.0, 2.0)), tf)
+        assert math.isfinite(tree_value_oracle(problem, 10, 3))
+
+    @pytest.mark.parametrize("gen", [GVariance(VarianceInterval(1.0, 2.0)),
+                                     GMean(MeanInterval(-0.5, 0.5), side="inf")])
+    def test_move_spanning_the_grid_is_rejected(self, gen):
+        # 11 points 0.02 apart: one step moves 50 cells
+        problem = HjbProblem(gen, named_test_function("gauss"), domain_halfwidth=0.1)
+        with pytest.raises(InvalidParams, match="spans the whole grid"):
+            tree_value_oracle(problem, 1, 11)
+
+    def test_move_just_inside_the_grid_runs(self):
+        # 5 points 1.0 apart: moves of 1 and 2 cells, under the width of 4
+        problem = HjbProblem(GVariance(VarianceInterval(1.0, 2.0)),
+                             named_test_function("gauss"), domain_halfwidth=2.0)
+        assert math.isfinite(tree_value_oracle(problem, 1, 5))
+        wide = HjbProblem(GVariance(VarianceInterval(1.0, 4.0)),
+                          named_test_function("gauss"), domain_halfwidth=2.0)
+        with pytest.raises(InvalidParams):
+            tree_value_oracle(wide, 1, 5)
+
+
+class TestHjbProblem:
+    @pytest.mark.parametrize("halfwidth", [-1.0, 0.0, -0.0, math.nan, math.inf,
+                                           -math.inf])
+    def test_bad_domain_halfwidth_is_rejected(self, halfwidth):
+        tf = named_test_function("abs")
+        with pytest.raises(InvalidParams, match="domain_halfwidth"):
+            HjbProblem(GVariance(VarianceInterval(1.0, 2.0)), tf, halfwidth)
+        with pytest.raises(InvalidParams, match="domain_halfwidth"):
+            solve_g_heat(VarianceInterval(1.0, 2.0), tf, space_points=11,
+                         domain_halfwidth=halfwidth)
+        with pytest.raises(InvalidParams, match="domain_halfwidth"):
+            solve_g_expectation(MeanInterval(-0.5, 0.5), named_test_function("gauss"),
+                                "sup", space_points=11, domain_halfwidth=halfwidth)
+
+    def test_positive_domain_halfwidth_is_kept(self):
+        problem = HjbProblem(GVariance(VarianceInterval(1.0, 2.0)),
+                             named_test_function("abs"), 3.5)
+        assert problem.halfwidth() == 3.5
 
 
 class TestSublinearityAxioms:
