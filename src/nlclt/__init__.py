@@ -44,22 +44,18 @@ from .martingale import (
 )
 from .measure_dp import (
     AdversaryPolicy,
-    DpState,
     RectangularModel,
     convergence_experiment,
     lindeberg_condition_value,
     policy_simulate,
     sup_expectation_dp,
-    terminal_dp_state,
 )
 from .numerics import (
     Grid1D,
-    QuadResult,
     SeedSpec,
     generator,
     ks_one_sample,
     quad_integrate,
-    rademacher_stream,
     std_normal_cdf,
     std_normal_pdf,
 )

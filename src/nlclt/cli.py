@@ -4,6 +4,10 @@ Subcommands mirror the library surface: density curves, PDE/tree solves,
 convergence experiments, condition checks, simulations, figure sets, and
 config validation.  All outputs are CSV written atomically; identical
 config plus seed produces byte-identical files.
+
+Each command's options are the rows of its table in ``OPTIONS``.  The
+parser, the accepted config keys, the coercion of config values, the
+defaults and the per-key checks are all read from those rows.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,34 +82,6 @@ NUMERICAL_ERRORS = (UnstableResolution, NonConvergence, GridTooCoarse,
                     PolicyMismatch)
 DEFAULT_SEED = 1234
 
-# keys every command accepts
-COMMON_KEYS = {"command", "config", "seed", "stream", "out"}
-COMMAND_KEYS = {
-    "density": {"family", "alpha", "beta", "c", "grid"},
-    "figures": {"set", "grid"},
-    "solve": {"problem", "sigma_low", "sigma_high", "mu_low", "mu_high",
-              "side", "terminal", "s_phi1", "s_theta", "s_center",
-              "s_envelope", "space_points", "time_steps", "tree_steps",
-              "grid_out"},
-    "converge": {"model", "sigma_low", "sigma_high", "mu_low", "mu_high",
-                 "sigma", "phi", "s_phi1", "s_theta", "s_center",
-                 "s_envelope", "side", "schedule"},
-    "check": {"chain", "law", "p", "delta", "eps", "ns", "mds", "etas",
-              "probs", "sigma_plus", "sigma_minus", "reps", "t", "model",
-              "sigma_low", "sigma_high", "mu_low", "mu_high", "sigma"},
-    "simulate": {"target", "law", "p", "n", "reps", "etas", "probs", "kn",
-                 "atoms", "model", "sigma_low", "sigma_high", "mu_low",
-                 "mu_high", "sigma", "phi", "s_phi1", "s_theta", "s_center",
-                 "s_envelope", "side"},
-    "validate": set(),
-}
-# keys the commands coerce with int() or float()
-INT_KEYS = {"seed", "stream", "n", "reps", "kn", "space_points", "time_steps",
-            "tree_steps"}
-FLOAT_KEYS = {"alpha", "beta", "c", "sigma_low", "sigma_high", "mu_low",
-              "mu_high", "sigma", "s_theta", "s_center", "p", "delta", "eps",
-              "sigma_plus", "sigma_minus", "t"}
-
 
 def worker_count() -> int:
     """Worker cap from NLCLT_THREADS (0 or unset = auto)."""
@@ -132,20 +109,186 @@ def parse_grid(text: str) -> Grid1D:
         raise ConfigError(str(exc))
 
 
-def parse_float_list(text) -> list:
-    items = text if isinstance(text, (list, tuple)) else str(text).split(",")
+# option kinds: (key, config value) -> coerced value, or ConfigError
+
+def _number(key: str, value) -> float:
     try:
-        return [float(v) for v in items if v != ""]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed number list {text!r}: {exc}")
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number")
+    return number
 
 
-def parse_int_list(text) -> list:
-    items = text if isinstance(text, (list, tuple)) else str(text).split(",")
+def _integer(key: str, value) -> int:
     try:
-        return [int(v) for v in items if v != ""]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed integer list {text!r}: {exc}")
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be an integer") from None
+
+
+def _text(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string")
+    return value
+
+
+def _grid(key: str, value) -> Grid1D:
+    return parse_grid(value)
+
+
+def _list_of(convert, key: str, value) -> list:
+    """The entries of a JSON list, or of a comma-separated string."""
+    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    try:
+        return [convert(v) for v in items if v != ""]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed {key} list {value!r}: {exc}") from None
+
+
+def _integers(key: str, value) -> list:
+    return _list_of(int, key, value)
+
+
+def _floats(key: str, value) -> list:
+    numbers = _list_of(float, key, value)
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{key} entries must be finite numbers")
+    return numbers
+
+
+# the argparse type of each kind; flags of other kinds stay strings
+_FLAG_TYPES = {_number: float, _integer: int}
+
+
+class Option(NamedTuple):
+    """One row of a command's option table.
+
+    ``name`` is the config key, and with ``-`` for ``_`` the flag.  ``kind``
+    coerces a config value.  A ``default`` of None leaves the option unset;
+    any other default is coerced by ``kind`` like a config value, so list
+    and grid defaults read as on the command line.  ``check`` is a predicate
+    on the coerced value and the end of the sentence that reports its
+    failure.
+    """
+
+    name: str
+    kind: Callable
+    default: object
+    help: str
+    choices: tuple = ()
+    check: tuple = ()
+
+
+# per-key checks: (predicate on the coerced value, the rest of the message)
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_COUNT = (lambda v: v >= 1, "must be a positive integer")
+_OPEN_UNIT = (lambda v: 0 < v < 1, "must lie in (0, 1)")
+_SUMS_TO_ONE = (lambda v: abs(math.fsum(v) - 1.0) <= 1e-12, "must sum to 1 within 1e-12")
+_COUNTS = (lambda v: len(v) > 0 and min(v) >= 1, "entries must be positive integers")
+
+_COMMON = (
+    Option("config", _text, None, "JSON config file; flags override"),
+    Option("seed", _integer, DEFAULT_SEED, "seed of the random stream"),
+    Option("stream", _integer, 0, "stream index under the seed"),
+    Option("out", _text, None, "output CSV path (directory for figures)"),
+)
+_INTERVALS = (
+    Option("sigma_low", _number, None, "lower volatility bound"),
+    Option("sigma_high", _number, None, "upper volatility bound"),
+    Option("mu_low", _number, None, "lower mean bound"),
+    Option("mu_high", _number, None, "upper mean bound"),
+)
+_MODEL = (
+    Option("model", _text, None, "uncertain mean or variance", ("mean", "variance")),
+    *_INTERVALS,
+    Option("sigma", _number, 1.0, "volatility of the mean model", check=_POSITIVE),
+)
+_S_SHAPE = (
+    Option("s_phi1", _text, "tanh", "right branch of an s-shape payoff"),
+    Option("s_theta", _number, 0.5, "s-shape ratio theta in (0, 1]"),
+    Option("s_center", _number, 0.0, "s-shape junction"),
+    Option("s_envelope", _text, "phibar", "s-shape envelope", ("phi", "phibar")),
+)
+_SIDE = Option("side", _text, "sup", "upper or lower expectation", ("sup", "inf"))
+_LAW = (
+    Option("law", _text, "rademacher", "iid step law", ("rademacher", "bernoulli")),
+    Option("p", _number, 0.5, "bernoulli success probability", check=_OPEN_UNIT),
+)
+_MIXTURE = (
+    Option("etas", _floats, "1,2", "mixing values of the Hall model"),
+    Option("probs", _floats, "0.5,0.5", "probabilities of the etas or atoms",
+           check=_SUMS_TO_ONE),
+)
+
+OPTIONS = {
+    "density": _COMMON + (
+        Option("family", _text, None, "limit density family", ("chen-epstein", "cez")),
+        Option("alpha", _number, 0.0, "density parameter alpha"),
+        Option("beta", _number, 0.0, "density parameter beta"),
+        Option("c", _number, 0.0, "density centre c"),
+        Option("grid", _grid, "-4:4:801", "lo:hi:points"),
+    ),
+    "figures": _COMMON + (
+        Option("set", _text, "paper", "figure set", ("paper",)),
+        Option("grid", _grid, "-6:6:1201", "lo:hi:points"),
+    ),
+    "solve": _COMMON + (
+        Option("problem", _text, None, "PDE to solve", ("g-heat", "g-expectation")),
+        *_INTERVALS,
+        _SIDE,
+        Option("terminal", _text, None, "terminal payoff, or s-shape"),
+        *_S_SHAPE,
+        Option("space_points", _integer, DEFAULT_SPACE_POINTS, "grid points",
+               check=(lambda v: v >= 3, "must be an integer >= 3")),
+        Option("time_steps", _integer, None, "steps (default: CFL bound)", check=_COUNT),
+        Option("tree_steps", _integer, None, "lattice cross-check steps", check=_COUNT),
+        Option("grid_out", _text, None, "CSV path for the value grid"),
+    ),
+    "converge": _COMMON + (
+        *_MODEL,
+        Option("phi", _text, None, "payoff, or s-shape"),
+        *_S_SHAPE,
+        _SIDE,
+        Option("schedule", _integers, "125,250,500,1000,2000", "n list", check=_COUNTS),
+    ),
+    "check": _COMMON + (
+        Option("chain", _text, None, "condition chain",
+               ("classical", "martingale", "lindeberg")),
+        *_LAW,
+        Option("delta", _number, 1.0, "Lyapunov moment 2 + delta", check=_POSITIVE),
+        Option("eps", _number, 0.1, "Lindeberg threshold", check=_POSITIVE),
+        Option("ns", _integers, None,
+               "n values (default: 100,400,1600 for --chain classical, else 100,400)"),
+        Option("mds", _text, "iid-rademacher", "martingale difference model",
+               ("iid-rademacher", "hall", "var-feedback")),
+        *_MIXTURE,
+        Option("sigma_plus", _number, 1.0, "feedback scale after an up-step"),
+        Option("sigma_minus", _number, 2.0, "feedback scale after a down-step"),
+        Option("reps", _integer, 2000, "Monte Carlo replications", check=_COUNT),
+        Option("t", _number, 1.0, "argument of the McLeish product"),
+        *_MODEL,
+    ),
+    "simulate": _COMMON + (
+        Option("target", _text, None, "what to simulate",
+               ("clt", "hall", "mixture", "policy")),
+        *_LAW,
+        Option("n", _integer, None,
+               "steps (default: 100 for --target policy, else 10000)", check=_COUNT),
+        Option("reps", _integer, None,
+               "replications (default: 100000 for --target hall, else 10000)",
+               check=_COUNT),
+        *_MIXTURE,
+        Option("kn", _integer, 10_000, "steps per Hall path", check=_COUNT),
+        Option("atoms", _floats, "1,2", "mixing values of the mixture limit"),
+        *_MODEL,
+        Option("phi", _text, None, "payoff, or s-shape"),
+        *_S_SHAPE,
+        _SIDE,
+    ),
+    "validate": _COMMON,
+}
 
 
 def load_config(path: str) -> dict:
@@ -173,126 +316,108 @@ def merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def check_keys(cfg: dict) -> list:
+def _coerce(opt: Option, value):
+    value = opt.kind(opt.name, value)
+    if opt.choices and value not in opt.choices:
+        *rest, last = opt.choices
+        raise ConfigError(f"{opt.name} must be "
+                          + (f"{', '.join(rest)} or {last}" if rest else last))
+    if opt.check and not opt.check[0](value):
+        raise ConfigError(f"{opt.name} {opt.check[1]}")
+    return value
+
+
+def _settle(cfg: dict) -> tuple:
+    """(values, problems): every option of the command, coerced and checked
+    by its table row, or the row's default where cfg leaves it out; and
+    every violated precondition.  An option that fails is left out."""
     command = cfg.get("command")
-    problems = []
-    if command not in COMMAND_KEYS:
-        return [f"unknown command {command!r}"]
-    allowed = COMMAND_KEYS[command] | COMMON_KEYS
-    for key in sorted(cfg):
-        if key not in allowed:
-            problems.append(f"unknown key {key!r} for command {command!r}")
-    return problems
-
-
-def _numbers(cfg: dict, problems: list) -> dict:
-    """The numeric config values, coerced as the commands coerce them; a
-    value that does not coerce is reported and left out."""
-    numbers = {}
-    for key in sorted(cfg):
-        if key in INT_KEYS:
-            kind, what = int, "an integer"
-        elif key in FLOAT_KEYS:
-            kind, what = float, "a number"
-        else:
+    if command not in OPTIONS:
+        return {}, [f"unknown command {command!r}"]
+    rows = {opt.name: opt for opt in OPTIONS[command]}
+    problems = [f"unknown key {key!r} for command {command!r}"
+                for key in sorted(cfg) if key != "command" and key not in rows]
+    if problems:
+        return {}, problems
+    values = {"command": command}
+    for name, opt in rows.items():
+        if name not in cfg and opt.default is None:
+            values[name] = None
             continue
         try:
-            numbers[key] = kind(cfg[key])
-        except (TypeError, ValueError, OverflowError):
-            problems.append(f"{key} must be {what}")
-    return numbers
+            values[name] = _coerce(opt, cfg.get(name, opt.default))
+        except ConfigError as exc:
+            problems.append(str(exc))
+    return values, problems + _domain_problems(values)
 
 
 def validate_config(cfg: dict) -> list:
     """Every violated precondition, without running anything."""
-    problems = check_keys(cfg)
-    if problems:
-        return problems
-    command = cfg["command"]
-    num = _numbers(cfg, problems)
-    if "seed" in num and not 0 <= num["seed"] < 2 ** 64:
-        problems.append("seed must be an unsigned 64-bit integer")
-    if "stream" in num and not 0 <= num["stream"] < 2 ** 64:
-        problems.append("stream must be an unsigned 64-bit integer")
-    if "sigma_low" in num and "sigma_high" in num:
-        if not 0 < num["sigma_low"] <= num["sigma_high"]:
-            problems.append("variance interval needs 0 < sigma_low <= sigma_high")
-    if "mu_low" in num and "mu_high" in num:
-        if not num["mu_low"] <= num["mu_high"]:
-            problems.append("mean interval needs mu_low <= mu_high")
-    for key in ("sigma", "s_theta", "eps", "delta"):
-        if key in num and not num[key] > 0:
-            problems.append(f"{key} must be > 0")
-    if num.get("s_theta", 1) > 1:
-        problems.append("s_theta must lie in (0, 1]")
-    if "p" in num and not 0 < num["p"] < 1:
-        problems.append("p must lie in (0, 1)")
-    for key in ("n", "reps", "kn", "time_steps", "tree_steps"):
-        if key in num and num[key] < 1:
-            problems.append(f"{key} must be a positive integer")
-    if "space_points" in num and num["space_points"] < 3:
-        problems.append("space_points must be an integer >= 3")
-    if "schedule" in cfg:
+    return _settle(cfg)[1]
+
+
+def _s_shape_spec(phi1: str, c: float, theta: float) -> SShapeSpec:
+    return SShapeSpec(phi1=named_test_function(phi1), c=c, theta=theta)
+
+
+def _known_payoff(name: str) -> None:
+    if name != "s-shape":
+        named_test_function(name)
+
+
+# rules over several keys, held by the domain objects: (build, keys)
+_DOMAIN_RULES = (
+    (SeedSpec, ("seed", "stream")),
+    (VarianceInterval, ("sigma_low", "sigma_high")),
+    (MeanInterval, ("mu_low", "mu_high")),
+    (_s_shape_spec, ("s_phi1", "s_center", "s_theta")),
+    (_known_payoff, ("terminal",)),
+    (_known_payoff, ("phi",)),
+)
+
+
+def _domain_problems(values: dict) -> list:
+    problems = []
+    for build, keys in _DOMAIN_RULES:
+        args = [values.get(key) for key in keys]
+        if None in args:
+            continue
         try:
-            sched = parse_int_list(cfg["schedule"])
-            if not sched or any(v < 1 for v in sched):
-                problems.append("schedule entries must be positive integers")
-        except ConfigError as exc:
+            build(*args)
+        except (InvalidParams, InvalidTheta) as exc:
             problems.append(str(exc))
-    if "grid" in cfg:
-        try:
-            parse_grid(cfg["grid"])
-        except ConfigError as exc:
-            problems.append(str(exc))
-    for key in ("probs",):
-        if key in cfg:
-            try:
-                probs = parse_float_list(cfg[key])
-                if abs(math.fsum(probs) - 1.0) > 1e-12:
-                    problems.append("probs must sum to 1 within 1e-12")
-            except ConfigError as exc:
-                problems.append(str(exc))
-    if command == "density" and "family" in cfg:
-        if cfg["family"] not in ("chen-epstein", "cez"):
-            problems.append("family must be chen-epstein or cez")
-        if cfg["family"] == "cez":
-            if not (num.get("alpha", 0) > 0 and num.get("beta", 0) > 0):
-                problems.append("cez needs alpha > 0 and beta > 0")
-    if "side" in cfg and cfg["side"] not in ("sup", "inf"):
-        problems.append("side must be sup or inf")
-    if "s_envelope" in cfg and cfg["s_envelope"] not in ("phi", "phibar"):
-        problems.append("s_envelope must be phi or phibar")
+    alpha, beta = values.get("alpha"), values.get("beta")
+    if (values.get("family") == "cez" and None not in (alpha, beta)
+            and not (alpha > 0 and beta > 0)):
+        problems.append("cez needs alpha > 0 and beta > 0")
     return problems
 
 
+def _need(cfg: dict, key: str):
+    """cfg[key], which the running command cannot do without."""
+    if cfg[key] is None:
+        raise ConfigError(f"missing {key}")
+    return cfg[key]
+
+
+def _or(value, default):
+    return default if value is None else value
+
+
 def build_payoff(cfg: dict, key: str):
+    """The payoff named by cfg[key].  An s-shape reads its s_* options from
+    cfg, or their table defaults where cfg leaves them unset."""
     name = cfg.get(key)
     if name is None:
         raise ConfigError(f"missing {key}")
-    if name == "s-shape":
-        try:
-            spec = SShapeSpec(phi1=named_test_function(cfg.get("s_phi1", "tanh")),
-                              c=float(cfg.get("s_center", 0.0)),
-                              theta=float(cfg.get("s_theta", 0.5)))
-            return make_s_shaped(spec, cfg.get("s_envelope", "phibar"))
-        except (InvalidParams, InvalidTheta) as exc:
-            raise ConfigError(str(exc))
     try:
-        return named_test_function(name)
-    except InvalidParams as exc:
+        if name != "s-shape":
+            return named_test_function(name)
+        s = {opt.name: _or(cfg.get(opt.name), opt.default) for opt in _S_SHAPE}
+        spec = _s_shape_spec(s["s_phi1"], s["s_center"], s["s_theta"])
+        return make_s_shaped(spec, s["s_envelope"])
+    except (InvalidParams, InvalidTheta) as exc:
         raise ConfigError(str(exc))
-
-
-def seed_spec(cfg: dict) -> SeedSpec:
-    return SeedSpec(int(cfg.get("seed", DEFAULT_SEED)),
-                    int(cfg.get("stream", 0)))
-
-
-def require_out(cfg: dict) -> str:
-    out = cfg.get("out")
-    if not out:
-        raise ConfigError("missing output path (--out)")
-    return str(out)
 
 
 def write_table(path: str, header: str, rows) -> None:
@@ -305,17 +430,14 @@ def write_table(path: str, header: str, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each reads its table's options, coerced, from cfg
 # ---------------------------------------------------------------------------
 
 def cmd_density(cfg: dict) -> int:
-    family = {"chen-epstein": "chen_epstein", "cez": "cez"}[cfg["family"]]
-    params = DensityParams(float(cfg.get("alpha", 0.0)),
-                           float(cfg.get("beta", 0.0)),
-                           float(cfg.get("c", 0.0)))
-    grid = parse_grid(cfg.get("grid", "-4:4:801"))
-    ys, ds = emit_density_curve(params, family, grid).T.tolist()
-    write_table(require_out(cfg), "y,density", zip(ys, ds))
+    family = {"chen-epstein": "chen_epstein", "cez": "cez"}[_need(cfg, "family")]
+    params = DensityParams(cfg["alpha"], cfg["beta"], cfg["c"])
+    ys, ds = emit_density_curve(params, family, cfg["grid"]).T.tolist()
+    write_table(_need(cfg, "out"), "y,density", zip(ys, ds))
     return 0
 
 
@@ -356,10 +478,8 @@ def _figure_rows(curves):
 
 
 def cmd_figures(cfg: dict) -> int:
-    if cfg.get("set", "paper") != "paper":
-        raise ConfigError("only --set paper is defined")
-    out_dir = require_out(cfg)
-    grid = parse_grid(cfg.get("grid", "-6:6:1201"))
+    out_dir = _need(cfg, "out")
+    grid = cfg["grid"]
     workers = min(worker_count(), len(PAPER_FIGURES))
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -372,98 +492,78 @@ def cmd_figures(cfg: dict) -> int:
 
 
 def cmd_solve(cfg: dict) -> int:
-    problem_name = cfg.get("problem")
     terminal = build_payoff(cfg, "terminal")
-    space_points = int(cfg.get("space_points", DEFAULT_SPACE_POINTS))
-    time_steps = int(cfg["time_steps"]) if "time_steps" in cfg else None
-    rows = []
-    if problem_name == "g-heat":
-        v = VarianceInterval(float(cfg["sigma_low"]), float(cfg["sigma_high"]))
-        grid = solve_g_heat(v, terminal, space_points=space_points,
-                            time_steps=time_steps)
+    if _need(cfg, "problem") == "g-heat":
+        v = VarianceInterval(_need(cfg, "sigma_low"), _need(cfg, "sigma_high"))
+        grid = solve_g_heat(v, terminal, space_points=cfg["space_points"],
+                            time_steps=cfg["time_steps"])
         generator = GVariance(v)
-    elif problem_name == "g-expectation":
-        m = MeanInterval(float(cfg["mu_low"]), float(cfg["mu_high"]))
-        side = cfg.get("side", "sup")
-        grid = solve_g_expectation(m, terminal, side,
-                                   space_points=space_points,
-                                   time_steps=time_steps)
-        generator = GMean(m, side=side)
     else:
-        raise ConfigError("problem must be g-heat or g-expectation")
-    rows.append(("u0", grid.u0))
-    if "tree_steps" in cfg:
-        tree = tree_value_oracle(HjbProblem(generator, terminal),
-                                 int(cfg["tree_steps"]))
+        m = MeanInterval(_need(cfg, "mu_low"), _need(cfg, "mu_high"))
+        grid = solve_g_expectation(m, terminal, cfg["side"],
+                                   space_points=cfg["space_points"],
+                                   time_steps=cfg["time_steps"])
+        generator = GMean(m, side=cfg["side"])
+    rows = [("u0", grid.u0)]
+    if cfg["tree_steps"] is not None:
+        tree = tree_value_oracle(HjbProblem(generator, terminal), cfg["tree_steps"])
         rows.append(("tree_value", tree))
         rows.append(("abs_gap", abs(grid.u0 - tree)))
-    if cfg.get("grid_out"):
-        write_table(str(cfg["grid_out"]), "t,x,u", grid.rows())
-    write_table(require_out(cfg), "name,value", rows)
+    if cfg["grid_out"]:
+        write_table(cfg["grid_out"], "t,x,u", grid.rows())
+    write_table(_need(cfg, "out"), "name,value", rows)
     return 0
 
 
 def _rect_model(cfg: dict, n: int) -> RectangularModel:
-    kind = cfg.get("model")
-    if kind == "mean":
-        m = MeanInterval(float(cfg["mu_low"]), float(cfg["mu_high"]))
-        return RectangularModel.mean_uncertain(m, float(cfg.get("sigma", 1.0)), n)
-    if kind == "variance":
-        v = VarianceInterval(float(cfg["sigma_low"]), float(cfg["sigma_high"]))
-        return RectangularModel.variance_uncertain(v, n)
-    raise ConfigError("model must be mean or variance")
+    if _need(cfg, "model") == "mean":
+        m = MeanInterval(_need(cfg, "mu_low"), _need(cfg, "mu_high"))
+        return RectangularModel.mean_uncertain(m, cfg["sigma"], n)
+    v = VarianceInterval(_need(cfg, "sigma_low"), _need(cfg, "sigma_high"))
+    return RectangularModel.variance_uncertain(v, n)
 
 
 def cmd_converge(cfg: dict) -> int:
-    schedule = parse_int_list(cfg.get("schedule", "125,250,500,1000,2000"))
+    schedule = cfg["schedule"]
     model = _rect_model(cfg, schedule[0])
     phi = build_payoff(cfg, "phi")
-    rows = convergence_experiment(model, phi, schedule, cfg.get("side", "sup"))
-    write_table(require_out(cfg), "n,dp_value,limit_value,gap", rows)
+    rows = convergence_experiment(model, phi, schedule, cfg["side"])
+    write_table(_need(cfg, "out"), "n,dp_value,limit_value,gap", rows)
     return 0
 
 
+def _law(cfg: dict) -> DiscreteLaw:
+    if cfg["law"] == "bernoulli":
+        return DiscreteLaw.bernoulli(cfg["p"])
+    return DiscreteLaw.rademacher()
+
+
 def _check_classical(cfg: dict):
-    law_name = cfg.get("law", "rademacher")
-    if law_name == "rademacher":
-        law = DiscreteLaw.rademacher()
-    elif law_name == "bernoulli":
-        law = DiscreteLaw.bernoulli(float(cfg.get("p", 0.5)))
-    else:
-        raise ConfigError("law must be rademacher or bernoulli")
-    model = IidModel(law, float(cfg.get("delta", 1.0)))
-    eps = float(cfg.get("eps", 0.1))
+    law = _law(cfg)
+    model = IidModel(law, cfg["delta"])
     rows = []
-    for n in parse_int_list(cfg.get("ns", "100,400,1600")):
+    for n in _or(cfg["ns"], [100, 400, 1600]):
         rows.append((n, "lyapunov", lyapunov_statistic(model, n)))
-        rows.append((n, "lindeberg", lindeberg_statistic(model, n, eps)))
+        rows.append((n, "lindeberg", lindeberg_statistic(model, n, cfg["eps"])))
         rows.append((n, "feller", feller_ratio([law.variance()] * n)))
     return "n,statistic,value", rows
 
 
 def _mds_model(cfg: dict, n: int) -> MdsModel:
-    mds = cfg.get("mds", "iid-rademacher")
-    if mds == "iid-rademacher":
-        return MdsModel.iid_rademacher(n)
-    if mds == "hall":
-        return MdsModel.hall_mixture(parse_float_list(cfg.get("etas", "1,2")),
-                                     parse_float_list(cfg.get("probs", "0.5,0.5")),
-                                     n)
-    if mds == "var-feedback":
-        return MdsModel.var_feedback(float(cfg.get("sigma_plus", 1.0)),
-                                     float(cfg.get("sigma_minus", 2.0)), n)
-    raise ConfigError("mds must be iid-rademacher, hall or var-feedback")
+    if cfg["mds"] == "hall":
+        return MdsModel.hall_mixture(cfg["etas"], cfg["probs"], n)
+    if cfg["mds"] == "var-feedback":
+        return MdsModel.var_feedback(cfg["sigma_plus"], cfg["sigma_minus"], n)
+    return MdsModel.iid_rademacher(n)
 
 
 def _check_martingale(cfg: dict):
-    spec = seed_spec(cfg)
-    eps = float(cfg.get("eps", 0.1))
-    reps = int(cfg.get("reps", 2000))
-    t = float(cfg.get("t", 1.0))
+    spec = SeedSpec(cfg["seed"], cfg["stream"])
+    reps = cfg["reps"]
     rows = []
-    for n in parse_int_list(cfg.get("ns", "100,400")):
+    for n in _or(cfg["ns"], [100, 400]):
         model = _mds_model(cfg, n)
-        levy = levy_condition_terms(model, n, spec, eps=eps)
+        levy = levy_condition_terms(model, n, spec, eps=cfg["eps"])
         for label, value in zip(("levy_tail_sum", "levy_trunc_mean",
                                  "levy_trunc_second", "levy_trunc_mean_sq"),
                                 levy):
@@ -471,73 +571,56 @@ def _check_martingale(cfg: dict):
         b1, b2 = brown_ratios(model, n, reps, spec)
         rows.append((n, "brown_variance_ratio", b1))
         rows.append((n, "brown_max_ratio", b2))
-        est, se = mcleish_product_mean(model, t, max(reps, 1000), spec)
+        est, se = mcleish_product_mean(model, cfg["t"], max(reps, 1000), spec)
         rows.append((n, "mcleish_abs_error", abs(est - 1.0)))
         rows.append((n, "mcleish_stderr", se))
     return "n,condition,value", rows
 
 
 def _check_lindeberg(cfg: dict):
-    eps = float(cfg.get("eps", 0.1))
     rows = []
-    for n in parse_int_list(cfg.get("ns", "100,400")):
+    for n in _or(cfg["ns"], [100, 400]):
         model = _rect_model(cfg, n)
         rows.append((n, "worst_case_lindeberg",
-                     lindeberg_condition_value(model, n, eps)))
+                     lindeberg_condition_value(model, n, cfg["eps"])))
     return "n,condition,value", rows
 
 
 def cmd_check(cfg: dict) -> int:
-    chain = cfg.get("chain")
-    if chain == "classical":
-        header, rows = _check_classical(cfg)
-    elif chain == "martingale":
-        header, rows = _check_martingale(cfg)
-    elif chain == "lindeberg":
-        header, rows = _check_lindeberg(cfg)
-    else:
-        raise ConfigError("chain must be classical, martingale or lindeberg")
-    write_table(require_out(cfg), header, rows)
+    chains = {"classical": _check_classical, "martingale": _check_martingale,
+              "lindeberg": _check_lindeberg}
+    header, rows = chains[_need(cfg, "chain")](cfg)
+    write_table(_need(cfg, "out"), header, rows)
     return 0
 
 
 def cmd_simulate(cfg: dict) -> int:
-    target = cfg.get("target")
-    spec = seed_spec(cfg)
+    target = _need(cfg, "target")
+    spec = SeedSpec(cfg["seed"], cfg["stream"])
+    n = _or(cfg["n"], 100 if target == "policy" else 10_000)
+    reps = _or(cfg["reps"], 100_000 if target == "hall" else 10_000)
     rows = []
     if target == "clt":
-        law = DiscreteLaw.rademacher() if cfg.get("law", "rademacher") == "rademacher" \
-            else DiscreteLaw.bernoulli(float(cfg.get("p", 0.5)))
-        d = simulate_clt_distance(IidModel(law), int(cfg.get("n", 10_000)),
-                                  int(cfg.get("reps", 10_000)), spec)
+        d = simulate_clt_distance(IidModel(_law(cfg)), n, reps, spec)
         rows.append(("ks_distance", d))
     elif target == "hall":
-        d = hall_convergence_check(parse_float_list(cfg.get("etas", "1,2")),
-                                   parse_float_list(cfg.get("probs", "0.5,0.5")),
-                                   int(cfg.get("kn", 10_000)),
-                                   int(cfg.get("reps", 100_000)), spec)
+        d = hall_convergence_check(cfg["etas"], cfg["probs"], cfg["kn"], reps, spec)
         rows.append(("ks_distance", d))
     elif target == "mixture":
-        atoms = parse_float_list(cfg.get("atoms", "1,2"))
-        probs = parse_float_list(cfg.get("probs", "0.5,0.5"))
-        limit = MixtureLimit(atoms=tuple(zip(atoms, probs)))
-        sample = hall_mixture_sampler(limit, int(cfg.get("reps", 10_000)), spec)
+        limit = MixtureLimit(atoms=tuple(zip(cfg["atoms"], cfg["probs"])))
+        sample = hall_mixture_sampler(limit, reps, spec)
         rows.append(("sample_mean", float(np.mean(sample))))
         rows.append(("sample_variance", float(np.var(sample))))
         rows.append(("second_moment_target", limit.second_moment()))
-    elif target == "policy":
-        model = _rect_model(cfg, int(cfg.get("n", 100)))
+    else:
+        model = _rect_model(cfg, n)
         phi = build_payoff(cfg, "phi")
-        side = cfg.get("side", "sup")
-        value, policy = sup_expectation_dp(model, phi, side)
-        est, se = policy_simulate(model, policy, phi,
-                                  int(cfg.get("reps", 10_000)), spec)
+        value, policy = sup_expectation_dp(model, phi, cfg["side"])
+        est, se = policy_simulate(model, policy, phi, reps, spec)
         rows.append(("dp_value", value))
         rows.append(("policy_estimate", est))
         rows.append(("policy_stderr", se))
-    else:
-        raise ConfigError("target must be clt, hall, mixture or policy")
-    write_table(require_out(cfg), "name,value", rows)
+    write_table(_need(cfg, "out"), "name,value", rows)
     return 0
 
 
@@ -561,14 +644,15 @@ def cmd_validate(cfg: dict) -> int:
     return 0
 
 
+# command -> (implementation, one-line help)
 COMMANDS = {
-    "density": cmd_density,
-    "figures": cmd_figures,
-    "solve": cmd_solve,
-    "converge": cmd_converge,
-    "check": cmd_check,
-    "simulate": cmd_simulate,
-    "validate": cmd_validate,
+    "density": (cmd_density, "emit one density curve"),
+    "figures": (cmd_figures, "emit the paper figure curve sets"),
+    "solve": (cmd_solve, "solve a terminal-value problem"),
+    "converge": (cmd_converge, "DP values against the nonlinear limit"),
+    "check": (cmd_check, "condition statistic reports"),
+    "simulate": (cmd_simulate, "seeded Monte Carlo runs"),
+    "validate": (cmd_validate, "report config violations, run nothing"),
 }
 
 
@@ -577,113 +661,21 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command and one flag per row of its table.  Flags
+    keep the default None, so that merge_config sees only the flags given."""
     parser = argparse.ArgumentParser(
         prog="nlclt",
         description="Numerical laboratory for classical, martingale and "
                     "nonlinear central limit theorems")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--stream", type=int)
-        p.add_argument("--out", help="output CSV path (directory for figures)")
-
-    p = sub.add_parser("density", help="emit one density curve")
-    common(p)
-    p.add_argument("--family", choices=["chen-epstein", "cez"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--grid", help="lo:hi:points")
-
-    p = sub.add_parser("figures", help="emit the paper figure curve sets")
-    common(p)
-    p.add_argument("--set", dest="set")
-    p.add_argument("--grid", help="lo:hi:points")
-
-    p = sub.add_parser("solve", help="solve a terminal-value problem")
-    common(p)
-    p.add_argument("--problem", choices=["g-heat", "g-expectation"])
-    p.add_argument("--sigma-low", dest="sigma_low", type=float)
-    p.add_argument("--sigma-high", dest="sigma_high", type=float)
-    p.add_argument("--mu-low", dest="mu_low", type=float)
-    p.add_argument("--mu-high", dest="mu_high", type=float)
-    p.add_argument("--side", choices=["sup", "inf"])
-    p.add_argument("--terminal")
-    p.add_argument("--s-phi1", dest="s_phi1")
-    p.add_argument("--s-theta", dest="s_theta", type=float)
-    p.add_argument("--s-center", dest="s_center", type=float)
-    p.add_argument("--s-envelope", dest="s_envelope")
-    p.add_argument("--space-points", dest="space_points", type=int)
-    p.add_argument("--time-steps", dest="time_steps", type=int)
-    p.add_argument("--tree-steps", dest="tree_steps", type=int)
-    p.add_argument("--grid-out", dest="grid_out")
-
-    p = sub.add_parser("converge", help="DP values against the nonlinear limit")
-    common(p)
-    p.add_argument("--model", choices=["mean", "variance"])
-    p.add_argument("--sigma-low", dest="sigma_low", type=float)
-    p.add_argument("--sigma-high", dest="sigma_high", type=float)
-    p.add_argument("--mu-low", dest="mu_low", type=float)
-    p.add_argument("--mu-high", dest="mu_high", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--phi")
-    p.add_argument("--s-phi1", dest="s_phi1")
-    p.add_argument("--s-theta", dest="s_theta", type=float)
-    p.add_argument("--s-center", dest="s_center", type=float)
-    p.add_argument("--s-envelope", dest="s_envelope")
-    p.add_argument("--side", choices=["sup", "inf"])
-    p.add_argument("--schedule")
-
-    p = sub.add_parser("check", help="condition statistic reports")
-    common(p)
-    p.add_argument("--chain", choices=["classical", "martingale", "lindeberg"])
-    p.add_argument("--law", choices=["rademacher", "bernoulli"])
-    p.add_argument("--p", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--ns")
-    p.add_argument("--mds", choices=["iid-rademacher", "hall", "var-feedback"])
-    p.add_argument("--etas")
-    p.add_argument("--probs")
-    p.add_argument("--sigma-plus", dest="sigma_plus", type=float)
-    p.add_argument("--sigma-minus", dest="sigma_minus", type=float)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--t", type=float)
-    p.add_argument("--model", choices=["mean", "variance"])
-    p.add_argument("--sigma-low", dest="sigma_low", type=float)
-    p.add_argument("--sigma-high", dest="sigma_high", type=float)
-    p.add_argument("--mu-low", dest="mu_low", type=float)
-    p.add_argument("--mu-high", dest="mu_high", type=float)
-    p.add_argument("--sigma", type=float)
-
-    p = sub.add_parser("simulate", help="seeded Monte Carlo runs")
-    common(p)
-    p.add_argument("--target", choices=["clt", "hall", "mixture", "policy"])
-    p.add_argument("--law", choices=["rademacher", "bernoulli"])
-    p.add_argument("--p", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--etas")
-    p.add_argument("--probs")
-    p.add_argument("--kn", type=int)
-    p.add_argument("--atoms")
-    p.add_argument("--model", choices=["mean", "variance"])
-    p.add_argument("--sigma-low", dest="sigma_low", type=float)
-    p.add_argument("--sigma-high", dest="sigma_high", type=float)
-    p.add_argument("--mu-low", dest="mu_low", type=float)
-    p.add_argument("--mu-high", dest="mu_high", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--phi")
-    p.add_argument("--s-phi1", dest="s_phi1")
-    p.add_argument("--s-theta", dest="s_theta", type=float)
-    p.add_argument("--s-center", dest="s_center", type=float)
-    p.add_argument("--s-envelope", dest="s_envelope")
-    p.add_argument("--side", choices=["sup", "inf"])
-
-    p = sub.add_parser("validate", help="report config violations, run nothing")
-    common(p)
+    for command, (_, summary) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for opt in OPTIONS[command]:
+            text = opt.help if opt.default is None else \
+                f"{opt.help} (default: {opt.default})"
+            p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name,
+                           type=_FLAG_TYPES.get(opt.kind),
+                           choices=opt.choices or None, help=text)
     return parser
 
 
@@ -713,21 +705,20 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             return cmd_validate(vars(args))
-        cfg = merge_config(args)
-        problems = validate_config(cfg)
+        cfg, problems = _settle(merge_config(args))
         if problems:
             for p in problems:
                 print(f"config error: {p}", file=sys.stderr)
             return 2
         worker_count()  # fail fast on a malformed NLCLT_THREADS
-        return COMMANDS[cfg["command"]](cfg)
+        return COMMANDS[cfg["command"]][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (InvalidParams, InvalidTheta, UnsupportedCombination, KeyError) as exc:
+    except (InvalidParams, InvalidTheta, UnsupportedCombination) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NlcltError as exc:

@@ -42,6 +42,10 @@ class MeanInterval:
     mu_high: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.mu_low) and math.isfinite(self.mu_high)):
+            raise InvalidParams(
+                f"mean interval needs finite bounds, got "
+                f"[{self.mu_low}, {self.mu_high}]")
         if not self.mu_low <= self.mu_high:
             raise InvalidParams(
                 f"mean interval needs mu_low <= mu_high, got "
@@ -64,6 +68,10 @@ class VarianceInterval:
     sigma_high: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.sigma_low) and math.isfinite(self.sigma_high)):
+            raise InvalidParams(
+                f"variance interval needs finite bounds, got "
+                f"[{self.sigma_low}, {self.sigma_high}]")
         if not 0 < self.sigma_low <= self.sigma_high:
             raise InvalidParams(
                 f"variance interval needs 0 < sigma_low <= sigma_high, got "

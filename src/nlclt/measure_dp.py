@@ -26,7 +26,7 @@ from .densities import (
     select_variance_limit_params,
 )
 from .errors import GridTooCoarse, InvalidParams, PolicyMismatch, UnsupportedCombination
-from .numerics import Categorical, Grid1D, SeedSpec, generator, quad_integrate
+from .numerics import Categorical, SeedSpec, generator, quad_integrate
 from .sublinear import TestFunction, solve_g_expectation, solve_g_heat
 
 MEAN_KIND = "mean_uncertain"
@@ -104,15 +104,6 @@ class RectangularModel:
     def mean_step_scale(self) -> float:
         """Coefficient of one innovation in the folded scalar statistic."""
         return self.sigma / self.n + 1.0 / math.sqrt(self.n)
-
-
-@dataclass(frozen=True)
-class DpState:
-    """Backward-induction layer: values over the statistic grid at one step."""
-
-    step: int
-    grid: Grid1D
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -311,14 +302,6 @@ def sup_expectation_dp(model: RectangularModel, phi: TestFunction, side: str,
     """
     return _dp_root(model, phi, side, target_points, check_points,
                     record_policy=True)
-
-
-def terminal_dp_state(model: RectangularModel, phi: TestFunction,
-                      target_points: int = DEFAULT_GRID_POINTS) -> DpState:
-    """The step-n layer of the induction: the payoff sampled on the grid."""
-    x, _, _, _ = _dp_grid(model, target_points)
-    grid = Grid1D(float(x[0]), float(x[-1]), len(x))
-    return DpState(step=model.n, grid=grid, values=phi(grid.values()))
 
 
 def lindeberg_condition_value(model: RectangularModel, n: int, eps: float) -> float:

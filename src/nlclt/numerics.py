@@ -85,15 +85,6 @@ def generator(spec: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def rademacher_stream(spec: SeedSpec, n: int) -> np.ndarray:
-    """Deterministic sequence of n independent +-1 signs."""
-    if n < 0:
-        raise InvalidParams("n must be >= 0")
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    return generator(spec).integers(0, 2, size=n) * 2 - 1
-
-
 # Generator.choice accepts p when its sum is this close to 1.
 _CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
 

@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlclt import csvio
-from nlclt.cli import COMMAND_KEYS, main, parse_grid, validate_config
+from nlclt import cli, csvio
+from nlclt.cli import (OPTIONS, build_parser, main, merge_config, parse_grid,
+                       validate_config)
 from nlclt.errors import ConfigError
 from nlclt.numerics import std_normal_pdf
 from nlclt.sublinear import ValueGrid
@@ -323,11 +328,12 @@ class TestMalformedValues:
                                                       value):
         # every key of every command, alone in a config: no traceback, an
         # exit code of 1 or 2 and only config/numerical lines on stderr;
-        # validate exits 0 on the same files
-        for command, keys in COMMAND_KEYS.items():
+        # validate exits 0 on the same files.  "out" is left out: "x" is a
+        # valid output path, and figures needs nothing else to run.
+        for command, options in OPTIONS.items():
             if command == "validate":
                 continue
-            for key in sorted(keys | {"seed", "stream"}):
+            for key in sorted(opt.name for opt in options if opt.name != "out"):
                 cfg_path = tmp_path / "cfg.json"
                 cfg_path.write_text(json.dumps({"command": command,
                                                 key: value}))
@@ -339,6 +345,193 @@ class TestMalformedValues:
                     for line in err.splitlines()), (command, key, err)
                 assert run("validate", "--config", str(cfg_path)) == 0
                 assert capsys.readouterr().err == ""
+
+
+class TestNonFiniteNumbers:
+    """nan and +-inf are config errors, from a flag or from a config file."""
+
+    @pytest.mark.parametrize("argv,problem", [
+        (["solve", "--problem", "g-heat", "--sigma-low", "1", "--sigma-high", "inf",
+          "--terminal", "abs"], "sigma_high must be a finite number"),
+        (["solve", "--problem", "g-expectation", "--mu-low", "0", "--mu-high", "inf",
+          "--terminal", "gauss"], "mu_high must be a finite number"),
+        (["converge", "--model", "variance", "--sigma-low", "1", "--sigma-high", "inf",
+          "--phi", "gauss", "--schedule", "10"], "sigma_high must be a finite number"),
+        (["simulate", "--target", "policy", "--model", "variance", "--sigma-low", "1",
+          "--sigma-high", "inf", "--phi", "gauss", "--n", "10", "--reps", "10"],
+         "sigma_high must be a finite number"),
+        (["density", "--family", "cez", "--alpha", "inf", "--beta", "1"],
+         "alpha must be a finite number"),
+        (["converge", "--model", "mean", "--mu-low", "0", "--mu-high", "inf",
+          "--phi", "gauss"], "mu_high must be a finite number"),
+        (["solve", "--problem", "g-heat", "--sigma-low", "nan", "--sigma-high", "2",
+          "--terminal", "abs"], "sigma_low must be a finite number"),
+        (["check", "--chain", "martingale", "--mds", "hall", "--etas", "1,-inf"],
+         "etas entries must be finite numbers"),
+    ])
+    def test_one_config_error_and_no_output(self, tmp_path, capsys, argv, problem):
+        out = tmp_path / "never.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(*argv, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not out.exists()
+        # validate reports the same problem for the equivalent JSON config
+        cfg = merge_config(build_parser().parse_args(argv))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("validate", "--config", str(cfg_path)) == 0
+        assert capsys.readouterr().out == \
+            f"validation report: 1 violation(s)\n  - {problem}\n"
+
+
+class TestMissingKeys:
+    def test_density_without_family(self, tmp_path, capsys):
+        assert run("density", "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err == "config error: missing family\n"
+
+    def test_g_heat_without_sigma_low(self, tmp_path, capsys):
+        code = run("solve", "--problem", "g-heat", "--sigma-high", "2",
+                   "--terminal", "abs", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert capsys.readouterr().err == "config error: missing sigma_low\n"
+
+
+# one value of each option kind, as a flag's text and as a JSON value
+KIND_SAMPLES = {cli._number: 0.25, cli._integer: 3, cli._text: "gauss",
+                cli._grid: "-1:1:5", cli._integers: "1,2", cli._floats: "0.5,0.5"}
+
+
+class TestOptionTable:
+    def test_flag_and_config_key_give_the_same_config(self, tmp_path):
+        parser = build_parser()
+        cfg_path = tmp_path / "cfg.json"
+        for command, options in OPTIONS.items():
+            for opt in options:
+                if opt.name == "config":
+                    continue
+                value = opt.choices[-1] if opt.choices else KIND_SAMPLES[opt.kind]
+                flag = f"--{opt.name.replace('_', '-')}={value}"
+                from_flag = merge_config(parser.parse_args([command, flag]))
+                cfg_path.write_text(json.dumps({opt.name: value}))
+                from_file = merge_config(parser.parse_args([command, "--config",
+                                                            str(cfg_path)]))
+                assert ({k: (type(v), v) for k, v in from_flag.items()}
+                        == {k: (type(v), v) for k, v in from_file.items()}), \
+                    (command, opt.name)
+                assert cli._settle(from_flag) == cli._settle(from_file)
+
+    def test_defaults_pass_their_own_checks(self):
+        for command in OPTIONS:
+            values, problems = cli._settle({"command": command})
+            assert problems == [], command
+            assert set(values) == {"command"} | {opt.name for opt in OPTIONS[command]}
+
+
+# The fuzz draws the size keys from these small ranges only, malformed
+# values included, so that every drawn config runs in milliseconds; larger
+# sizes are not fuzzed.
+SIZES = {"n": (1, 12), "reps": (1, 1500), "kn": (1, 150), "space_points": (3, 41),
+         "time_steps": (1, 60), "tree_steps": (1, 30), "schedule": (1, 12),
+         "ns": (1, 60), "grid": (2, 60)}
+NUMBERS = {"p": (0.05, 0.95), "s_theta": (0.05, 1.0), "alpha": (-2.0, 2.0),
+           "beta": (-2.0, 2.0), "c": (-1.0, 1.0), "s_center": (-1.0, 1.0),
+           "mu_low": (-1.0, 1.0), "mu_high": (-1.0, 1.0), "t": (-2.0, 2.0)}
+PAYOFFS = ["gauss", "gauss_half", "normal_cdf", "abs", "neg_abs", "tanh", "clip_linear"]
+# keys a run cannot do without: drawn into every config before it is spoilt
+ANCHORS = {"family", "problem", "terminal", "model", "phi", "chain", "target",
+           "sigma_low", "sigma_high", "mu_low", "mu_high"}
+MALFORMED = [None, "x", "", [1, "a"], {"a": 1}, True, "bogus", "1,-1", "-1:1:1",
+             -1, 0, 2.5, math.nan, math.inf, -math.inf]
+HOSTILE_NUMBERS = [-2.0, 1e-300, 50.0, 1e3, 2**64]
+
+
+def good_values(opt):
+    """Values of one option that its table row accepts."""
+    lo, hi = SIZES.get(opt.name, (None, None))
+    if opt.choices:
+        return st.sampled_from(opt.choices)
+    if opt.name in ("terminal", "phi"):
+        return st.sampled_from(PAYOFFS + ["s-shape"])
+    if opt.name == "s_phi1":
+        return st.sampled_from(PAYOFFS)
+    if opt.kind is cli._number:
+        return st.floats(*NUMBERS.get(opt.name, (0.05, 3.0)))
+    if opt.kind is cli._integer:
+        return st.integers(lo, hi) if lo else st.integers(0, 2**64 - 1)
+    if opt.kind is cli._grid:
+        return st.builds("{}:{}:{}".format, st.floats(-6.0, -0.1), st.floats(0.1, 6.0),
+                         st.integers(lo, hi))
+    if opt.kind is cli._integers:
+        return st.lists(st.integers(lo, hi), min_size=1, max_size=3)
+    if opt.name == "probs":
+        return st.sampled_from(["1", "0.5,0.5", "0.25,0.75", [0.2, 0.3, 0.5]])
+    if opt.kind is cli._floats:
+        return st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3)
+    return st.just("unused")
+
+
+def bad_values(opt):
+    """Malformed or out-of-range values; sizes stay small."""
+    if opt.name in SIZES:
+        return st.sampled_from(MALFORMED)
+    return st.sampled_from(MALFORMED + HOSTILE_NUMBERS)
+
+
+@st.composite
+def spoilt_configs(draw):
+    """(command, config): well-typed values in their usual ranges, then up
+    to two keys dropped or given a malformed or hostile value."""
+    command = draw(st.sampled_from([c for c in OPTIONS if c != "validate"]))
+    options = {opt.name: opt for opt in OPTIONS[command]
+               if opt.name not in ("config", "out", "grid_out")}
+    # a size key left out would run at its default size: always give one
+    cfg = {name: draw(good_values(opt)) for name, opt in options.items()
+           if name in ANCHORS or name in SIZES or draw(st.booleans())}
+    for low, high in (("sigma_low", "sigma_high"), ("mu_low", "mu_high")):
+        if low in cfg:
+            cfg[low], cfg[high] = sorted((cfg[low], cfg[high]))
+    if command == "converge":
+        # a limit that no explicit density gives is a 2001-point PDE solve
+        # (about 1 s), so converge draws payoffs whose limit has a density
+        if cfg["model"] == "mean":
+            cfg["phi"] = draw(st.sampled_from(["gauss", "gauss_half"]))
+        else:
+            side = cfg.setdefault("side", "sup")
+            cfg.update(phi="s-shape", s_phi1="tanh",
+                       s_envelope="phibar" if side == "sup" else "phi")
+    for _ in range(draw(st.integers(0, 2))):
+        name = draw(st.sampled_from(sorted(options)))
+        if draw(st.booleans()) and name not in SIZES:
+            cfg.pop(name, None)
+        else:
+            cfg[name] = draw(bad_values(options[name]))
+    return command, cfg
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(spoilt_configs(), st.booleans())
+    def test_whole_configs_give_a_documented_exit(self, drawn, grid_out):
+        command, cfg = drawn
+        with tempfile.TemporaryDirectory() as work:
+            cfg = dict(cfg, command=command, out=os.path.join(work, "out"))
+            if grid_out and command == "solve":
+                cfg["grid_out"] = os.path.join(work, "grid.csv")
+            cfg_path = os.path.join(work, "cfg.json")
+            with open(cfg_path, "w") as handle:
+                json.dump(cfg, handle)
+            assert isinstance(validate_config(cfg), list)
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = run(command, "--config", cfg_path)
+        assert code in (0, 1, 2), cfg
+        lines = err.getvalue().splitlines()
+        assert all(line.startswith(("config error:", "numerical failure:"))
+                   for line in lines), (cfg, lines)
+        assert (code == 0) == (not lines), (cfg, lines)
 
 
 class TestUnwritableOutput:

@@ -226,6 +226,18 @@ class TestCurves:
             VarianceInterval(0.0, 1.0)
         assert VarianceInterval(1.0, 2.0).theta == 0.5
 
+    @pytest.mark.parametrize("lo,hi", [(1.0, np.inf), (np.inf, np.inf),
+                                       (1.0, np.nan), (np.nan, 1.0)])
+    def test_variance_interval_needs_finite_bounds(self, lo, hi):
+        with pytest.raises(InvalidParams):
+            VarianceInterval(lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, np.inf), (-np.inf, 0.0),
+                                       (-np.inf, np.inf), (np.nan, 0.0)])
+    def test_mean_interval_needs_finite_bounds(self, lo, hi):
+        with pytest.raises(InvalidParams):
+            MeanInterval(lo, hi)
+
 
 # ---------------------------------------------------------------------------
 # Phi(-z) only where z < 0: same bytes as evaluating it everywhere

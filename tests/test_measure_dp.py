@@ -20,7 +20,6 @@ from nlclt.measure_dp import (
     convergence_experiment,
     policy_simulate,
     sup_expectation_dp,
-    terminal_dp_state,
 )
 from nlclt.numerics import SeedSpec, quad_integrate, std_normal_pdf
 from nlclt.sublinear import SShapeSpec, make_s_shaped, named_test_function
@@ -96,13 +95,6 @@ class TestSupExpectationDp:
         model = RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), 10)
         with pytest.raises(InvalidParams):
             sup_expectation_dp(model, named_test_function("abs"), "sup")
-
-    def test_terminal_state_matches_payoff_exactly(self):
-        model = RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), 8)
-        phi = named_test_function("gauss")
-        state = terminal_dp_state(model, phi)
-        assert state.step == 8
-        assert np.array_equal(state.values, phi(state.grid.values()))
 
 
 class TestBruteForceEquivalence:

@@ -11,7 +11,6 @@ from nlclt.numerics import (
     generator,
     ks_one_sample,
     quad_integrate,
-    rademacher_stream,
     std_normal_cdf,
     std_normal_pdf,
 )
@@ -122,27 +121,6 @@ class TestGrid:
 
 
 class TestRandomStreams:
-    def test_empty(self):
-        assert len(rademacher_stream(SeedSpec(1, 0), 0)) == 0
-
-    def test_values_are_signs(self):
-        r = rademacher_stream(SeedSpec(3, 1), 1000)
-        assert set(np.unique(r)) <= {-1, 1}
-
-    def test_determinism(self):
-        a = rademacher_stream(SeedSpec(9, 4), 10_000)
-        b = rademacher_stream(SeedSpec(9, 4), 10_000)
-        assert a.tobytes() == b.tobytes()
-
-    def test_streams_differ(self):
-        a = rademacher_stream(SeedSpec(9, 0), 1000)
-        b = rademacher_stream(SeedSpec(9, 1), 1000)
-        assert a.tobytes() != b.tobytes()
-
-    def test_mean_within_clt_band(self):
-        r = rademacher_stream(SeedSpec(42, 0), 1_000_000)
-        assert abs(r.mean()) <= 4.0 / math.sqrt(1_000_000)
-
     def test_generator_reproducible(self):
         g1 = generator(SeedSpec(7, 2)).standard_normal(64)
         g2 = generator(SeedSpec(7, 2)).standard_normal(64)
@@ -169,8 +147,6 @@ class TestRandomStreams:
             SeedSpec(2**64, 0)
         with pytest.raises(InvalidParams):
             SeedSpec(0, 2**64)
-        with pytest.raises(InvalidParams):
-            rademacher_stream(SeedSpec(0, 0), -1)
 
 
 def test_ks_against_exact_uniform():
