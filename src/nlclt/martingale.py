@@ -59,6 +59,11 @@ class MdsModel:
                 raise InvalidParams("eta probs must sum to 1 within 1e-12")
         if self.kind == VAR_FEEDBACK and not (self.sigma_plus > 0 and self.sigma_minus > 0):
             raise InvalidParams("feedback scales must be positive")
+        # exact_s2 and the simulated b_n^2 sum n squared scales
+        scales = tuple(self.eta_values) + (self.sigma_plus, self.sigma_minus)
+        if not all(math.isfinite(self.n * float(s) * float(s)) for s in scales):
+            raise InvalidParams(f"n times a squared scale must be finite, got "
+                                f"scales {scales} at n = {self.n}")
 
     @classmethod
     def iid_rademacher(cls, n: int) -> "MdsModel":

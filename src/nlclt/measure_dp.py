@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -27,7 +26,8 @@ from .densities import (
 )
 from .errors import GridTooCoarse, InvalidParams, PolicyMismatch, UnsupportedCombination
 from .numerics import Categorical, SeedSpec, generator, quad_integrate
-from .sublinear import TestFunction, solve_g_expectation, solve_g_heat
+from .sublinear import (TestFunction, _lattice_grid, _lattice_induction,
+                        default_halfwidth, solve_g_expectation, solve_g_heat)
 
 MEAN_KIND = "mean_uncertain"
 VARIANCE_KIND = "variance_uncertain"
@@ -35,8 +35,6 @@ MEAN_CONTROL_POINTS = 5
 DEFAULT_GRID_POINTS = 4001
 COARSE_GRID_POINTS = 2001
 INTERP_TOLERANCE = 1e-3
-SNAP_DENOMINATOR_CAP = 64
-SNAP_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,10 +86,8 @@ class RectangularModel:
         return cls(kind=VARIANCE_KIND, n=n, var_interval=v, innovation=innovation)
 
     def halfwidth(self) -> float:
-        if self.kind == VARIANCE_KIND:
-            return 8.0 * self.var_interval.sigma_high
-        m = self.mean_interval
-        return 8.0 + abs(m.mu_high) + abs(m.mu_low)
+        return default_halfwidth(self.var_interval if self.kind == VARIANCE_KIND
+                                 else self.mean_interval)
 
     def controls(self) -> np.ndarray:
         """Adversary control grid: bang-bang scales, or 5 mean points."""
@@ -119,29 +115,6 @@ class AdversaryPolicy:
     controls: np.ndarray  # int8, shape (n, points)
 
 
-def _snapped_spacing(shifts: np.ndarray, halfwidth: float,
-                     target_points: int) -> Optional[float]:
-    """Grid spacing making every |shift| an exact integer multiple, or None.
-
-    Requires the pairwise shift ratios to be rational with denominator at
-    most SNAP_DENOMINATOR_CAP (covers every rationally related scale pair).
-    """
-    mags = np.unique(np.abs(shifts[shifts != 0.0]))
-    if len(mags) == 0:
-        return None
-    unit = float(mags[0])
-    denominators = []
-    for d in mags:
-        frac = Fraction(float(d) / unit).limit_denominator(SNAP_DENOMINATOR_CAP)
-        if abs(float(d) / unit - frac) > SNAP_REL_TOL:
-            return None
-        denominators.append(frac.denominator)
-    base = math.lcm(*denominators)
-    h_target = 2.0 * halfwidth / (target_points - 1)
-    mult = max(1, math.ceil(unit / (base * h_target)))
-    return unit / (base * mult)
-
-
 def _dp_grid(model: RectangularModel, target_points: int,
              controls: Optional[np.ndarray] = None):
     """Statistic grid and per-(control, atom) cell offsets.
@@ -149,14 +122,13 @@ def _dp_grid(model: RectangularModel, target_points: int,
     Returns (x, h, offsets[controls, atoms], exact) where exact means all
     offsets are integers (no interpolation anywhere in the induction).
     """
-    L = model.halfwidth()
     if controls is None:
         controls = model.controls()
     atoms = np.asarray(model.innovation.values, dtype=float)
     if model.kind == VARIANCE_KIND:
         shifts = np.array([[sig * v / math.sqrt(model.n) for v in atoms]
                            for sig in controls])
-        h = _snapped_spacing(shifts.ravel(), L, target_points)
+        snap_on = shifts
     else:
         k = model.mean_step_scale()
         shifts = np.array([[mu / model.n + k * v for v in atoms]
@@ -164,102 +136,19 @@ def _dp_grid(model: RectangularModel, target_points: int,
         # snapping the innovation component keeps the dominant shift exact;
         # only the small mu/n drift is interpolated, which stops the
         # fixed-weight interpolation bias from accumulating over n steps
-        h = _snapped_spacing(k * atoms, L, target_points)
-    if h is None:
-        h = 2.0 * L / (target_points - 1)
-    half_cells = math.ceil(L / h)
-    x = (np.arange(-half_cells, half_cells + 1)) * h
-    offsets = shifts / h
-    exact = bool(np.all(np.abs(offsets - np.round(offsets)) < 1e-9))
-    if exact:
-        offsets = np.round(offsets)
-    return x, h, offsets, exact
-
-
-def _shift_plan(offsets: np.ndarray, points: int):
-    """Integer shifts and interpolation weights, one row per control.
-
-    An offset within 1e-9 of an integer m is the exact shift m (weight
-    None); otherwise it interpolates between m = floor(offset) and m + 1
-    with weight offset - m.  Shifts are clamped to +-(points - 1): past that
-    every cell reads the edge value anyway (bounded payoffs).
-    """
-    limit = points - 1
-    plan = []
-    for row in offsets:
-        terms = []
-        for off in row:
-            m = math.floor(off + 0.5)
-            if abs(off - m) < 1e-9:
-                terms.append((max(-limit, min(limit, m)), None, None))
-            else:
-                m = math.floor(off)
-                terms.append((max(-limit, min(limit, m)),
-                              max(-limit, min(limit, m + 1)), off - m))
-        plan.append(terms)
-    return plan
+        snap_on = k * atoms
+    return _lattice_grid(shifts, snap_on, model.halfwidth(), target_points)
 
 
 def _backward_induction(model: RectangularModel, phi: TestFunction, side: str,
                         target_points: int, record_policy: bool,
                         controls: Optional[np.ndarray] = None):
-    """Root value, grid, spacing and (optionally) the int8 policy table.
-
-    The value vector lives in the middle of one buffer whose margins repeat
-    its end values, so the clamped shift by m cells is a fixed view of that
-    buffer.  Each step refreshes the margins and fills preallocated rows
-    with `out=` ufuncs: per control, 0.0 + sum over atoms of
-    p * ((1 - w) * A + w * B), or p * A for an exact shift.
-    """
-    if controls is None:
-        controls = model.controls()
+    """Root value, grid, spacing and (optionally) the int8 policy table,
+    from the lattice kernel on the model's grid and shifts."""
     x, h, offsets, _ = _dp_grid(model, target_points, controls)
     probs = np.asarray(model.innovation.probs, dtype=float)
-    n = model.n
-    points = len(x)
-    plan = _shift_plan(offsets, points)
-    pad = max(abs(m) for terms in plan for t in terms for m in t[:2]
-              if m is not None)
-    padded = np.empty(points + 2 * pad)
-    values = padded[pad:pad + points]
-    values[:] = phi(x)
-
-    def view(m):
-        return padded[pad + m:pad + m + points]
-
-    # per control: (p, A, B, 1 - w, w) per atom, B None for an exact shift
-    stencil = [[(p, view(m), None, None, None) if w is None
-                else (p, view(m), view(m1), 1.0 - w, w)
-                for p, (m, m1, w) in zip(probs, terms)] for terms in plan]
-    stacked = np.empty((len(controls), points))
-    term = np.empty(points)
-    upper = np.empty(points)
-    take_best = np.max if side == "sup" else np.min
-    policy = np.empty((n, points), dtype=np.int8) if record_policy else None
-    for step in range(n - 1, -1, -1):
-        padded[:pad] = values[0]
-        padded[pad + points:] = values[-1]
-        for acc, terms in zip(stacked, stencil):
-            acc.fill(0.0)
-            for p, lower, higher, w_lower, w in terms:
-                if higher is None:
-                    np.multiply(lower, p, out=term)
-                else:
-                    np.multiply(lower, w_lower, out=term)
-                    np.multiply(higher, w, out=upper)
-                    np.add(term, upper, out=term)
-                    np.multiply(term, p, out=term)
-                np.add(acc, term, out=acc)
-        take_best(stacked, axis=0, out=values)
-        if record_policy:
-            # the first control whose row reaches the best value: np.argmax's
-            # index for non-NaN rows (ties go to the lower control), without
-            # its cost of twice the rest of the step
-            row = policy[step]
-            row.fill(len(stacked) - 1)
-            for k in range(len(stacked) - 2, -1, -1):
-                np.copyto(row, k, where=stacked[k] == values)
-    root = float(values[points // 2])
+    root, policy = _lattice_induction(phi(x), offsets, probs, model.n, side,
+                                      record_policy)
     return root, x, h, policy
 
 

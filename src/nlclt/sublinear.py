@@ -3,13 +3,15 @@
 The G-heat equation gives the upper expectation of a payoff of a
 variance-uncertain limit; the semilinear drift equation gives the
 mean-uncertain value (the backward-equation value solved through its
-equivalent parabolic form).  A recombining-lattice backward induction with
-+-1 innovations provides an independent cross-check of both solvers.
+equivalent parabolic form).  The lattice section holds the adversarial
+backward-induction kernel shared with measure_dp, and the +-1-innovation
+lattice oracle on it, an independent cross-check of both solvers.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,6 +29,12 @@ MAX_VALUE_SNAPSHOTS = 11
 # Steps a march takes between two reductions of its running min/max: a
 # block of 16 rows at 2001 points is 256 KiB, and stays in cache.
 MARCH_BLOCK_STEPS = 16
+# A lattice snaps to shifts whose ratios are fractions of at most this
+# denominator (to this tolerance), by refining the target spacing at most
+# SNAP_REFINE_CAP times: a tiny shift would ask for an unbounded grid.
+SNAP_DENOMINATOR_CAP = 64
+SNAP_REL_TOL = 1e-9
+SNAP_REFINE_CAP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +233,15 @@ class HjbProblem:
         if self.domain_halfwidth is not None:
             return self.domain_halfwidth
         center = abs(self.terminal.shape.center) if self.terminal.shape else 0.0
-        if isinstance(self.generator, GVariance):
-            return center + 8.0 * self.generator.interval.sigma_high
-        m = self.generator.interval
-        return center + 8.0 + abs(m.mu_high) + abs(m.mu_low)
+        return default_halfwidth(self.generator.interval, center)
+
+
+def default_halfwidth(interval, center: float = 0.0) -> float:
+    """Domain half-width: center (a distance from 0) plus 8 sigma_high of a
+    VarianceInterval, or 8 + |mu_high| + |mu_low| of a MeanInterval."""
+    if isinstance(interval, VarianceInterval):
+        return center + 8.0 * interval.sigma_high
+    return center + 8.0 + abs(interval.mu_high) + abs(interval.mu_low)
 
 
 @dataclass(frozen=True)
@@ -433,8 +446,137 @@ def solve_g_expectation(m: MeanInterval, terminal: TestFunction, side: str,
 
 
 # ---------------------------------------------------------------------------
-# lattice oracle
+# lattice backward induction (shared with the adversarial DP)
 # ---------------------------------------------------------------------------
+
+def _snapped_spacing(shifts: np.ndarray, halfwidth: float,
+                     target_points: int) -> Optional[float]:
+    """Grid spacing making every |shift| an exact integer multiple, or None.
+
+    Requires the pairwise shift ratios to be rational with denominator at
+    most SNAP_DENOMINATOR_CAP (covers every rationally related scale pair),
+    and the spacing to be at least the target's over SNAP_REFINE_CAP.
+    """
+    mags = np.unique(np.abs(shifts[shifts != 0.0]))
+    if len(mags) == 0:
+        return None
+    unit = float(mags[0])
+    denominators = []
+    for d in mags:
+        frac = Fraction(float(d) / unit).limit_denominator(SNAP_DENOMINATOR_CAP)
+        if abs(float(d) / unit - frac) > SNAP_REL_TOL:
+            return None
+        denominators.append(frac.denominator)
+    base = math.lcm(*denominators)
+    h_target = 2.0 * halfwidth / (target_points - 1)
+    mult = max(1, math.ceil(unit / (base * h_target)))
+    h = unit / (base * mult)
+    return h if h * SNAP_REFINE_CAP >= h_target else None
+
+
+def _lattice_grid(shifts: np.ndarray, snap_on: np.ndarray, halfwidth: float,
+                  target_points: int):
+    """Grid through 0 covering [-halfwidth, halfwidth], and cell offsets.
+
+    shifts[control, atom] is one step's move.  The target spacing
+    2 * halfwidth / (target_points - 1) is refined, where the ratios allow,
+    so that every entry of snap_on is a whole number of cells.  Returns
+    (x, h, offsets, exact); exact means every offset is an integer.
+    """
+    h = _snapped_spacing(snap_on, halfwidth, target_points)
+    if h is None:
+        h = 2.0 * halfwidth / (target_points - 1)
+    half_cells = math.ceil(halfwidth / h)
+    x = (np.arange(-half_cells, half_cells + 1)) * h
+    offsets = shifts / h
+    exact = bool(np.all(np.abs(offsets - np.round(offsets)) < 1e-9))
+    if exact:
+        offsets = np.round(offsets)
+    return x, h, offsets, exact
+
+
+def _shift_plan(offsets: np.ndarray, points: int):
+    """Integer shifts and interpolation weights, one row per control.
+
+    An offset within 1e-9 of an integer m is the exact shift m (weight
+    None); otherwise it interpolates between m = floor(offset) and m + 1
+    with weight offset - m.  Shifts are clamped to +-(points - 1): past that
+    every cell reads the edge value anyway.
+    """
+    limit = points - 1
+    plan = []
+    for row in offsets:
+        terms = []
+        for off in row:
+            m = math.floor(off + 0.5)
+            if abs(off - m) < 1e-9:
+                terms.append((max(-limit, min(limit, m)), None, None))
+            else:
+                m = math.floor(off)
+                terms.append((max(-limit, min(limit, m)),
+                              max(-limit, min(limit, m + 1)), off - m))
+        plan.append(terms)
+    return plan
+
+
+def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray, probs,
+                       steps: int, side: str, record_policy: bool):
+    """Middle-point value and (optionally) the int8 policy table after
+    `steps` adversarial steps back from the terminal values on a grid: per
+    point, the control row of offsets with the best expectation over the
+    atoms (weights probs), the largest for side "sup", the least for "inf".
+
+    The values live in the middle of one buffer whose margins repeat the
+    end values, so the clamped shift by m cells is a fixed view of that
+    buffer.  Each step refreshes the margins and fills preallocated rows
+    with `out=` ufuncs: per control, 0.0 + sum over atoms of
+    p * ((1 - w) * A + w * B), or p * A for an exact shift.
+    """
+    points = len(terminal)
+    plan = _shift_plan(offsets, points)
+    pad = max(abs(m) for terms in plan for t in terms for m in t[:2]
+              if m is not None)
+    padded = np.empty(points + 2 * pad)
+    values = padded[pad:pad + points]
+    values[:] = terminal
+
+    def view(m):
+        return padded[pad + m:pad + m + points]
+
+    # per control: (p, A, B, 1 - w, w) per atom, B None for an exact shift
+    stencil = [[(p, view(m), None, None, None) if w is None
+                else (p, view(m), view(m1), 1.0 - w, w)
+                for p, (m, m1, w) in zip(probs, terms)] for terms in plan]
+    stacked = np.empty((len(plan), points))
+    term = np.empty(points)
+    upper = np.empty(points)
+    take_best = np.max if side == "sup" else np.min
+    policy = np.empty((steps, points), dtype=np.int8) if record_policy else None
+    for step in range(steps - 1, -1, -1):
+        padded[:pad] = values[0]
+        padded[pad + points:] = values[-1]
+        for acc, terms in zip(stacked, stencil):
+            acc.fill(0.0)
+            for p, lower, higher, w_lower, w in terms:
+                if higher is None:
+                    np.multiply(lower, p, out=term)
+                else:
+                    np.multiply(lower, w_lower, out=term)
+                    np.multiply(higher, w, out=upper)
+                    np.add(term, upper, out=term)
+                    np.multiply(term, p, out=term)
+                np.add(acc, term, out=acc)
+        take_best(stacked, axis=0, out=values)
+        if record_policy:
+            # the first control whose row reaches the best value: np.argmax's
+            # index for non-NaN rows (ties go to the lower control), without
+            # its cost of twice the rest of the step
+            row = policy[step]
+            row.fill(len(stacked) - 1)
+            for k in range(len(stacked) - 2, -1, -1):
+                np.copyto(row, k, where=stacked[k] == values)
+    return float(values[points // 2]), policy
+
 
 def tree_value_oracle(problem: HjbProblem, steps: int,
                       grid_points: int = 4001) -> float:
@@ -442,78 +584,38 @@ def tree_value_oracle(problem: HjbProblem, steps: int,
 
     At each step the adversary takes whichever extreme control (scale or
     drift) optimizes the one-step expectation of the continuation value.
-    Serves as the solver-independent cross-check of the PDE values.
-
-    A displacement by a real number of grid cells interpolates linearly
-    between the two integer shifts around it.  The values live in the middle
-    of one buffer whose margins extend them linearly past each end, so every
-    integer shift is a fixed view of that buffer.
+    Serves as the solver-independent cross-check of the PDE values.  Runs
+    the DP's kernel on a grid snapped so that the +-1/sqrt(steps) moves
+    (and every scale move) are whole cells; values past the ends are held
+    at the end values.  grid_points is a target the snapping may refine.
     """
     if steps < 1:
         raise InvalidParams("steps must be >= 1")
     if grid_points < 3:
         raise InvalidParams(f"grid_points must be >= 3, got {grid_points}")
-    L = problem.halfwidth()
-    x = np.linspace(-L, L, grid_points)
-    h = x[1] - x[0]
     gen = problem.generator
-    # per control, the displacements in cells of its two equally likely moves
+    atoms = (-1.0, 1.0)
+    # per control, the moves of the statistic for each equally likely atom
     if isinstance(gen, GVariance):
         rtn = math.sqrt(steps)
-        moves = [(sig / rtn / h, -(sig / rtn / h))
-                 for sig in (gen.interval.sigma_low, gen.interval.sigma_high)]
+        shifts = np.array([[sig * a / rtn for a in atoms]
+                           for sig in (gen.interval.sigma_low,
+                                       gen.interval.sigma_high)])
+        snap_on = shifts
     elif isinstance(gen, GMean):
         rtn = 1.0 / math.sqrt(steps)
-        moves = [((mu / steps + rtn) / h, (mu / steps - rtn) / h)
-                 for mu in (gen.interval.mu_low, gen.interval.mu_high)]
+        shifts = np.array([[mu / steps + a * rtn for a in atoms]
+                           for mu in (gen.interval.mu_low, gen.interval.mu_high)])
+        snap_on = np.array(atoms) * rtn
     else:
         raise InvalidParams(f"unknown generator {type(gen).__name__}")
-    widest = max(abs(d) for pair in moves for d in pair)
-    if widest >= grid_points - 1:
+    x, _, offsets, _ = _lattice_grid(shifts, snap_on, problem.halfwidth(),
+                                     grid_points)
+    widest = float(np.abs(offsets).max())
+    if widest >= len(x) - 1:
         raise InvalidParams(
             f"a lattice move of {widest:.4g} cells spans the whole grid of "
-            f"{grid_points} points; use a wider domain or more steps")
-    # each move as (m, w): the value at x + d is (1 - w) v(x + m) + w v(x + m + 1)
-    cells = [[(math.floor(d), d - math.floor(d)) for d in pair] for pair in moves]
-    left = max(0, max(-m for pair in cells for m, _ in pair))
-    right = max(0, max(m + (w != 0.0) for pair in cells for m, w in pair))
-    padded = np.empty(left + grid_points + right)
-    v = padded[left:left + grid_points]
-    v[:] = problem.terminal(x)
-    left_margin = padded[:left]
-    right_margin = padded[left + grid_points:]
-    left_ramp = np.arange(left, 0, -1, dtype=float)
-    right_ramp = np.arange(1, right + 1, dtype=float)
-
-    def view(m):
-        return padded[left + m:left + m + grid_points]
-
-    def move(m, w):
-        return (view(m), None, None, None) if w == 0.0 else (
-            view(m), view(m + 1), 1.0 - w, w)
-
-    plan = [[move(m, w) for m, w in pair] for pair in cells]
-    lerped = [np.empty(grid_points), np.empty(grid_points)]
-    upper = np.empty(grid_points)
-    expected = [np.empty(grid_points) for _ in plan]
-    opt = np.maximum if gen.side == "sup" else np.minimum
-    for _ in range(steps):
-        # linear extrapolation past the ends: v[-1] + (v[-1] - v[-2]) * k
-        np.multiply(right_ramp, v[-1] - v[-2], out=right_margin)
-        np.add(right_margin, v[-1], out=right_margin)
-        np.multiply(left_ramp, v[0] - v[1], out=left_margin)
-        np.add(left_margin, v[0], out=left_margin)
-        for pair, mean in zip(plan, expected):
-            shifted = []
-            for (lower, higher, w_lower, w), out in zip(pair, lerped):
-                if higher is None:
-                    shifted.append(lower)
-                    continue
-                np.multiply(lower, w_lower, out=out)
-                np.multiply(higher, w, out=upper)
-                np.add(out, upper, out=out)
-                shifted.append(out)
-            np.add(shifted[0], shifted[1], out=mean)
-            np.multiply(mean, 0.5, out=mean)
-        opt(expected[0], expected[1], out=v)
-    return float(v[grid_points // 2])
+            f"{len(x)} points; use a wider domain or more steps")
+    root, _ = _lattice_induction(problem.terminal(x), offsets, (0.5, 0.5),
+                                 steps, gen.side, record_policy=False)
+    return root

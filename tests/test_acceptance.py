@@ -176,10 +176,11 @@ def test_criterion_06_solver_cross_validation():
             pde = solve_g_expectation(gen.interval, terminal, gen.side).u0
         tree = tree_value_oracle(HjbProblem(gen, terminal), 2000)
         assert abs(pde - tree) <= 1e-2, f"{name}: pde={pde} tree={tree}"
+        assert abs(pde - tree) <= 1e-3, f"{name}: pde={pde} tree={tree}"
         assert abs(pde - target) <= tol, f"{name}: pde={pde} target={target}"
     elapsed = time.monotonic() - start
     assert elapsed <= 180.0
-    report(6, "six-problem PDE vs lattice oracle within 1e-2", elapsed, 180)
+    report(6, "six-problem PDE vs lattice oracle within 1e-3", elapsed, 180)
 
 
 def test_criterion_07_sublinearity_axioms():

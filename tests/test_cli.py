@@ -386,6 +386,49 @@ class TestNonFiniteNumbers:
             f"validation report: 1 violation(s)\n  - {problem}\n"
 
 
+class TestExtremeScales:
+    """Finite but extreme scales write finite numbers without a numpy
+    warning, or are one config error line."""
+
+    @pytest.mark.parametrize("alpha,beta", [("1.0", "1.94e-246"),
+                                            ("1e-300", "1e300")])
+    def test_cez_density_stays_quiet(self, tmp_path, capsys, alpha, beta):
+        out = tmp_path / "curve.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("density", "--family", "cez", "--alpha", alpha,
+                       "--beta", beta, "--out", str(out))
+        assert code == 0 and capsys.readouterr().err == ""
+        assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
+
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--model", "variance", "--sigma-low", "1",
+         "--sigma-high", "18446744073709551616", "--phi", "gauss",
+         "--schedule", "1"],
+        ["solve", "--problem", "g-heat", "--sigma-low", "1",
+         "--sigma-high", "18446744073709551616", "--terminal", "gauss",
+         "--space-points", "3", "--time-steps", "1", "--tree-steps", "1"],
+    ])
+    def test_commensurate_scales_far_apart(self, tmp_path, capsys, argv):
+        # scales 1 and 2**64 are commensurate, but whole cells of both
+        # moves would take about 2**68 lattice points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(*argv, "--out", str(tmp_path / "x.csv"))
+        assert code == 0 and capsys.readouterr().err == ""
+
+    def test_feedback_scale_whose_square_overflows(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        code = run("check", "--chain", "martingale", "--mds", "var-feedback",
+                   "--sigma-plus", "1e300", "--ns", "5", "--reps", "100",
+                   "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: n times a squared scale")
+        assert not out.exists()
+
+
 class TestMissingKeys:
     def test_density_without_family(self, tmp_path, capsys):
         assert run("density", "--out", str(tmp_path / "x.csv")) == 2

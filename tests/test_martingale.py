@@ -210,3 +210,15 @@ def test_model_validation():
         MdsModel.var_feedback(0.0, 1.0, 10)
     with pytest.raises(InvalidParams):
         MdsModel.iid_rademacher(0)
+
+
+def test_scales_whose_squares_overflow_are_rejected():
+    # 1e154 squared is 1e308: finite at n = 1, past the float range at n = 2
+    assert MdsModel.var_feedback(1e154, 1.0, 1).exact_s2() == 1e308
+    for n in (2, 5):
+        with pytest.raises(InvalidParams, match="squared scale"):
+            MdsModel.var_feedback(1e154, 1.0, n)
+    with pytest.raises(InvalidParams, match="squared scale"):
+        MdsModel.var_feedback(1.0, 1e300, 5)
+    with pytest.raises(InvalidParams, match="squared scale"):
+        MdsModel.hall_mixture([1.0, 1e200], [0.5, 0.5], 3)

@@ -13,12 +13,14 @@ from nlclt.densities import (
 from nlclt.errors import InvalidParams, InvalidTheta, UnstableResolution
 from nlclt.numerics import quad_integrate, std_normal_pdf
 from nlclt.sublinear import (
+    SNAP_REFINE_CAP,
     GMean,
     GVariance,
     HjbProblem,
     Shape,
     SShapeSpec,
     TestFunction,
+    _lattice_grid,
     make_s_shaped,
     named_test_function,
     solve_g_expectation,
@@ -273,6 +275,39 @@ class TestTreeOracle:
         tree = tree_value_oracle(problem, 2000)
         pde = solve_g_expectation(MeanInterval(-0.5, 0.5), tf, "sup", **FAST)
         assert abs(tree - pde.u0) <= 1e-2
+
+    @pytest.mark.parametrize("name, interval, target", [
+        ("abs", (1.0, 2.0), TWO_SQRT_2_PI),
+        ("neg_abs", (1.0, 2.0), -SQRT_2_PI),
+        ("gauss_half", (1.0, 1.0), ONE_OVER_SQRT2),
+    ])
+    def test_variance_error_falls_as_steps_grow(self, name, interval, target):
+        # first order in 1/steps: about 4x smaller per 4x steps
+        problem = HjbProblem(GVariance(VarianceInterval(*interval)),
+                             named_test_function(name))
+        errors = [abs(tree_value_oracle(problem, n) - target)
+                  for n in (250, 1000, 4000)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5, errors
+
+    @pytest.mark.parametrize("name, side, interval, target", [
+        ("normal_cdf", "sup", (0.0, 0.5), PHI_HALF_SQRT2),
+        ("gauss", "sup", (-0.5, 0.5), INT_GAUSS_F_SUP),
+        ("gauss", "inf", (-0.5, 0.5), INT_GAUSS_F_INF),
+    ])
+    def test_mean_error_stays_small_as_steps_grow(self, name, side, interval,
+                                                  target):
+        problem = HjbProblem(GMean(MeanInterval(*interval), side=side),
+                             named_test_function(name))
+        for n in (250, 1000, 4000):
+            assert abs(tree_value_oracle(problem, n) - target) <= 1e-3, n
+
+    def test_snapping_refines_the_target_grid_a_bounded_amount(self):
+        rows = np.array([[-1.0, 1.0], [-2.0, 2.0]])
+        x, h, offsets, exact = _lattice_grid(rows, rows, 16.0, 3)
+        assert exact and h == 16.0 / SNAP_REFINE_CAP and len(x) == 33
+        x, h, offsets, exact = _lattice_grid(rows / 2, rows / 2, 16.0, 3)
+        assert not exact and h == 16.0 and len(x) == 3
 
     def test_steps_floor(self):
         tf = named_test_function("gauss")
