@@ -12,13 +12,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams
-from .numerics import (SeedSpec, generator, ks_one_sample, std_normal_cdf,
-                       std_normal_cdf_arr)
+from .numerics import (Categorical, SeedSpec, generator, ks_one_sample,
+                       std_normal_cdf, std_normal_cdf_arr)
 
 
 @dataclass(frozen=True)
 class DiscreteLaw:
-    """Finite-support law given by atom values and probabilities."""
+    """Finite-support law given by atom values and probabilities.
+
+    The one owner of a finite law's rules: 1-d values and probabilities of
+    matching, non-zero length, every entry finite, probabilities
+    non-negative and summing (math.fsum) to 1 within 1e-12.  Both are kept
+    as tuples of floats.
+    """
 
     values: tuple
     probs: tuple
@@ -26,12 +32,16 @@ class DiscreteLaw:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         p = np.asarray(self.probs, dtype=float)
-        if len(v) != len(p) or len(v) == 0:
+        if v.ndim != 1 or p.ndim != 1 or len(v) != len(p) or len(v) == 0:
             raise InvalidParams("law needs matching non-empty values/probs")
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
+            raise InvalidParams("law values and probabilities must be finite")
         if np.any(p < 0):
             raise InvalidParams("probabilities must be non-negative")
-        if abs(math.fsum(self.probs) - 1.0) > 1e-12:
+        if abs(math.fsum(p.tolist()) - 1.0) > 1e-12:
             raise InvalidParams("probabilities must sum to 1 within 1e-12")
+        object.__setattr__(self, "values", tuple(v.tolist()))
+        object.__setattr__(self, "probs", tuple(p.tolist()))
 
     @classmethod
     def bernoulli(cls, p: float) -> "DiscreteLaw":
@@ -67,6 +77,14 @@ class DiscreteLaw:
         d = v - self.mean()
         keep = np.abs(d) > threshold
         return float(np.dot(p[keep], d[keep] ** 2))
+
+    def second_moment(self) -> float:
+        """E[X^2], compensated over the atoms."""
+        return math.fsum(p * v * v for v, p in zip(self.values, self.probs))
+
+    def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """size iid draws, draw for draw ``gen.choice(values, size, p=probs)``."""
+        return np.asarray(self.values)[Categorical(self.probs, size).draw(gen)]
 
     def sample_sums(self, n: int, reps: int, gen: np.random.Generator) -> np.ndarray:
         """reps independent copies of S_n via multinomial atom counts."""
@@ -114,10 +132,14 @@ class LaplaceParams:
             raise InvalidParams("need x = np + z > 0 and x' = n(1-p) - z > 0")
 
 
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    return np.array([math.lgamma(v) for v in x.tolist()])
+
+
 def _binomial_log_pmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
     return (math.lgamma(n + 1)
-            - np.vectorize(math.lgamma)(k + 1.0)
-            - np.vectorize(math.lgamma)(n - k + 1.0)
+            - _lgamma(k + 1.0)
+            - _lgamma(n - k + 1.0)
             + k * math.log(p) + (n - k) * math.log1p(-p))
 
 

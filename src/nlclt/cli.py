@@ -12,7 +12,6 @@ defaults and the per-key checks are all read from those rows.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import itertools
 import json
 import math
@@ -81,18 +80,6 @@ from .sublinear import (
 NUMERICAL_ERRORS = (UnstableResolution, NonConvergence, GridTooCoarse,
                     PolicyMismatch)
 DEFAULT_SEED = 1234
-
-
-def worker_count() -> int:
-    """Worker cap from NLCLT_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("NLCLT_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"NLCLT_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise ConfigError("NLCLT_THREADS must be >= 0")
-    return cap if cap > 0 else (os.cpu_count() or 1)
 
 
 def parse_grid(text: str) -> Grid1D:
@@ -479,13 +466,7 @@ def _figure_rows(curves):
 
 def cmd_figures(cfg: dict) -> int:
     out_dir = _need(cfg, "out")
-    grid = cfg["grid"]
-    workers = min(worker_count(), len(PAPER_FIGURES))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            tables = list(pool.map(lambda e: _figure_curves(e, grid), PAPER_FIGURES))
-    else:
-        tables = [_figure_curves(e, grid) for e in PAPER_FIGURES]
+    tables = [_figure_curves(e, cfg["grid"]) for e in PAPER_FIGURES]
     for name, curves in tables:  # compute everything before writing anything
         write_table(os.path.join(out_dir, name), "y,curve,density", _figure_rows(curves))
     return 0
@@ -563,12 +544,12 @@ def _check_martingale(cfg: dict):
     rows = []
     for n in _or(cfg["ns"], [100, 400]):
         model = _mds_model(cfg, n)
-        levy = levy_condition_terms(model, n, spec, eps=cfg["eps"])
+        levy = levy_condition_terms(model, spec, eps=cfg["eps"])
         for label, value in zip(("levy_tail_sum", "levy_trunc_mean",
                                  "levy_trunc_second", "levy_trunc_mean_sq"),
                                 levy):
             rows.append((n, label, value))
-        b1, b2 = brown_ratios(model, n, reps, spec)
+        b1, b2 = brown_ratios(model, reps, spec)
         rows.append((n, "brown_variance_ratio", b1))
         rows.append((n, "brown_max_ratio", b2))
         est, se = mcleish_product_mean(model, cfg["t"], max(reps, 1000), spec)
@@ -582,7 +563,7 @@ def _check_lindeberg(cfg: dict):
     for n in _or(cfg["ns"], [100, 400]):
         model = _rect_model(cfg, n)
         rows.append((n, "worst_case_lindeberg",
-                     lindeberg_condition_value(model, n, cfg["eps"])))
+                     lindeberg_condition_value(model, cfg["eps"])))
     return "n,condition,value", rows
 
 
@@ -607,7 +588,7 @@ def cmd_simulate(cfg: dict) -> int:
         d = hall_convergence_check(cfg["etas"], cfg["probs"], cfg["kn"], reps, spec)
         rows.append(("ks_distance", d))
     elif target == "mixture":
-        limit = MixtureLimit(atoms=tuple(zip(cfg["atoms"], cfg["probs"])))
+        limit = MixtureLimit(DiscreteLaw(cfg["atoms"], cfg["probs"]))
         sample = hall_mixture_sampler(limit, reps, spec)
         rows.append(("sample_mean", float(np.mean(sample))))
         rows.append(("sample_variance", float(np.var(sample))))
@@ -710,7 +691,6 @@ def main(argv=None) -> int:
             for p in problems:
                 print(f"config error: {p}", file=sys.stderr)
             return 2
-        worker_count()  # fail fast on a malformed NLCLT_THREADS
         return COMMANDS[cfg["command"]][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -195,8 +195,6 @@ def density_pdf(family: str, p: DensityParams):
     if family == MEAN_FAMILY:
         return lambda y: chen_epstein_pdf(p, y)
     if family == VARIANCE_FAMILY:
-        if not (p.alpha > 0 and p.beta > 0):
-            raise InvalidParams("cez density needs alpha > 0 and beta > 0")
         return lambda y: cez_pdf(p, y)
     raise InvalidParams(f"unknown density family {family!r}")
 

@@ -9,18 +9,14 @@ vanish identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from .classical import DiscreteLaw
 from .errors import InvalidParams
-from .numerics import (
-    SeedSpec,
-    categorical_choice,
-    generator,
-    ks_one_sample,
-    std_normal_cdf_arr,
-)
+from .numerics import SeedSpec, generator, ks_one_sample, std_normal_cdf_arr
 
 IID_RADEMACHER = "iid_rademacher"
 HALL_MIXTURE = "hall_mixture"
@@ -33,15 +29,14 @@ class MdsModel:
 
     kind selects how the conditional scale sigma_i evolves:
       - iid_rademacher: sigma_i = 1
-      - hall_mixture:   sigma_i = eta, drawn once per path from a finite law
+      - hall_mixture:   sigma_i = eta, drawn once per path from the law eta
       - var_feedback:   sigma_i determined by the sign of the previous
                         increment (two-state Markov feedback)
     """
 
     kind: str
     n: int
-    eta_values: tuple = ()
-    eta_probs: tuple = ()
+    eta: Optional[DiscreteLaw] = None
     sigma_plus: float = 1.0
     sigma_minus: float = 1.0
 
@@ -51,16 +46,15 @@ class MdsModel:
         if self.kind not in (IID_RADEMACHER, HALL_MIXTURE, VAR_FEEDBACK):
             raise InvalidParams(f"unknown model kind {self.kind!r}")
         if self.kind == HALL_MIXTURE:
-            if len(self.eta_values) == 0 or len(self.eta_values) != len(self.eta_probs):
-                raise InvalidParams("hall mixture needs matching eta values/probs")
-            if np.any(np.asarray(self.eta_values) <= 0):
+            if not isinstance(self.eta, DiscreteLaw):
+                raise InvalidParams("hall mixture needs a DiscreteLaw of eta")
+            if min(self.eta.values) <= 0:
                 raise InvalidParams("eta values must be positive")
-            if abs(math.fsum(self.eta_probs) - 1.0) > 1e-12:
-                raise InvalidParams("eta probs must sum to 1 within 1e-12")
         if self.kind == VAR_FEEDBACK and not (self.sigma_plus > 0 and self.sigma_minus > 0):
             raise InvalidParams("feedback scales must be positive")
         # exact_s2 and the simulated b_n^2 sum n squared scales
-        scales = tuple(self.eta_values) + (self.sigma_plus, self.sigma_minus)
+        etas = self.eta.values if self.eta is not None else ()
+        scales = etas + (self.sigma_plus, self.sigma_minus)
         if not all(math.isfinite(self.n * float(s) * float(s)) for s in scales):
             raise InvalidParams(f"n times a squared scale must be finite, got "
                                 f"scales {scales} at n = {self.n}")
@@ -71,8 +65,7 @@ class MdsModel:
 
     @classmethod
     def hall_mixture(cls, eta_values, eta_probs, n: int) -> "MdsModel":
-        return cls(kind=HALL_MIXTURE, n=n, eta_values=tuple(eta_values),
-                   eta_probs=tuple(eta_probs))
+        return cls(kind=HALL_MIXTURE, n=n, eta=DiscreteLaw(eta_values, eta_probs))
 
     @classmethod
     def var_feedback(cls, sigma_plus: float, sigma_minus: float, n: int) -> "MdsModel":
@@ -86,8 +79,7 @@ class MdsModel:
         if self.kind == IID_RADEMACHER:
             sig = np.ones((reps, self.n))
         elif self.kind == HALL_MIXTURE:
-            eta = categorical_choice(gen, np.asarray(self.eta_values, dtype=float),
-                                     self.eta_probs, reps)
+            eta = self.eta.draw(gen, reps)
             sig = np.repeat(eta[:, None], self.n, axis=1)
         else:
             sig = np.empty((reps, self.n))
@@ -97,34 +89,29 @@ class MdsModel:
                                       self.sigma_minus)
         return sig, signs
 
-    def exact_s2(self, n: int | None = None) -> float:
+    def exact_s2(self) -> float:
         """s_n^2 = E[S_n^2], exact from the model structure."""
-        n = self.n if n is None else n
+        n = self.n
         if self.kind == IID_RADEMACHER:
             return float(n)
         if self.kind == HALL_MIXTURE:
-            eta2 = math.fsum(p * t * t for t, p in
-                             zip(self.eta_values, self.eta_probs))
-            return n * eta2
+            return n * self.eta.second_moment()
         mean2 = 0.5 * (self.sigma_plus ** 2 + self.sigma_minus ** 2)
         return self.sigma_plus ** 2 + (n - 1) * mean2
 
 
-def levy_condition_terms(model: MdsModel, n: int, spec: SeedSpec,
-                         eps: float = 0.1):
-    """The four conditional-expectation sums along one simulated path.
+def levy_condition_terms(model: MdsModel, spec: SeedSpec, eps: float = 0.1):
+    """The four conditional-expectation sums along one simulated path of
+    model.n steps.
 
     Returns (tail probability sum, truncated first-moment sum / b_n,
     truncated second-moment sum / b_n^2, squared truncated first-moment
     sum / b_n^2), each computed exactly from the +-sigma_i conditional
     atoms at threshold eps * b_n.
     """
-    if n < 1:
-        raise InvalidParams("n must be a positive integer")
     if not eps > 0:
         raise InvalidParams("eps must be > 0")
-    work = replace(model, n=n)
-    sig, _ = work.simulate_scales(1, generator(spec))
+    sig, _ = model.simulate_scales(1, generator(spec))
     sig = sig[0]
     b2 = float(np.sum(sig ** 2))
     b = math.sqrt(b2)
@@ -139,13 +126,13 @@ def levy_condition_terms(model: MdsModel, n: int, spec: SeedSpec,
     return tail_sum, first_sum, second_sum, first_sq_sum
 
 
-def brown_ratios(model: MdsModel, n: int, reps: int, spec: SeedSpec):
-    """Monte Carlo means of (b_n^2 / s_n^2, max_i sigma_i^2 / s_n^2)."""
+def brown_ratios(model: MdsModel, reps: int, spec: SeedSpec):
+    """Monte Carlo means of (b_n^2 / s_n^2, max_i sigma_i^2 / s_n^2) at
+    n = model.n."""
     if reps < 100:
         raise InvalidParams("need reps >= 100")
-    work = replace(model, n=n)
-    sig, _ = work.simulate_scales(reps, generator(spec))
-    s2 = work.exact_s2()
+    sig, _ = model.simulate_scales(reps, generator(spec))
+    s2 = model.exact_s2()
     sig2 = sig ** 2
     b2 = sig2.sum(axis=1)
     mx = sig2.max(axis=1)
@@ -194,8 +181,8 @@ def mcleish_exact_by_enumeration(model: MdsModel, t: float) -> complex:
     if model.kind == IID_RADEMACHER:
         return tree_mean([np.ones(k_n)], [1.0])
     if model.kind == HALL_MIXTURE:
-        rows = [np.full(k_n, eta) for eta in model.eta_values]
-        return tree_mean(rows, list(model.eta_probs))
+        rows = [np.full(k_n, eta) for eta in model.eta.values]
+        return tree_mean(rows, model.eta.probs)
     raise InvalidParams("enumeration oracle supports iid and hall kinds")
 
 
@@ -203,23 +190,16 @@ def mcleish_exact_by_enumeration(model: MdsModel, t: float) -> complex:
 class MixtureLimit:
     """Finite law of the mixing factor T in the conditional-Gaussian limit."""
 
-    atoms: tuple  # of (t_value, probability)
+    law: DiscreteLaw
 
     def __post_init__(self):
-        if len(self.atoms) == 0:
-            raise InvalidParams("mixture needs at least one atom")
-        for t, p in self.atoms:
-            if t < 0:
-                raise InvalidParams("mixing values must be non-negative")
-            if p < 0:
-                raise InvalidParams("probabilities must be non-negative")
-        if abs(math.fsum(p for _, p in self.atoms) - 1.0) > 1e-12:
-            raise InvalidParams("mixture probabilities must sum to 1")
+        if min(self.law.values) < 0:
+            raise InvalidParams("mixing values must be non-negative")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        for t, p in self.atoms:
+        for t, p in zip(self.law.values, self.law.probs):
             if t > 0:
                 out = out + p * std_normal_cdf_arr(x / t)
             else:
@@ -227,7 +207,7 @@ class MixtureLimit:
         return out
 
     def second_moment(self) -> float:
-        return math.fsum(p * t * t for t, p in self.atoms)
+        return self.law.second_moment()
 
 
 def hall_mixture_sampler(limit: MixtureLimit, reps: int,
@@ -238,9 +218,7 @@ def hall_mixture_sampler(limit: MixtureLimit, reps: int,
     if reps == 0:
         return np.empty(0)
     gen = generator(spec)
-    tvals = np.asarray([t for t, _ in limit.atoms], dtype=float)
-    probs = np.asarray([p for _, p in limit.atoms], dtype=float)
-    t = categorical_choice(gen, tvals, probs, reps)
+    t = limit.law.draw(gen, reps)
     z = gen.standard_normal(reps)
     return t * z
 
@@ -256,12 +234,9 @@ def hall_convergence_check(eta_values, eta_probs, k_n: int, reps: int,
         raise InvalidParams("need k_n >= 100")
     if reps < 1000:
         raise InvalidParams("need reps >= 1000")
-    limit = MixtureLimit(atoms=tuple(zip(map(float, eta_values),
-                                         map(float, eta_probs))))
+    limit = MixtureLimit(DiscreteLaw(eta_values, eta_probs))
     gen = generator(spec)
-    tvals = np.asarray([t for t, _ in limit.atoms], dtype=float)
-    probs = np.asarray([p for _, p in limit.atoms], dtype=float)
-    eta = categorical_choice(gen, tvals, probs, reps)
+    eta = limit.law.draw(gen, reps)
     # sum of k_n iid signs through a single binomial draw per row
     heads = gen.binomial(k_n, 0.5, size=reps)
     s = eta * (2.0 * heads - k_n) / math.sqrt(k_n)

@@ -193,17 +193,16 @@ def sup_expectation_dp(model: RectangularModel, phi: TestFunction, side: str,
                     record_policy=True)
 
 
-def lindeberg_condition_value(model: RectangularModel, n: int, eps: float) -> float:
-    """(1/n) sum_i sup over controls of E[|X_i|^2 1{|X_i| > sqrt(n eps)}].
+def lindeberg_condition_value(model: RectangularModel, eps: float) -> float:
+    """(1/n) sum_i sup over controls of E[|X_i|^2 1{|X_i| > sqrt(n eps)}]
+    at n = model.n.
 
     Exact over the innovation support and control grid; identical across
     steps, so the average equals the per-step worst case.
     """
     if not eps > 0:
         raise InvalidParams("eps must be > 0")
-    if n < 1:
-        raise InvalidParams("n must be a positive integer")
-    threshold = math.sqrt(n * eps)
+    threshold = math.sqrt(model.n * eps)
     atoms = np.asarray(model.innovation.values, dtype=float)
     probs = np.asarray(model.innovation.probs, dtype=float)
     worst = 0.0

@@ -40,10 +40,6 @@ class Grid1D:
         if self.points < 2:
             raise InvalidParams(f"grid needs >= 2 points, got {self.points}")
 
-    @property
-    def spacing(self) -> float:
-        return (self.hi - self.lo) / (self.points - 1)
-
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.points)
 
@@ -85,10 +81,6 @@ def generator(spec: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# Generator.choice accepts p when its sum is this close to 1.
-_CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
-
-
 class Categorical:
     """Atom indices of a finite law, draw for draw those of ``Generator.choice``.
 
@@ -96,22 +88,14 @@ class Categorical:
     divides it by ``cdf[-1]``, draws ``u = gen.random(size)`` and returns
     ``a[cdf.searchsorted(u, side="right")]``.  As ``u < 1 = cdf[-1]``, that
     index is the number of inner edges ``cdf[:-1]`` that u reaches.  This
-    class checks ``probs`` and builds the edges once, then each ``draw``
-    fills preallocated buffers of ``size``: the same indices from the same
+    class builds the edges once from probabilities that
+    ``classical.DiscreteLaw`` has checked, then each ``draw`` fills
+    preallocated buffers of ``size``: the same indices from the same
     uniforms, leaving the generator in the same state.
     """
 
     def __init__(self, probs, size: int):
-        p = np.asarray(probs, dtype=float)
-        if p.ndim != 1 or len(p) == 0:
-            raise InvalidParams("probabilities must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(p)):
-            raise InvalidParams("probabilities must be finite")
-        if np.any(p < 0):
-            raise InvalidParams("probabilities must be non-negative")
-        if abs(math.fsum(p.tolist()) - 1.0) > _CHOICE_SUM_TOL:
-            raise InvalidParams("probabilities must sum to 1")
-        cdf = p.cumsum()
+        cdf = np.asarray(probs, dtype=float).cumsum()
         cdf /= cdf[-1]
         self._edges = cdf[:-1].tolist()
         self._uniforms = np.empty(size)
@@ -126,14 +110,6 @@ class Categorical:
             np.greater_equal(self._uniforms, edge, out=self._reached)
             self._index += self._reached
         return self._index
-
-
-def categorical_choice(gen: np.random.Generator, atoms, probs, size: int) -> np.ndarray:
-    """``gen.choice(atoms, size=size, p=probs)`` for a 1-d sequence of atoms."""
-    atoms = np.asarray(atoms)
-    if atoms.ndim != 1 or len(atoms) != len(probs):
-        raise InvalidParams("atoms and probabilities must match")
-    return atoms[Categorical(probs, size).draw(gen)]
 
 
 # ---------------------------------------------------------------------------
@@ -474,18 +450,17 @@ def _gk15(f: Callable, a: float, b: float):
     return k15, abs(k15 - g7)
 
 
-def _truncation_point(f: Callable, start: float, direction: float, cutoff: float,
-                      envelope: Callable | None) -> float:
-    """Walk outward until the integrand (or its declared envelope) is negligible.
+def _truncation_point(f: Callable, start: float, direction: float,
+                      cutoff: float) -> float:
+    """Walk outward until the integrand is negligible.
 
     All integrands in scope are Gaussian-dominated, so probing a few points
     per candidate radius is a sound tail bound.
     """
-    probe = envelope if envelope is not None else f
     t = max(8.0, abs(start) + 8.0)
     while t < 1e8:
         pts = start + direction * t * np.array([0.75, 0.9, 1.0])
-        vals = np.abs(_eval_nodes(probe, pts))
+        vals = np.abs(_eval_nodes(f, pts))
         if np.all(vals < cutoff):
             return start + direction * t
         t *= 1.5
@@ -493,12 +468,11 @@ def _truncation_point(f: Callable, start: float, direction: float, cutoff: float
 
 
 def quad_integrate(f: Callable, lo: float, hi: float, abs_tol: float = 1e-10,
-                   max_evals: int = 2_000_000,
-                   envelope: Callable | None = None) -> QuadResult:
+                   max_evals: int = 2_000_000) -> QuadResult:
     """Adaptive bisection with a 15-point Kronrod rule per panel.
 
-    Infinite endpoints are truncated where the integrand's envelope falls
-    below abs_tol/100.  Raises NonConvergence (carrying the best estimate)
+    Infinite endpoints are truncated where the integrand falls below
+    abs_tol/100.  Raises NonConvergence (carrying the best estimate)
     if the evaluation budget runs out before the tolerance is met.
     """
     if not abs_tol > 0:
@@ -507,12 +481,12 @@ def quad_integrate(f: Callable, lo: float, hi: float, abs_tol: float = 1e-10,
         raise InvalidParams(f"integration needs lo < hi, got [{lo}, {hi}]")
     cutoff = abs_tol / 100.0
     if math.isinf(lo) and math.isinf(hi):
-        lo = _truncation_point(f, 0.0, -1.0, cutoff, envelope)
-        hi = _truncation_point(f, 0.0, +1.0, cutoff, envelope)
+        lo = _truncation_point(f, 0.0, -1.0, cutoff)
+        hi = _truncation_point(f, 0.0, +1.0, cutoff)
     elif math.isinf(lo):
-        lo = _truncation_point(f, hi, -1.0, cutoff, envelope)
+        lo = _truncation_point(f, hi, -1.0, cutoff)
     elif math.isinf(hi):
-        hi = _truncation_point(f, lo, +1.0, cutoff, envelope)
+        hi = _truncation_point(f, lo, +1.0, cutoff)
 
     evals = 0
     value, err = _gk15(f, lo, hi)

@@ -182,3 +182,46 @@ def test_law_sampling_matches_moments():
     sums = law.sample_sums(50, 4000, gen)
     assert sums.mean() == pytest.approx(50 * law.mean(), abs=0.3)
     assert sums.var() == pytest.approx(50 * law.variance(), rel=0.1)
+
+
+@pytest.mark.parametrize("values,probs", [
+    ((0.0, 1.0), (math.nan, math.nan)),
+    ((0.0, math.nan), (0.5, 0.5)),
+    ((-math.inf, 1.0), (0.5, 0.5)),
+    ((0.0, 1.0), (math.inf, -math.inf)),
+])
+def test_law_rejects_non_finite_entries(values, probs):
+    with pytest.raises(InvalidParams, match="finite"):
+        DiscreteLaw(values, probs)
+
+
+@pytest.mark.parametrize("values,probs", [(((1.0, 2.0),), (1.0,)), (1.0, 1.0)])
+def test_law_needs_1d_entries(values, probs):
+    with pytest.raises(InvalidParams, match="matching non-empty"):
+        DiscreteLaw(values, probs)
+
+
+def test_law_keeps_float_tuples_and_second_moment():
+    law = DiscreteLaw(np.array([1, 2]), [0.25, 0.75])
+    assert law.values == (1.0, 2.0) and law.probs == (0.25, 0.75)
+    assert all(type(v) is float for v in law.values + law.probs)
+    assert law.second_moment() == 0.25 + 0.75 * 4.0
+    assert DiscreteLaw.rademacher().second_moment() == 1.0
+
+
+def _parent_binomial_log_pmf(n, p, k):
+    """The pmf as first written, through np.vectorize(math.lgamma)."""
+    return (math.lgamma(n + 1)
+            - np.vectorize(math.lgamma)(k + 1.0)
+            - np.vectorize(math.lgamma)(n - k + 1.0)
+            + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+@pytest.mark.parametrize("n,p,lo,hi", [
+    (1, 0.5, 0, 1), (10, 0.3, 0, 10), (100, 0.5, 40, 60), (101, 0.01, 0, 7),
+    (10_000, 0.5, 4804, 5196), (10_000, 0.37, 3600, 3800), (10_000, 0.999, 9980, 10_000),
+])
+def test_binomial_log_pmf_is_bit_identical_to_vectorize(n, p, lo, hi):
+    from nlclt.classical import _binomial_log_pmf
+    k = np.arange(lo, hi + 1, dtype=float)
+    assert _binomial_log_pmf(n, p, k).tobytes() == _parent_binomial_log_pmf(n, p, k).tobytes()

@@ -74,16 +74,6 @@ class TestFiguresCommand:
         labels = {line.split(",")[1] for line in fig1[1:]}
         assert labels == {"alpha=-1", "alpha=-0.5", "alpha=0"}
 
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NLCLT_THREADS", "2")
-        out = tmp_path / "figs"
-        assert run("figures", "--out", str(out)) == 0
-        assert len(os.listdir(out)) == 5
-
-    def test_bad_thread_env_is_config_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NLCLT_THREADS", "many")
-        assert run("figures", "--out", str(tmp_path / "f")) == 2
-
 
 class TestSolveCommand:
     def test_g_heat_scalar_and_grid(self, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nlclt.classical import DiscreteLaw
 from nlclt.errors import InvalidParams
 from nlclt.martingale import (
     MdsModel,
@@ -21,13 +22,13 @@ class TestLevyTerms:
     def test_bounded_increments_empty_truncation(self):
         model = MdsModel.iid_rademacher(400)
         # eps * b_n = 0.1 * 20 = 2 > 1 = |X_i|
-        terms = levy_condition_terms(model, 400, SeedSpec(1, 0))
+        terms = levy_condition_terms(model, SeedSpec(1, 0))
         assert terms == (0.0, 0.0, 0.0, 0.0)
 
     def test_small_n_full_truncation(self):
         model = MdsModel.iid_rademacher(25)
         # eps * b_n = 0.1 * 5 = 0.5 < 1, every increment exceeds
-        tail, first, second, first_sq = levy_condition_terms(model, 25, SeedSpec(1, 0))
+        tail, first, second, first_sq = levy_condition_terms(model, SeedSpec(1, 0))
         assert tail == 25.0
         assert first == 0.0
         assert second == pytest.approx(1.0)
@@ -35,8 +36,8 @@ class TestLevyTerms:
 
     def test_var_feedback_reproducible(self):
         model = MdsModel.var_feedback(1.0, 3.0, 1000)
-        a = levy_condition_terms(model, 1000, SeedSpec(8, 2))
-        b = levy_condition_terms(model, 1000, SeedSpec(8, 2))
+        a = levy_condition_terms(model, SeedSpec(8, 2))
+        b = levy_condition_terms(model, SeedSpec(8, 2))
         assert a == b
         assert all(math.isfinite(v) for v in a)
 
@@ -45,7 +46,7 @@ class TestLevyTerms:
         # stream and recompute the four sums directly
         n, spec = 64, SeedSpec(123, 5)
         model = MdsModel.var_feedback(0.5, 2.0, n)
-        got = levy_condition_terms(model, n, spec, eps=0.1)
+        got = levy_condition_terms(model, spec, eps=0.1)
         signs = generator(spec).integers(0, 2, size=(1, n))[0] * 2 - 1
         sig = [0.5]
         for s in signs[:-1]:
@@ -64,7 +65,7 @@ class TestLevyTerms:
 class TestBrownRatios:
     def test_iid_rademacher_exact(self):
         model = MdsModel.iid_rademacher(50)
-        r1, r2 = brown_ratios(model, 50, 200, SeedSpec(3, 0))
+        r1, r2 = brown_ratios(model, 200, SeedSpec(3, 0))
         assert r1 == 1.0
         assert r2 == pytest.approx(1.0 / 50.0, rel=1e-14)
 
@@ -76,7 +77,7 @@ class TestBrownRatios:
         ratios = (sig**2).sum(axis=1) / model.exact_s2()
         atoms = set(np.round(np.unique(ratios), 12))
         assert atoms == {round(1 / 2.5, 12), round(4 / 2.5, 12)}
-        r1, _ = brown_ratios(model, 100, 4000, SeedSpec(4, 0))
+        r1, _ = brown_ratios(model, 4000, SeedSpec(4, 0))
         se = math.sqrt(np.var(ratios) / len(ratios))
         assert abs(r1 - 1.0) <= 3 * se
 
@@ -84,7 +85,7 @@ class TestBrownRatios:
         sp, sm, n = 1.0, 2.0, 30
         model = MdsModel.var_feedback(sp, sm, n)
         reps = 20_000
-        r1, r2 = brown_ratios(model, n, reps, SeedSpec(5, 1))
+        r1, r2 = brown_ratios(model, reps, SeedSpec(5, 1))
         s2 = sp**2 + (n - 1) * 0.5 * (sp**2 + sm**2)
         assert model.exact_s2() == s2
         # E[b_n^2] = s_n^2 so the first ratio averages to 1
@@ -124,13 +125,13 @@ class TestMcleish:
 
 class TestHallMixture:
     def test_degenerate_mixture_is_standard_normal(self):
-        limit = MixtureLimit(atoms=((1.0, 1.0),))
+        limit = MixtureLimit(DiscreteLaw((1.0,), (1.0,)))
         sample = hall_mixture_sampler(limit, 10_000, SeedSpec(9, 0))
         from nlclt.numerics import ks_one_sample, std_normal_cdf_arr
         assert ks_one_sample(sample, std_normal_cdf_arr) <= 0.02
 
     def test_sample_variance_matches_second_moment(self):
-        limit = MixtureLimit(atoms=((1.0, 0.5), (2.0, 0.5)))
+        limit = MixtureLimit(DiscreteLaw((1.0, 2.0), (0.5, 0.5)))
         sample = hall_mixture_sampler(limit, 40_000, SeedSpec(10, 0))
         # Var(T'Z) = E[T'^2]; SE of the sample variance from 4th moments
         target = limit.second_moment()
@@ -139,11 +140,11 @@ class TestHallMixture:
         assert abs(np.var(sample) - target) <= 3 * se
 
     def test_empty_sample(self):
-        limit = MixtureLimit(atoms=((1.0, 1.0),))
+        limit = MixtureLimit(DiscreteLaw((1.0,), (1.0,)))
         assert len(hall_mixture_sampler(limit, 0, SeedSpec(1, 0))) == 0
 
     def test_mixture_cdf_closed_form(self):
-        limit = MixtureLimit(atoms=((1.0, 0.5), (2.0, 0.5)))
+        limit = MixtureLimit(DiscreteLaw((1.0, 2.0), (0.5, 0.5)))
         xs = np.array([-1.0, 0.0, 2.0])
         expected = 0.5 * np.array([std_normal_cdf(x) for x in xs]) + \
             0.5 * np.array([std_normal_cdf(x / 2) for x in xs])
@@ -151,9 +152,9 @@ class TestHallMixture:
 
     def test_mixture_validation(self):
         with pytest.raises(InvalidParams):
-            MixtureLimit(atoms=((1.0, 0.6), (2.0, 0.6)))
+            MixtureLimit(DiscreteLaw((1.0, 2.0), (0.6, 0.6)))
         with pytest.raises(InvalidParams):
-            MixtureLimit(atoms=((-1.0, 1.0),))
+            MixtureLimit(DiscreteLaw((-1.0,), (1.0,)))
 
 
 class TestHallConvergence:
@@ -210,6 +211,32 @@ def test_model_validation():
         MdsModel.var_feedback(0.0, 1.0, 10)
     with pytest.raises(InvalidParams):
         MdsModel.iid_rademacher(0)
+
+
+def test_hall_law_is_checked_when_the_model_is_built():
+    with pytest.raises(InvalidParams, match="non-negative"):
+        MdsModel.hall_mixture((1, 2), (1.5, -0.5), 10)
+    with pytest.raises(InvalidParams, match="finite"):
+        MdsModel.hall_mixture((1.0, math.nan), (0.5, 0.5), 10)
+    with pytest.raises(InvalidParams, match="finite"):
+        MdsModel.hall_mixture((1.0, 2.0), (math.nan, 1.0), 10)
+    with pytest.raises(InvalidParams, match="matching non-empty"):
+        MdsModel.hall_mixture((1.0, 2.0, 3.0), (0.5, 0.5), 10)
+    with pytest.raises(InvalidParams, match="DiscreteLaw"):
+        MdsModel(kind="hall_mixture", n=10)
+    with pytest.raises(InvalidParams, match="positive"):
+        MdsModel.hall_mixture((0.0, 1.0), (0.5, 0.5), 10)
+
+
+def test_mixture_law_rejects_non_finite_entries():
+    with pytest.raises(InvalidParams, match="finite"):
+        MixtureLimit(DiscreteLaw((1.0, math.nan), (0.5, 0.5)))
+    with pytest.raises(InvalidParams, match="finite"):
+        MixtureLimit(DiscreteLaw((1.0, math.inf), (0.5, 0.5)))
+    with pytest.raises(InvalidParams, match="matching non-empty"):
+        hall_convergence_check([1.0, 2.0], [1.0], 200, 2000, SeedSpec(1, 0))
+    # a point mass at 0 is a valid mixing law
+    assert MixtureLimit(DiscreteLaw((0.0,), (1.0,))).second_moment() == 0.0
 
 
 def test_scales_whose_squares_overflow_are_rejected():

@@ -159,21 +159,21 @@ class TestLindebergValue:
     def test_bounded_increments_vanish(self):
         model = RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), 100)
         # sqrt(n * eps) = sqrt(10) > 2 = worst |X|
-        assert lindeberg_condition_value(model, 100, 0.1) == 0.0
+        assert lindeberg_condition_value(model, 0.1) == 0.0
 
     def test_full_indicator_picks_worst_scale(self):
         model = RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), 1)
-        assert lindeberg_condition_value(model, 1, 1e-4) == 4.0
+        assert lindeberg_condition_value(model, 1e-4) == 4.0
 
     def test_mean_uncertain_support_bound(self):
         model = RectangularModel.mean_uncertain(MeanInterval(-1.0, 1.0), 1.0, 100)
         # |mu| + 1 <= 2 < sqrt(100 * 0.05)
-        assert lindeberg_condition_value(model, 100, 0.05) == 0.0
+        assert lindeberg_condition_value(model, 0.05) == 0.0
 
     def test_mean_uncertain_hand_value(self):
         model = RectangularModel.mean_uncertain(MeanInterval(-1.0, 1.0), 1.0, 1)
         # threshold sqrt(0.5); worst control mu = +-1 gives atom at +-2
-        assert lindeberg_condition_value(model, 1, 0.5) == pytest.approx(2.0)
+        assert lindeberg_condition_value(model, 0.5) == pytest.approx(2.0)
 
 
 class TestConvergenceExperiment:
@@ -266,6 +266,14 @@ class TestModelValidation:
             RectangularModel.mean_uncertain(MeanInterval(0.0, 1.0), 1.0, 10,
                                             innovation=bad_var)
 
+    @pytest.mark.parametrize("values", [(-1.0, math.nan), (-math.inf, 1.0)])
+    def test_non_finite_innovation_is_rejected(self, values):
+        # a NaN or inf atom used to pass the mean and variance comparisons
+        with pytest.raises(InvalidParams, match="finite"):
+            RectangularModel.variance_uncertain(
+                VarianceInterval(1.0, 2.0), 10,
+                innovation=DiscreteLaw(values=values, probs=(0.5, 0.5)))
+
     def test_three_point_innovation_accepted_and_checked(self):
         # zero-mean unit-variance three-point law
         law = DiscreteLaw(values=(-math.sqrt(2.0), 0.0, math.sqrt(2.0)),
@@ -276,8 +284,8 @@ class TestModelValidation:
                                       "sup", check_points=None)
         assert 0.0 < value < 1.0
         # worst atom is 2*sqrt(2) = 2.83: above sqrt(16*0.1) but not sqrt(16*0.6)
-        assert lindeberg_condition_value(model, 16, 0.1) == pytest.approx(4.0)
-        assert lindeberg_condition_value(model, 16, 0.6) == 0.0
+        assert lindeberg_condition_value(model, 0.1) == pytest.approx(4.0)
+        assert lindeberg_condition_value(model, 0.6) == 0.0
 
     def test_kind_field_validation(self):
         with pytest.raises(InvalidParams):

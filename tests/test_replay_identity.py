@@ -1,8 +1,9 @@
 """Draw-for-draw guard for the categorical sampler and the policy replay.
 
 ``Categorical`` counts the cdf edges a uniform reaches instead of calling
-``Generator.choice``, and ``policy_simulate`` writes every step into
-preallocated buffers.  This file requires the same indices and generator
+``Generator.choice``; ``DiscreteLaw.draw`` and ``policy_simulate`` read
+atoms at its indices, and ``policy_simulate`` writes every step into
+preallocated buffers.  This file requires the same draws and generator
 state as ``Generator.choice``, and keeps a frozen copy of the earlier
 replay (one ``gen.choice`` and fresh arrays per step) whose
 ``(estimate, stderr)`` the replay must reproduce bit for bit.
@@ -24,7 +25,7 @@ from nlclt.measure_dp import (
     policy_simulate,
     sup_expectation_dp,
 )
-from nlclt.numerics import Categorical, SeedSpec, categorical_choice, generator
+from nlclt.numerics import Categorical, SeedSpec, generator
 from nlclt.sublinear import SShapeSpec, make_s_shaped, named_test_function
 
 SEEDS = st.integers(0, 2**64 - 1)
@@ -54,9 +55,17 @@ def assert_same_as_choice(probs, size, spec):
     drawn = Categorical(probs, size).draw(gen)
     assert drawn.dtype == np.intp
     assert atoms[drawn].tobytes() == expected.tobytes()
-    assert categorical_choice(generator(spec), atoms, probs, size).tobytes() \
-        == expected.tobytes()
     # both generators sit at the same point of the stream
+    assert gen.random(3).tobytes() == ref_gen.random(3).tobytes()
+
+
+def assert_law_draw_is_choice(probs, size, spec):
+    atoms = np.linspace(-2.0, 3.0, len(probs))
+    ref_gen, gen = generator(spec), generator(spec)
+    expected = ref_gen.choice(atoms, size=size, p=probs)
+    drawn = DiscreteLaw(atoms, probs).draw(gen, size)
+    assert drawn.dtype == np.float64
+    assert drawn.tobytes() == expected.tobytes()
     assert gen.random(3).tobytes() == ref_gen.random(3).tobytes()
 
 
@@ -70,6 +79,20 @@ def test_indices_and_state_match_generator_choice(probs, size, seed, stream):
 @given(st.floats(0.001, 0.999), SEEDS)
 def test_bernoulli_matches_generator_choice(p, seed):
     assert_same_as_choice(np.array([1.0 - p, p]), 2000, SeedSpec(seed))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(laws(), st.sampled_from([0, 1, 2, 7, 1000]), SEEDS, STREAMS)
+def test_law_draw_matches_generator_choice(probs, size, seed, stream):
+    assert_law_draw_is_choice(probs, size, SeedSpec(seed, stream))
+
+
+def test_law_draw_follows_the_stream():
+    law = DiscreteLaw((0.5, 1.5, 3.0), (0.2, 0.5, 0.3))
+    gen, ref_gen = generator(SeedSpec(4, 1)), generator(SeedSpec(4, 1))
+    for size in (1, 300, 0, 300):
+        expected = ref_gen.choice(np.array(law.values), size=size, p=law.probs)
+        assert law.draw(gen, size).tobytes() == expected.tobytes()
 
 
 def test_edges_of_zero_mass_are_never_chosen():
@@ -88,16 +111,17 @@ def test_repeated_draws_follow_the_stream():
         assert np.array_equal(sampler.draw(gen), expected)
 
 
+# DiscreteLaw checks the probabilities that Categorical and draw then use
 @pytest.mark.parametrize("probs", [[], [[0.5, 0.5]], [0.5, -0.1, 0.6], [0.5, 0.4],
                                    [0.5, math.nan], [math.inf, 0.0]])
 def test_invalid_probabilities_are_rejected(probs):
     with pytest.raises(InvalidParams):
-        Categorical(probs, 3)
+        DiscreteLaw(tuple(range(len(probs))), probs)
 
 
 def test_atoms_must_match_probabilities():
     with pytest.raises(InvalidParams):
-        categorical_choice(generator(SeedSpec(0)), [1.0, 2.0, 3.0], [0.5, 0.5], 4)
+        DiscreteLaw([1.0, 2.0, 3.0], [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
