@@ -3,28 +3,36 @@
 The G-heat equation gives the upper expectation of a payoff of a
 variance-uncertain limit; the semilinear drift equation gives the
 mean-uncertain value (the backward-equation value solved through its
-equivalent parabolic form).  The lattice section holds the adversarial
-backward-induction kernel shared with measure_dp, and the +-1-innovation
-lattice oracle on it, an independent cross-check of both solvers.
+equivalent parabolic form).  Each solve marches its grid and every other
+point of it, and reports the two-grid Richardson extrapolation.  The
+lattice section holds the adversarial backward-induction kernel shared
+with measure_dp, and the +-1-innovation lattice oracle on it, an
+independent cross-check of both solvers.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .densities import MeanInterval, VarianceInterval
 from .errors import InvalidParams, InvalidTheta, UnstableResolution
 
-CFL_SAFETY = 0.4
+# The coarse march's step is this fraction of its grid's stability bound,
+# and the fine march's is a quarter of it at half the spacing: on both, the
+# G-heat ratio a_pos * dt / dx^2 is 0.45 <= 0.5 and, while the drift's
+# bound is dx^2 (|mu| * 2 * dx <= 1 on the coarse grid), the drift step's
+# centre weight 1 - dt / dx^2 is 0.1 > 0, so the scheme stays monotone.
+CFL_SAFETY = 0.9
 DEFAULT_SPACE_POINTS = 2001
-# Not a cap: a march stores its terminal layer, every
-# (steps // (MAX_VALUE_SNAPSHOTS - 1))-th layer and its last layer.  From 100
-# steps up that is 11 layers when 10 divides the step count and 12 otherwise
-# (a default 2001-point solve stores 12); fewer steps store more layers.
+# Not a cap: a solve stores its terminal layer, every
+# (coarse steps // (MAX_VALUE_SNAPSHOTS - 1))-th coarse step and the last.
+# From 100 coarse steps up that is 11 layers when 10 divides the coarse step
+# count and 12 otherwise (a default 2001-point solve stores 12); fewer steps
+# store more layers.
 MAX_VALUE_SNAPSHOTS = 11
 # Steps a march takes between two reductions of its running min/max: a
 # block of 16 rows at 2001 points is 256 KiB, and stays in cache.
@@ -246,14 +254,25 @@ def default_halfwidth(interval, center: float = 0.0) -> float:
 
 @dataclass(frozen=True)
 class ValueGrid:
-    """Stored snapshots of the time-stepped solution plus its root value."""
+    """Stored layers of the two-grid extrapolated solution plus its root value.
+
+    The solution is marched twice: on x at spacing dx, and on x[::2] at
+    spacing 2*dx with a quarter of the steps, so that dt/dx^2 is the same on
+    both grids.  Each stored layer is the fine layer plus a third of its
+    difference from the coarse layer, interpolated linearly onto x
+    (Richardson extrapolation: the dx^2 and dt error terms cancel).
+    """
 
     x: np.ndarray
     times: np.ndarray
     values: np.ndarray         # shape (len(times), len(x)); times descending from 1
     u0: float                  # u(0, 0)
-    min_seen: float            # global over all marched steps
+    # least and greatest value over every step of the fine march and every
+    # stored, extrapolated layer
+    min_seen: float
     max_seen: float
+    steps: int                 # steps of the fine march
+    richardson_gap: float      # u0 minus the fine march's u(0, 0)
 
     def rows(self):
         x = self.x.tolist()
@@ -262,7 +281,19 @@ class ValueGrid:
                 yield t, xi, ui
 
 
-def _march(u0: np.ndarray, steps: int, step: Callable) -> tuple:
+class _March(NamedTuple):
+    """One single-grid march: its grid, step count, stored layer times and
+    layers, and its least and greatest value over every marched step."""
+
+    x: np.ndarray
+    steps: int
+    times: np.ndarray
+    values: np.ndarray
+    lo: float
+    hi: float
+
+
+def _march(u0: np.ndarray, steps: int, every: int, step: Callable) -> tuple:
     """Explicit backward march from t = 1 to t = 0 through `steps` calls of
     `step(u, out)`, each of which writes the state one step on from u into
     out (a different row).
@@ -270,13 +301,11 @@ def _march(u0: np.ndarray, steps: int, step: Callable) -> tuple:
     The steps fill the rows of a block of at most MARCH_BLOCK_STEPS rows
     after the row they start from, and the block's least and greatest values
     are reduced once per block, not once per step.  Stores the terminal
-    layer, every (steps // (MAX_VALUE_SNAPSHOTS - 1))-th layer and the last
-    layer, which is 11 or 12 layers from 100 steps up (see
-    MAX_VALUE_SNAPSHOTS).  Returns the layer times (1.0 down to 0.0), the
-    layers, and the least and greatest value over every marched step.
+    layer, every `every`-th layer and the last layer.  Returns the layer
+    times (1.0 down to 0.0), the layers, and the least and greatest value
+    over every marched step.
     """
-    snap_every = max(1, steps // (MAX_VALUE_SNAPSHOTS - 1))
-    ends = list(range(snap_every, steps + 1, snap_every))
+    ends = list(range(every, steps + 1, every))
     if ends[-1] != steps:
         ends.append(steps)
     block = np.empty((min(MARCH_BLOCK_STEPS, steps) + 1, len(u0)))
@@ -317,44 +346,10 @@ def _second_difference_into(u: np.ndarray, dx2: float, d2: np.ndarray) -> None:
     np.divide(inner, dx2, out=inner)
 
 
-def _solve(problem: HjbProblem, space_points: int, time_steps: Optional[int],
-           dt_bound: Callable, make_step: Callable) -> ValueGrid:
-    """Grid, step count, march and root value shared by both solvers.
-
-    dt_bound(dx) is the largest stable time step; make_step(n, dx, dt)
-    returns the one-step update step(u, out) on n grid points.
-    """
-    if space_points < 3:
-        raise InvalidParams(f"space_points must be >= 3, got {space_points}")
-    if time_steps is not None and time_steps < 1:
-        raise InvalidParams(f"time_steps must be >= 1, got {time_steps}")
-    L = problem.halfwidth()
-    x = np.linspace(-L, L, space_points)
-    dx = x[1] - x[0]
-    dt_max = dt_bound(dx)
-    if time_steps is None:
-        steps = math.ceil(1.0 / (CFL_SAFETY * dt_max))
-    else:
-        steps = time_steps
-        if 1.0 / steps > dt_max:
-            raise UnstableResolution(
-                f"dt = {1.0 / steps:.3e} exceeds the stability bound "
-                f"{dt_max:.3e}; increase time_steps")
-    step = make_step(space_points, dx, 1.0 / steps)
-    times, values, lo, hi = _march(problem.terminal(x), steps, step)
-    mid = space_points // 2
-    u0 = float(np.interp(0.0, x, values[-1])) if x[mid] != 0.0 else float(values[-1][mid])
-    return ValueGrid(x=x, times=times, values=values, u0=u0,
-                     min_seen=lo, max_seen=hi)
-
-
-def solve_g_heat(v: VarianceInterval, terminal: TestFunction,
-                 space_points: int = DEFAULT_SPACE_POINTS,
-                 time_steps: Optional[int] = None,
-                 domain_halfwidth: Optional[float] = None) -> ValueGrid:
-    """March the G-heat equation back from t = 1; u(0,0) is the upper
-    expectation of the terminal under the variance interval."""
-    problem = HjbProblem(GVariance(v), terminal, domain_halfwidth)
+def _g_heat_scheme(v: VarianceInterval) -> tuple:
+    """(dt_bound, make_step) of the G-heat march: dt_bound(dx) is the largest
+    stable time step, and make_step(n, dx, dt) returns the one-step update
+    step(u, out) on n grid points."""
     sig_max2 = v.sigma_high ** 2
     a_pos = 0.5 * sig_max2
     a_neg = 0.5 * v.sigma_low ** 2
@@ -380,25 +375,11 @@ def solve_g_heat(v: VarianceInterval, terminal: TestFunction,
             np.add(u, rate, out=out)
         return step
 
-    return _solve(problem, space_points, time_steps,
-                  lambda dx: dx * dx / sig_max2, make_step)
+    return (lambda dx: dx * dx / sig_max2), make_step
 
 
-def solve_g_expectation(m: MeanInterval, terminal: TestFunction, side: str,
-                        space_points: int = DEFAULT_SPACE_POINTS,
-                        time_steps: Optional[int] = None,
-                        domain_halfwidth: Optional[float] = None) -> ValueGrid:
-    """March the semilinear drift equation back from t = 1; u(0,0) is the
-    mean-uncertain value of the terminal payoff at unit diffusion.
-
-    Bounded terminals only; the drift term is max (sup) or min (inf) of
-    mu * gradient over the mean interval.
-    """
-    if side not in ("sup", "inf"):
-        raise InvalidParams(f"unknown side {side!r}")
-    if terminal.growth != "bounded_with_limits":
-        raise InvalidParams("mean-uncertain solve needs a bounded terminal")
-    problem = HjbProblem(GMean(m, side=side), terminal, domain_halfwidth)
+def _drift_scheme(m: MeanInterval, side: str) -> tuple:
+    """(dt_bound, make_step) of the drift march, as _g_heat_scheme."""
     mu_max = max(abs(m.mu_low), abs(m.mu_high))
     hi_coef = m.mu_high if side == "sup" else m.mu_low
     lo_coef = m.mu_low if side == "sup" else m.mu_high
@@ -410,7 +391,11 @@ def solve_g_expectation(m: MeanInterval, terminal: TestFunction, side: str,
         dx2 = dx * dx
         two_dx = 2.0 * dx
         d2 = np.zeros(n)
-        d1 = np.empty(n)
+        # d1 and d2 stay 0 at both ends, so the end values stay at the
+        # terminal's.  A one-sided end difference would be downwind where
+        # the drift points out of the domain, and would push the end values
+        # past the terminal's range.
+        d1 = np.zeros(n)
         d1_inner = d1[1:-1]
         drift = np.empty(n)
         down = np.empty(n)
@@ -429,8 +414,6 @@ def solve_g_expectation(m: MeanInterval, terminal: TestFunction, side: str,
             _second_difference_into(u, dx2, d2)
             np.subtract(u[2:], u[:-2], out=d1_inner)
             np.divide(d1_inner, two_dx, out=d1_inner)
-            d1[0] = (u[1] - u[0]) / dx
-            d1[-1] = (u[-1] - u[-2]) / dx
             np.maximum(d1, 0.0, out=drift)
             np.multiply(drift, hi_coef, out=drift)
             np.minimum(d1, 0.0, out=down)
@@ -442,7 +425,103 @@ def solve_g_expectation(m: MeanInterval, terminal: TestFunction, side: str,
             np.add(u, rate, out=out)
         return step
 
-    return _solve(problem, space_points, time_steps, dt_bound, make_step)
+    return dt_bound, make_step
+
+
+def _root(x: np.ndarray, layer: np.ndarray) -> float:
+    """The layer's value at x = 0: its middle point when that is 0, else
+    linear interpolation."""
+    mid = len(x) // 2
+    return float(layer[mid]) if x[mid] == 0.0 else float(np.interp(0.0, x, layer))
+
+
+def _marches(problem: HjbProblem, space_points: int,
+             time_steps: Optional[int]) -> tuple:
+    """The fine and the coarse march of the problem, as two _March records.
+
+    The fine grid is x = linspace(-L, L, space_points) with spacing dx, the
+    coarse grid x[::2] with spacing 2 * dx.  The coarse march takes
+    ceil(1 / (CFL_SAFETY * dt_bound(2 * dx))) steps, or ceil(time_steps / 4)
+    for an explicit count (raised to the coarse grid's stability bound,
+    which only the drift's dx / mu limit can reach), and the fine march
+    exactly 4 times as many, so dt/dx^2 is the same on both.  Both store
+    their layers at the coarse march's every
+    (coarse steps // (MAX_VALUE_SNAPSHOTS - 1))-th step and its last.
+    """
+    if space_points < 3:
+        raise InvalidParams(f"space_points must be >= 3, got {space_points}")
+    if time_steps is not None and time_steps < 1:
+        raise InvalidParams(f"time_steps must be >= 1, got {time_steps}")
+    gen = problem.generator
+    if isinstance(gen, GVariance):
+        dt_bound, make_step = _g_heat_scheme(gen.interval)
+    else:
+        dt_bound, make_step = _drift_scheme(gen.interval, gen.side)
+    L = problem.halfwidth()
+    x = np.linspace(-L, L, space_points)
+    dx = x[1] - x[0]
+    if time_steps is None:
+        coarse_steps = math.ceil(1.0 / (CFL_SAFETY * dt_bound(2.0 * dx)))
+    else:
+        dt_max = dt_bound(dx)
+        if 1.0 / time_steps > dt_max:
+            raise UnstableResolution(
+                f"dt = {1.0 / time_steps:.3e} exceeds the stability bound "
+                f"{dt_max:.3e}; increase time_steps")
+        coarse_steps = max(math.ceil(time_steps / 4),
+                           math.ceil(1.0 / dt_bound(2.0 * dx)))
+    every = max(1, coarse_steps // (MAX_VALUE_SNAPSHOTS - 1))
+    marches = []
+    for grid, spacing, refine in ((x, dx, 4), (x[::2].copy(), 2.0 * dx, 1)):
+        steps = refine * coarse_steps
+        step = make_step(len(grid), spacing, 1.0 / steps)
+        marches.append(_March(grid, steps, *_march(
+            problem.terminal(grid), steps, refine * every, step)))
+    return tuple(marches)
+
+
+def _solve(problem: HjbProblem, space_points: int,
+           time_steps: Optional[int]) -> ValueGrid:
+    """The two marches of the problem, extrapolated layer by layer."""
+    fine, coarse = _marches(problem, space_points, time_steps)
+    x = fine.x
+    fine_root = _root(x, fine.values[-1])
+    values = fine.values
+    for layer, coarse_layer in zip(values, coarse.values):
+        layer += np.interp(x, coarse.x, layer[::2] - coarse_layer) / 3.0
+    u0 = _root(x, values[-1])
+    return ValueGrid(x=x, times=fine.times, values=values, u0=u0,
+                     min_seen=min(fine.lo, float(values.min())),
+                     max_seen=max(fine.hi, float(values.max())),
+                     steps=fine.steps, richardson_gap=u0 - fine_root)
+
+
+def solve_g_heat(v: VarianceInterval, terminal: TestFunction,
+                 space_points: int = DEFAULT_SPACE_POINTS,
+                 time_steps: Optional[int] = None,
+                 domain_halfwidth: Optional[float] = None) -> ValueGrid:
+    """March the G-heat equation back from t = 1; u(0,0) is the upper
+    expectation of the terminal under the variance interval."""
+    return _solve(HjbProblem(GVariance(v), terminal, domain_halfwidth),
+                  space_points, time_steps)
+
+
+def solve_g_expectation(m: MeanInterval, terminal: TestFunction, side: str,
+                        space_points: int = DEFAULT_SPACE_POINTS,
+                        time_steps: Optional[int] = None,
+                        domain_halfwidth: Optional[float] = None) -> ValueGrid:
+    """March the semilinear drift equation back from t = 1; u(0,0) is the
+    mean-uncertain value of the terminal payoff at unit diffusion.
+
+    Bounded terminals only; the drift term is max (sup) or min (inf) of
+    mu * gradient over the mean interval.
+    """
+    if side not in ("sup", "inf"):
+        raise InvalidParams(f"unknown side {side!r}")
+    if terminal.growth != "bounded_with_limits":
+        raise InvalidParams("mean-uncertain solve needs a bounded terminal")
+    return _solve(HjbProblem(GMean(m, side=side), terminal, domain_halfwidth),
+                  space_points, time_steps)
 
 
 # ---------------------------------------------------------------------------

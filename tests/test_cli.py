@@ -16,7 +16,7 @@ from nlclt.cli import (OPTIONS, build_parser, main, merge_config, parse_grid,
                        validate_config)
 from nlclt.errors import ConfigError
 from nlclt.numerics import std_normal_pdf
-from nlclt.sublinear import ValueGrid
+from nlclt.sublinear import DEFAULT_SPACE_POINTS, ValueGrid
 
 
 def read(path):
@@ -111,6 +111,46 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "space_points" in err
 
+    def test_default_grid_t0_layer_matches_u0(self, tmp_path):
+        # the check a benchmark run of the convex solve makes on --grid-out
+        out = tmp_path / "solve.csv"
+        gout = tmp_path / "grid.csv"
+        code = run("solve", "--problem", "g-heat", "--sigma-low", "1",
+                   "--sigma-high", "2", "--terminal", "abs",
+                   "--out", str(out), "--grid-out", str(gout))
+        assert code == 0
+        rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+        table = np.loadtxt(gout, delimiter=",", skiprows=1)
+        last = table[table[:, 0] == 0.0]
+        assert len(last) == DEFAULT_SPACE_POINTS
+        assert abs(np.interp(0.0, last[:, 1], last[:, 2]) - float(rows["u0"])) <= 1e-12
+
+    @pytest.mark.parametrize("time_steps, code", [
+        ("100", 1), ("600", 1), ("700", 0), ("1000", 0)])
+    def test_explicit_time_steps_g_heat(self, tmp_path, time_steps, code):
+        # 401 points on [-8, 8]: dt_max = 1.6e-3, stable from 625 steps
+        out = tmp_path / "solve.csv"
+        assert run("solve", "--problem", "g-heat", "--sigma-low", "1",
+                   "--sigma-high", "1", "--terminal", "gauss_half",
+                   "--space-points", "401", "--time-steps", time_steps,
+                   "--out", str(out)) == code
+        if code == 0:
+            rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+            assert float(rows["u0"]) == pytest.approx(1 / math.sqrt(2), abs=1e-4)
+
+    @pytest.mark.parametrize("time_steps, code", [
+        ("100", 1), ("600", 0), ("700", 0), ("1000", 0)])
+    def test_explicit_time_steps_g_expectation(self, tmp_path, time_steps, code):
+        # 401 points on [-8.5, 8.5]: dt_max = 1.8e-3, stable from 556 steps
+        out = tmp_path / "solve.csv"
+        assert run("solve", "--problem", "g-expectation", "--mu-low", "0",
+                   "--mu-high", "0.5", "--side", "sup", "--terminal",
+                   "normal_cdf", "--space-points", "401", "--time-steps",
+                   time_steps, "--out", str(out)) == code
+        if code == 0:
+            rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+            assert float(rows["u0"]) == pytest.approx(0.5 * math.erfc(-0.25), abs=2e-4)
+
     def test_g_expectation_with_tree(self, tmp_path):
         out = tmp_path / "solve.csv"
         code = run("solve", "--problem", "g-expectation", "--mu-low", "0",
@@ -120,6 +160,20 @@ class TestSolveCommand:
         assert code == 0
         rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
         assert float(rows["abs_gap"]) <= 1e-2
+
+
+class TestConvergeCommand:
+    def test_pde_fallback_limit_is_extrapolated(self, tmp_path):
+        # normal_cdf is not symmetric, so no explicit density gives the
+        # limit: it is the two-grid drift solve at 2001 points
+        out = tmp_path / "converge.csv"
+        assert run("converge", "--model", "mean", "--mu-low", "0",
+                   "--mu-high", "0.5", "--phi", "normal_cdf", "--side", "sup",
+                   "--schedule", "10", "--out", str(out)) == 0
+        header, row = out.read_text().splitlines()
+        assert header == "n,dp_value,limit_value,gap"
+        limit = float(row.split(",")[2])
+        assert abs(limit - 0.5 * math.erfc(-0.25)) <= 1e-8
 
 
 class TestCheckAndSimulate:
@@ -676,7 +730,8 @@ class TestCsvRowsAsPythonFloats:
         x = np.array([-1e300, -0.0, 5e-324, 0.1, 1 / 3])
         values = np.outer([1.0, -2.5e-310, 7.0], x)
         grid = ValueGrid(x=x, times=np.array([1.0, 0.5, 0.0]), values=values,
-                         u0=0.0, min_seen=0.0, max_seen=0.0)
+                         u0=0.0, min_seen=0.0, max_seen=0.0, steps=1,
+                         richardson_gap=0.0)
         frozen = [(t, xi, ui) for t, layer in zip(grid.times, grid.values)
                   for xi, ui in zip(grid.x, layer)]
         assert all(type(v) is float for row in grid.rows() for v in row)

@@ -1,10 +1,13 @@
-"""Bit-identity guard for the PDE marches.
+"""Bit-identity guard for the PDE marches and their two-grid combination.
 
 The solvers march through preallocated buffers, writing each step into the
 next row of a small block and reducing the running min/max once per block.
 This file keeps a frozen copy of the earlier allocating marches (a fresh
-array per operation) and requires the solvers to return the same bytes on
-hypothesis-drawn problems: same IEEE operations, same order, same results.
+array per operation) and requires each single-grid march, fine and coarse,
+to return the same bytes on hypothesis-drawn problems: same IEEE
+operations, same order, same results.  It also requires the solvers'
+layers to be the fine layers plus a third of the interpolated fine-minus-
+coarse difference, bit for bit.
 """
 import math
 
@@ -19,13 +22,14 @@ from nlclt.sublinear import (
     GVariance,
     HjbProblem,
     SShapeSpec,
+    _marches,
     make_s_shaped,
     named_test_function,
     solve_g_expectation,
     solve_g_heat,
 )
 
-CFL_SAFETY = 0.4
+CFL_SAFETY = 0.9
 SNAPSHOT_EVERY_DIVISOR = 10
 
 
@@ -33,9 +37,8 @@ SNAPSHOT_EVERY_DIVISOR = 10
 # frozen allocating reference
 # ---------------------------------------------------------------------------
 
-def ref_march(u0, dx, steps, dt, update):
+def ref_march(u0, dx, steps, dt, update, snap_every):
     u = u0.astype(float).copy()
-    snap_every = max(1, steps // SNAPSHOT_EVERY_DIVISOR)
     snaps = [(1.0, u.copy())]
     lo = float(u.min())
     hi = float(u.max())
@@ -56,26 +59,42 @@ def ref_second_difference(u, dx):
     return d2
 
 
-def ref_steps(dt_max, time_steps):
+def ref_grids(problem, space_points, time_steps, dt_bound):
+    """(x, dx, steps, snap_every) of the fine and of the coarse march: the
+    coarse one on x[::2] at 2 * dx takes the CFL count of its own grid, or a
+    quarter of an explicit count (at least its grid's bound), and the fine
+    one 4x as many; both store at the same times."""
+    L = problem.halfwidth()
+    x = np.linspace(-L, L, space_points)
+    dx = x[1] - x[0]
     if time_steps is None:
-        return math.ceil(1.0 / (CFL_SAFETY * dt_max))
-    assert 1.0 / time_steps <= dt_max
-    return time_steps
+        coarse = math.ceil(1.0 / (CFL_SAFETY * dt_bound(2.0 * dx)))
+    else:
+        assert 1.0 / time_steps <= dt_bound(dx)
+        coarse = max(math.ceil(time_steps / 4), math.ceil(1.0 / dt_bound(2.0 * dx)))
+    every = max(1, coarse // SNAPSHOT_EVERY_DIVISOR)
+    return [(x, dx, 4 * coarse, 4 * every), (x[::2].copy(), 2.0 * dx, coarse, every)]
 
 
-def ref_root(x, values, space_points):
-    mid = space_points // 2
+def ref_root(x, layer):
+    mid = len(x) // 2
     if x[mid] != 0.0:
-        return float(np.interp(0.0, x, values[-1]))
-    return float(values[-1][mid])
+        return float(np.interp(0.0, x, layer))
+    return float(layer[mid])
+
+
+def heat_dt_bound(v):
+    return lambda dx: dx * dx / v.sigma_high ** 2
+
+
+def mean_dt_bound(m):
+    mu_max = max(abs(m.mu_low), abs(m.mu_high))
+    return lambda dx: min(dx * dx, dx / mu_max) if mu_max > 0 else dx * dx
 
 
 def ref_g_heat(v, terminal, space_points, time_steps):
-    L = HjbProblem(GVariance(v), terminal).halfwidth()
-    x = np.linspace(-L, L, space_points)
-    dx = x[1] - x[0]
-    steps = ref_steps(dx * dx / v.sigma_high ** 2, time_steps)
-    dt = 1.0 / steps
+    """(x, steps, times, values, lo, hi) of the fine and the coarse march."""
+    problem = HjbProblem(GVariance(v), terminal)
     a_pos = 0.5 * v.sigma_high ** 2
     a_neg = 0.5 * v.sigma_low ** 2
 
@@ -83,32 +102,65 @@ def ref_g_heat(v, terminal, space_points, time_steps):
         d2 = ref_second_difference(u, dx)
         return u + dt * np.where(d2 >= 0, a_pos * d2, a_neg * d2)
 
-    times, values, lo, hi = ref_march(terminal(x), dx, steps, dt, update)
-    return x, times, values, ref_root(x, values, space_points), lo, hi
+    return [(x, steps) + ref_march(terminal(x), dx, steps, 1.0 / steps, update, every)
+            for x, dx, steps, every in ref_grids(problem, space_points, time_steps,
+                                                 heat_dt_bound(v))]
 
 
 def ref_g_expectation(m, terminal, side, space_points, time_steps):
-    L = HjbProblem(GMean(m, side=side), terminal).halfwidth()
-    x = np.linspace(-L, L, space_points)
-    dx = x[1] - x[0]
-    mu_max = max(abs(m.mu_low), abs(m.mu_high))
-    steps = ref_steps(min(dx * dx, dx / mu_max) if mu_max > 0 else dx * dx,
-                      time_steps)
-    dt = 1.0 / steps
+    """(x, steps, times, values, lo, hi) of the fine and the coarse march."""
+    problem = HjbProblem(GMean(m, side=side), terminal)
     hi_coef = m.mu_high if side == "sup" else m.mu_low
     lo_coef = m.mu_low if side == "sup" else m.mu_high
 
     def update(u, dx, dt):
         d2 = ref_second_difference(u, dx)
-        d1 = np.zeros_like(u)
+        d1 = np.zeros_like(u)  # 0 at both ends: the end values stay put
         d1[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-        d1[0] = (u[1] - u[0]) / dx
-        d1[-1] = (u[-1] - u[-2]) / dx
         drift = hi_coef * np.maximum(d1, 0.0) + lo_coef * np.minimum(d1, 0.0)
         return u + dt * (0.5 * d2 + drift)
 
-    times, values, lo, hi = ref_march(terminal(x), dx, steps, dt, update)
-    return x, times, values, ref_root(x, values, space_points), lo, hi
+    return [(x, steps) + ref_march(terminal(x), dx, steps, 1.0 / steps, update, every)
+            for x, dx, steps, every in ref_grids(problem, space_points, time_steps,
+                                                 mean_dt_bound(m))]
+
+
+def ref_combination(fine, coarse):
+    """(values, u0, min_seen, max_seen, richardson_gap) of the two marches."""
+    x, _, _, fine_values, fine_lo, fine_hi = fine
+    xc, _, _, coarse_values, _, _ = coarse
+    values = np.stack([f + np.interp(x, xc, f[::2] - c) / 3.0
+                       for f, c in zip(fine_values, coarse_values)])
+    u0 = ref_root(x, values[-1])
+    return (values, u0, min(fine_lo, float(values.min())),
+            max(fine_hi, float(values.max())),
+            u0 - ref_root(x, fine_values[-1]))
+
+
+def solver_problem(kind, interval, terminal, side):
+    if kind == "g_heat":
+        return HjbProblem(GVariance(interval), terminal)
+    return HjbProblem(GMean(interval, side=side), terminal)
+
+
+def reference(kind, interval, terminal, side, space_points, steps):
+    if kind == "g_heat":
+        return ref_g_heat(interval, terminal, space_points, steps)
+    return ref_g_expectation(interval, terminal, side, space_points, steps)
+
+
+def assert_marches_bit_identical(kind, interval, terminal, side, space_points,
+                                 steps):
+    marches = _marches(solver_problem(kind, interval, terminal, side),
+                       space_points, steps)
+    refs = reference(kind, interval, terminal, side, space_points, steps)
+    for march, (x, n, times, values, lo, hi) in zip(marches, refs):
+        assert march.x.tobytes() == x.tobytes()
+        assert march.steps == n
+        assert march.times.tobytes() == times.tobytes()
+        assert march.values.shape == values.shape
+        assert march.values.tobytes() == values.tobytes()
+        assert (march.lo, march.hi) == (lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +212,13 @@ def problems(draw):
         v = VarianceInterval(sigma_low, sigma_high)
         terminal = draw(terminals(bounded_only=False))
         dx = spacing(HjbProblem(GVariance(v), terminal), space_points)
-        steps = draw(time_steps(dx * dx / sigma_high ** 2))
+        steps = draw(time_steps(heat_dt_bound(v)(dx)))
         return ("g_heat", v, terminal, None, space_points, steps)
-    mu_low, mu_high = draw(ordered_pair(-1.0, 1.0))
-    m = MeanInterval(mu_low, mu_high)
+    m = MeanInterval(*draw(ordered_pair(-1.0, 1.0)))
     side = draw(st.sampled_from(["sup", "inf"]))
     terminal = draw(terminals(bounded_only=True))
     dx = spacing(HjbProblem(GMean(m, side=side), terminal), space_points)
-    mu_max = max(abs(mu_low), abs(mu_high))
-    dt_max = min(dx * dx, dx / mu_max) if mu_max > 0 else dx * dx
-    steps = draw(time_steps(dt_max))
+    steps = draw(time_steps(mean_dt_bound(m)(dx)))
     return ("g_expectation", m, terminal, side, space_points, steps)
 
 
@@ -177,27 +226,35 @@ def problems(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(problems())
 def test_in_place_march_is_bit_identical(problem):
+    assert_marches_bit_identical(*problem)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problems())
+def test_two_grid_combination_is_bit_identical(problem):
     kind, interval, terminal, side, space_points, steps = problem
     if kind == "g_heat":
         grid = solve_g_heat(interval, terminal, space_points, steps)
-        ref = ref_g_heat(interval, terminal, space_points, steps)
     else:
         grid = solve_g_expectation(interval, terminal, side, space_points, steps)
-        ref = ref_g_expectation(interval, terminal, side, space_points, steps)
-    x, times, values, u0, lo, hi = ref
-    assert grid.x.tobytes() == x.tobytes()
-    assert grid.times.tobytes() == times.tobytes()
-    assert grid.values.shape == values.shape
+    fine, coarse = reference(kind, interval, terminal, side, space_points, steps)
+    values, u0, lo, hi, gap = ref_combination(fine, coarse)
+    assert grid.x.tobytes() == fine[0].tobytes()
+    assert grid.times.tobytes() == fine[2].tobytes() == coarse[2].tobytes()
     assert grid.values.tobytes() == values.tobytes()
     assert (grid.u0, grid.min_seen, grid.max_seen) == (u0, lo, hi)
+    assert (grid.steps, grid.richardson_gap) == (fine[1], gap)
 
 
 # ---------------------------------------------------------------------------
 # explicit zero paths and block boundaries
 # ---------------------------------------------------------------------------
 
-# step counts around the 16-step bound block and the snapshot layers
-EXPLICIT_STEPS = [1, 15, 16, 17, 33, 100]
+# step counts around the 16-step bound block and the snapshot layers: the
+# fine march takes 4 * ceil(steps / 4) of them, the coarse march a quarter
+# (64 and 68 put the coarse march at 16 and 17)
+EXPLICIT_STEPS = [1, 15, 16, 17, 33, 64, 68, 100]
 
 
 def stable_points(problem, dt_max_of, steps, most=201):
@@ -241,25 +298,11 @@ ZERO_PATH_CASES = {
 @pytest.mark.parametrize("case", sorted(ZERO_PATH_CASES))
 def test_zero_paths_and_block_ends_are_bit_identical(case, steps):
     kind, interval, terminal, side = ZERO_PATH_CASES[case]
-    if kind == "g_heat":
-        problem = HjbProblem(GVariance(interval), terminal)
-        space_points = stable_points(
-            problem, lambda dx: dx * dx / interval.sigma_high ** 2, steps)
-        grid = solve_g_heat(interval, terminal, space_points, steps)
-        ref = ref_g_heat(interval, terminal, space_points, steps)
-    else:
-        problem = HjbProblem(GMean(interval, side=side), terminal)
-        mu_max = max(abs(interval.mu_low), abs(interval.mu_high))
-        space_points = stable_points(
-            problem, lambda dx: min(dx * dx, dx / mu_max) if mu_max > 0
-            else dx * dx, steps)
-        grid = solve_g_expectation(interval, terminal, side, space_points, steps)
-        ref = ref_g_expectation(interval, terminal, side, space_points, steps)
-    x, times, values, u0, lo, hi = ref
-    assert len(times) == len(grid.times)
-    assert grid.values.tobytes() == values.tobytes()
-    assert grid.times.tobytes() == times.tobytes()
-    assert (grid.u0, grid.min_seen, grid.max_seen) == (u0, lo, hi)
+    dt_bound = (heat_dt_bound if kind == "g_heat" else mean_dt_bound)(interval)
+    space_points = stable_points(solver_problem(kind, interval, terminal, side),
+                                 dt_bound, steps)
+    assert_marches_bit_identical(kind, interval, terminal, side, space_points,
+                                 steps)
 
 
 def test_zero_paths_reach_exact_zeros():
