@@ -26,7 +26,14 @@ from .errors import InvalidParams, InvalidTheta, UnstableResolution
 # G-heat ratio a_pos * dt / dx^2 is 0.45 <= 0.5 and, while the drift's
 # bound is dx^2 (|mu| * 2 * dx <= 1 on the coarse grid), the drift step's
 # centre weight 1 - dt / dx^2 is 0.1 > 0, so the scheme stays monotone.
+# Past that the drift's bound is 1 / mu^2: stable, but not monotone.
 CFL_SAFETY = 0.9
+# Largest |mu| * 2 * dx (the cell Peclet number of the coarse grid) a drift
+# solve accepts.  Past 1 the step is bound by 1 / mu^2, so the march takes
+# (|mu| * 2 * dx)^2 times the steps the diffusion alone would need; this
+# caps that at 1024x (|mu| up to ~122 at the default grid; a 3-point grid
+# with |mu| <= 1 reaches 20).
+MAX_DRIFT_PECLET = 32.0
 DEFAULT_SPACE_POINTS = 2001
 # Not a cap: a solve stores its terminal layer, every
 # (coarse steps // (MAX_VALUE_SNAPSHOTS - 1))-th coarse step and the last.
@@ -347,9 +354,13 @@ def _second_difference_into(u: np.ndarray, dx2: float, d2: np.ndarray) -> None:
 
 
 def _g_heat_scheme(v: VarianceInterval) -> tuple:
-    """(dt_bound, make_step) of the G-heat march: dt_bound(dx) is the largest
-    stable time step, and make_step(n, dx, dt) returns the one-step update
-    step(u, out) on n grid points."""
+    """(diffusion_bound, dt_bound, make_step) of the G-heat march.
+
+    dt_bound(dx) is the largest stable time step and diffusion_bound(dx)
+    the largest the diffusion term alone allows (here the same), and
+    make_step(n, dx, dt) returns the one-step update step(u, out) on n grid
+    points.
+    """
     sig_max2 = v.sigma_high ** 2
     a_pos = 0.5 * sig_max2
     a_neg = 0.5 * v.sigma_low ** 2
@@ -375,17 +386,31 @@ def _g_heat_scheme(v: VarianceInterval) -> tuple:
             np.add(u, rate, out=out)
         return step
 
-    return (lambda dx: dx * dx / sig_max2), make_step
+    def dt_bound(dx):
+        return dx * dx / sig_max2
+
+    return dt_bound, dt_bound, make_step
 
 
 def _drift_scheme(m: MeanInterval, side: str) -> tuple:
-    """(dt_bound, make_step) of the drift march, as _g_heat_scheme."""
+    """(diffusion_bound, dt_bound, make_step) of the drift march, as
+    _g_heat_scheme."""
     mu_max = max(abs(m.mu_low), abs(m.mu_high))
     hi_coef = m.mu_high if side == "sup" else m.mu_low
     lo_coef = m.mu_low if side == "sup" else m.mu_high
 
+    # The drift is differenced centrally: with unit diffusion the explicit
+    # step is stable for dt <= dx^2 and mu^2 * dt <= 1, and the second bound
+    # is the smaller one where |mu| * dx > 1.  (There the neighbour weights
+    # go negative at any dt, so an upwind-style dx / |mu| bound buys
+    # nothing, and it is too long for the central step.)
     def dt_bound(dx):
-        return min(dx * dx, dx / mu_max) if mu_max > 0 else dx * dx
+        peclet = mu_max * float(dx)  # a Python float: inf, not a warning
+        if peclet > MAX_DRIFT_PECLET:
+            raise UnstableResolution(
+                f"|mu| * dx = {peclet:.3e} on the coarse grid (dx = {dx:.3e}) "
+                f"exceeds {MAX_DRIFT_PECLET:g}; increase space_points")
+        return dx * dx if peclet <= 1.0 else 1.0 / (mu_max * mu_max)
 
     def make_step(n, dx, dt):
         dx2 = dx * dx
@@ -425,7 +450,7 @@ def _drift_scheme(m: MeanInterval, side: str) -> tuple:
             np.add(u, rate, out=out)
         return step
 
-    return dt_bound, make_step
+    return (lambda dx: dx * dx), dt_bound, make_step
 
 
 def _root(x: np.ndarray, layer: np.ndarray) -> float:
@@ -440,10 +465,13 @@ def _marches(problem: HjbProblem, space_points: int,
     """The fine and the coarse march of the problem, as two _March records.
 
     The fine grid is x = linspace(-L, L, space_points) with spacing dx, the
-    coarse grid x[::2] with spacing 2 * dx.  The coarse march takes
+    coarse grid x[::2] with spacing 2 * dx; it ends at L only when
+    space_points is odd, so the extrapolation assumes an odd grid (an even
+    one's last point is left un-extrapolated).  The coarse march takes
     ceil(1 / (CFL_SAFETY * dt_bound(2 * dx))) steps, or ceil(time_steps / 4)
-    for an explicit count (raised to the coarse grid's stability bound,
-    which only the drift's dx / mu limit can reach), and the fine march
+    for an explicit count, which must keep the diffusion's bound on x
+    (raised to the coarse grid's stability bound, which only the drift's
+    1 / mu^2 limit can reach), and the fine march
     exactly 4 times as many, so dt/dx^2 is the same on both.  Both store
     their layers at the coarse march's every
     (coarse steps // (MAX_VALUE_SNAPSHOTS - 1))-th step and its last.
@@ -454,22 +482,23 @@ def _marches(problem: HjbProblem, space_points: int,
         raise InvalidParams(f"time_steps must be >= 1, got {time_steps}")
     gen = problem.generator
     if isinstance(gen, GVariance):
-        dt_bound, make_step = _g_heat_scheme(gen.interval)
+        diffusion_bound, dt_bound, make_step = _g_heat_scheme(gen.interval)
     else:
-        dt_bound, make_step = _drift_scheme(gen.interval, gen.side)
+        diffusion_bound, dt_bound, make_step = _drift_scheme(gen.interval, gen.side)
     L = problem.halfwidth()
     x = np.linspace(-L, L, space_points)
     dx = x[1] - x[0]
+    coarse_bound = dt_bound(2.0 * dx)
     if time_steps is None:
-        coarse_steps = math.ceil(1.0 / (CFL_SAFETY * dt_bound(2.0 * dx)))
+        coarse_steps = math.ceil(1.0 / (CFL_SAFETY * coarse_bound))
     else:
-        dt_max = dt_bound(dx)
+        dt_max = diffusion_bound(dx)
         if 1.0 / time_steps > dt_max:
             raise UnstableResolution(
                 f"dt = {1.0 / time_steps:.3e} exceeds the stability bound "
                 f"{dt_max:.3e}; increase time_steps")
         coarse_steps = max(math.ceil(time_steps / 4),
-                           math.ceil(1.0 / dt_bound(2.0 * dx)))
+                           math.ceil(1.0 / coarse_bound))
     every = max(1, coarse_steps // (MAX_VALUE_SNAPSHOTS - 1))
     marches = []
     for grid, spacing, refine in ((x, dx, 4), (x[::2].copy(), 2.0 * dx, 1)):
@@ -487,8 +516,11 @@ def _solve(problem: HjbProblem, space_points: int,
     x = fine.x
     fine_root = _root(x, fine.values[-1])
     values = fine.values
+    # An even grid's last point lies past the coarse grid's (x[::2] ends at
+    # L - dx), so it has no coarse partner and keeps the fine march's value:
+    # the terminal's, as at every end point.
     for layer, coarse_layer in zip(values, coarse.values):
-        layer += np.interp(x, coarse.x, layer[::2] - coarse_layer) / 3.0
+        layer += np.interp(x, coarse.x, layer[::2] - coarse_layer, right=0.0) / 3.0
     u0 = _root(x, values[-1])
     return ValueGrid(x=x, times=fine.times, values=values, u0=u0,
                      min_seen=min(fine.lo, float(values.min())),

@@ -151,6 +151,14 @@ class TestSolveCommand:
             rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
             assert float(rows["u0"]) == pytest.approx(0.5 * math.erfc(-0.25), abs=2e-4)
 
+    def test_drift_too_large_for_the_grid_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "solve.csv"
+        assert run("solve", "--problem", "g-expectation", "--mu-low", "0",
+                   "--mu-high", "1e6", "--side", "sup", "--terminal",
+                   "normal_cdf", "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("numerical failure: |mu| * dx")
+        assert not out.exists()
+
     def test_g_expectation_with_tree(self, tmp_path):
         out = tmp_path / "solve.csv"
         code = run("solve", "--problem", "g-expectation", "--mu-low", "0",

@@ -63,14 +63,15 @@ def ref_grids(problem, space_points, time_steps, dt_bound):
     """(x, dx, steps, snap_every) of the fine and of the coarse march: the
     coarse one on x[::2] at 2 * dx takes the CFL count of its own grid, or a
     quarter of an explicit count (at least its grid's bound), and the fine
-    one 4x as many; both store at the same times."""
+    one 4x as many; both store at the same times.  An explicit count keeps
+    the diffusion's bound on x, which is dt_bound's when |mu| * dx <= 1."""
     L = problem.halfwidth()
     x = np.linspace(-L, L, space_points)
     dx = x[1] - x[0]
     if time_steps is None:
         coarse = math.ceil(1.0 / (CFL_SAFETY * dt_bound(2.0 * dx)))
     else:
-        assert 1.0 / time_steps <= dt_bound(dx)
+        assert 1.0 / time_steps <= diffusion_bound(problem)(dx)
         coarse = max(math.ceil(time_steps / 4), math.ceil(1.0 / dt_bound(2.0 * dx)))
     every = max(1, coarse // SNAPSHOT_EVERY_DIVISOR)
     return [(x, dx, 4 * coarse, 4 * every), (x[::2].copy(), 2.0 * dx, coarse, every)]
@@ -89,7 +90,14 @@ def heat_dt_bound(v):
 
 def mean_dt_bound(m):
     mu_max = max(abs(m.mu_low), abs(m.mu_high))
-    return lambda dx: min(dx * dx, dx / mu_max) if mu_max > 0 else dx * dx
+    return lambda dx: dx * dx if mu_max * dx <= 1.0 else 1.0 / (mu_max * mu_max)
+
+
+def diffusion_bound(problem):
+    """The largest step an explicit count may take on the reported grid."""
+    if isinstance(problem.generator, GVariance):
+        return heat_dt_bound(problem.generator.interval)
+    return lambda dx: dx * dx
 
 
 def ref_g_heat(v, terminal, space_points, time_steps):
@@ -129,7 +137,7 @@ def ref_combination(fine, coarse):
     """(values, u0, min_seen, max_seen, richardson_gap) of the two marches."""
     x, _, _, fine_values, fine_lo, fine_hi = fine
     xc, _, _, coarse_values, _, _ = coarse
-    values = np.stack([f + np.interp(x, xc, f[::2] - c) / 3.0
+    values = np.stack([f + np.interp(x, xc, f[::2] - c, right=0.0) / 3.0
                        for f, c in zip(fine_values, coarse_values)])
     u0 = ref_root(x, values[-1])
     return (values, u0, min(fine_lo, float(values.min())),
@@ -217,8 +225,8 @@ def problems(draw):
     m = MeanInterval(*draw(ordered_pair(-1.0, 1.0)))
     side = draw(st.sampled_from(["sup", "inf"]))
     terminal = draw(terminals(bounded_only=True))
-    dx = spacing(HjbProblem(GMean(m, side=side), terminal), space_points)
-    steps = draw(time_steps(mean_dt_bound(m)(dx)))
+    problem = HjbProblem(GMean(m, side=side), terminal)
+    steps = draw(time_steps(diffusion_bound(problem)(spacing(problem, space_points))))
     return ("g_expectation", m, terminal, side, space_points, steps)
 
 
@@ -258,7 +266,7 @@ EXPLICIT_STEPS = [1, 15, 16, 17, 33, 64, 68, 100]
 
 
 def stable_points(problem, dt_max_of, steps, most=201):
-    """The most odd grid sizes (<= most) at which `steps` steps are stable."""
+    """The most odd grid sizes (<= most) at which `steps` steps are accepted."""
     for space_points in range(most, 4, -2):
         if 1.0 / steps <= dt_max_of(spacing(problem, space_points)):
             return space_points
@@ -298,9 +306,8 @@ ZERO_PATH_CASES = {
 @pytest.mark.parametrize("case", sorted(ZERO_PATH_CASES))
 def test_zero_paths_and_block_ends_are_bit_identical(case, steps):
     kind, interval, terminal, side = ZERO_PATH_CASES[case]
-    dt_bound = (heat_dt_bound if kind == "g_heat" else mean_dt_bound)(interval)
-    space_points = stable_points(solver_problem(kind, interval, terminal, side),
-                                 dt_bound, steps)
+    problem = solver_problem(kind, interval, terminal, side)
+    space_points = stable_points(problem, diffusion_bound(problem), steps)
     assert_marches_bit_identical(kind, interval, terminal, side, space_points,
                                  steps)
 

@@ -11,7 +11,7 @@ from nlclt.densities import (
     chen_epstein_pdf,
 )
 from nlclt.errors import InvalidParams, InvalidTheta, UnstableResolution
-from nlclt.numerics import quad_integrate, std_normal_pdf
+from nlclt.numerics import quad_integrate, std_normal_cdf_arr, std_normal_pdf
 from nlclt.sublinear import (
     SNAP_REFINE_CAP,
     GMean,
@@ -292,6 +292,62 @@ class TestTwoGridExtrapolation:
         assert np.all(np.isfinite(grid.values))
         assert grid.min_seen == grid.values.min()
         assert grid.max_seen == grid.values.max()
+
+    def test_large_drift_bounds_the_step_by_one_over_mu_squared(self):
+        # |mu| * 2 * dx = 5.8 on the coarse grid: the central drift step is
+        # stable only for mu^2 * dt <= 1, so each march takes 2778 coarse
+        # steps (4x on the fine grid), not the 0.9 * 2 * dx / |mu| step
+        mu = 50.0
+        grid = solve_g_expectation(MeanInterval(0.0, mu),
+                                   named_test_function("normal_cdf"), "sup")
+        assert grid.steps == 4 * math.ceil(mu * mu / 0.9)
+        assert abs(grid.u0 - 1.0) <= 1e-8
+        assert grid.min_seen >= -1e-12
+        assert grid.max_seen <= 1.0 + 1e-12
+        closed_form = std_normal_cdf_arr((grid.x + mu) / math.sqrt(2.0))
+        assert np.max(np.abs(grid.values[-1] - closed_form)) <= 1e-2
+
+    def test_large_drift_raises_explicit_steps_to_one_over_mu_squared(self):
+        # 1000 steps keep the diffusion's bound dx^2 = 3.4e-3 but not the
+        # drift's 1 / mu^2 = 4e-4: the coarse march takes 2500 steps, not 250
+        grid = solve_g_expectation(MeanInterval(0.0, 50.0),
+                                   named_test_function("normal_cdf"), "sup",
+                                   time_steps=1000)
+        assert grid.steps == 4 * 2500
+        assert abs(grid.u0 - 1.0) <= 1e-8
+        assert grid.min_seen >= -1e-12
+        assert grid.max_seen <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("mu", [130.0, 1e6, 1e160])
+    def test_drift_too_large_for_the_grid_is_refused(self, mu):
+        # |mu| * 2 * dx > 32: 130 at the default grid is 34.8, and 1e160
+        # would overflow mu^2 in the 1 / mu^2 bound
+        with pytest.raises(UnstableResolution, match="increase space_points"):
+            solve_g_expectation(MeanInterval(0.0, mu),
+                                named_test_function("normal_cdf"), "sup")
+
+    def test_tiny_drift_keeps_the_diffusion_bound(self):
+        # mu * mu underflows to 0; the bound is still dx^2
+        grid = solve_g_expectation(MeanInterval(0.0, 1e-170),
+                                   named_test_function("normal_cdf"), "sup",
+                                   space_points=401)
+        assert grid.u0 == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("space_points", [400, 401, 402])
+    @pytest.mark.parametrize("kind", ["g_heat", "drift"])
+    def test_end_values_stay_at_the_terminal(self, kind, space_points):
+        # an even grid's last point has no coarse partner and keeps the
+        # fine march's end value
+        if kind == "g_heat":
+            tf = make_s_shaped(tanh_s_spec(), "phibar")
+            grid = solve_g_heat(VarianceInterval(1.0, 2.0), tf, space_points)
+        else:
+            tf = named_test_function("normal_cdf")
+            grid = solve_g_expectation(MeanInterval(-0.5, 0.5), tf, "sup",
+                                       space_points)
+        ends = tf(grid.x[[0, -1]])
+        for layer in grid.values:
+            assert np.array_equal(layer[[0, -1]], ends)
 
 
 class TestTreeOracle:
