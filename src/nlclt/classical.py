@@ -11,9 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, require_at_least
 from .numerics import (Categorical, SeedSpec, generator, ks_one_sample,
                        std_normal_cdf, std_normal_cdf_arr)
+
+# fewest replications simulate_clt_distance accepts
+CLT_MIN_REPS = 100
 
 
 @dataclass(frozen=True)
@@ -223,8 +226,7 @@ def feller_ratio(variances) -> float:
 def simulate_clt_distance(model: IidModel, n: int, reps: int,
                           spec: SeedSpec) -> float:
     """KS distance of the standardized empirical law of S_n to Phi."""
-    if reps < 100:
-        raise InvalidParams("need reps >= 100")
+    require_at_least("reps", reps, CLT_MIN_REPS)
     if n < 1:
         raise InvalidParams("n must be a positive integer")
     gen = generator(spec)

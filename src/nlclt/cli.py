@@ -12,6 +12,7 @@ defaults and the per-key checks are all read from those rows.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import csvio
 from .classical import (
+    CLT_MIN_REPS,
     DiscreteLaw,
     IidModel,
     feller_ratio,
@@ -46,18 +48,23 @@ from .errors import (
     PolicyMismatch,
     UnstableResolution,
     UnsupportedCombination,
+    require_at_least,
 )
 from .martingale import (
+    BROWN_MIN_REPS,
+    MCLEISH_MIN_REPS,
     MdsModel,
     MixtureLimit,
     brown_ratios,
     hall_convergence_check,
+    hall_limit,
     hall_mixture_sampler,
     levy_condition_terms,
     mcleish_product_mean,
 )
 from .measure_dp import (
     RectangularModel,
+    check_dp_inputs,
     convergence_experiment,
     lindeberg_condition_value,
     policy_simulate,
@@ -70,6 +77,7 @@ from .sublinear import (
     GVariance,
     HjbProblem,
     SShapeSpec,
+    check_mean_solve_inputs,
     make_s_shaped,
     named_test_function,
     solve_g_expectation,
@@ -247,7 +255,8 @@ OPTIONS = {
         Option("delta", _number, 1.0, "Lyapunov moment 2 + delta", check=_POSITIVE),
         Option("eps", _number, 0.1, "Lindeberg threshold", check=_POSITIVE),
         Option("ns", _integers, None,
-               "n values (default: 100,400,1600 for --chain classical, else 100,400)"),
+               "n values (default: 100,400,1600 for --chain classical, else 100,400)",
+               check=_COUNTS),
         Option("mds", _text, "iid-rademacher", "martingale difference model",
                ("iid-rademacher", "hall", "var-feedback")),
         *_MIXTURE,
@@ -339,8 +348,31 @@ def _settle(cfg: dict) -> tuple:
 
 
 def validate_config(cfg: dict) -> list:
-    """Every violated precondition, without running anything."""
-    return _settle(cfg)[1]
+    """Every violated precondition, without running anything: what a run
+    of cfg would refuse, bar a missing or unwritable out (a run is often
+    given --out as a flag)."""
+    return _preflight(cfg)[1]
+
+
+def _preflight(cfg: dict) -> tuple:
+    """(values, problems): _settle's, then each key the run cannot do
+    without that cfg leaves out and, when nothing else is wrong, the
+    preconditions of the calls the run makes.  main refuses to run on any
+    of them, so validate and the run agree."""
+    values, problems = _settle(cfg)
+    if not values:
+        return values, problems
+    problems += [f"missing {key}" for key in _required_keys(values)
+                 if key in values and values[key] is None]
+    if problems:
+        return values, problems
+    for check in _run_checks(values):
+        try:
+            check()
+        except (InvalidParams, InvalidTheta, UnsupportedCombination,
+                ConfigError) as exc:
+            problems.append(str(exc))
+    return values, problems
 
 
 def _s_shape_spec(phi1: str, c: float, theta: float) -> SShapeSpec:
@@ -380,23 +412,94 @@ def _domain_problems(values: dict) -> list:
     return problems
 
 
-def _need(cfg: dict, key: str):
-    """cfg[key], which the running command cannot do without."""
-    if cfg[key] is None:
-        raise ConfigError(f"missing {key}")
-    return cfg[key]
+# the interval keys each model, and each PDE problem, reads
+_MODEL_KEYS = {"mean": ["mu_low", "mu_high"], "variance": ["sigma_low", "sigma_high"]}
+_PROBLEM_KEYS = {"g-heat": ["sigma_low", "sigma_high"],
+                 "g-expectation": ["mu_low", "mu_high"]}
+
+
+def _required_keys(values: dict) -> list:
+    """The keys that the run of the settled values reads and that have no
+    default, on the path (problem, model, chain or target) they pick."""
+    command = values["command"]
+    keys = {"density": ["family"], "solve": ["problem", "terminal"],
+            "converge": ["model", "phi"], "check": ["chain"],
+            "simulate": ["target"]}.get(command, [])
+    if command == "solve":
+        keys += _PROBLEM_KEYS.get(values.get("problem"), [])
+    if command == "check" and values.get("chain") == "lindeberg":
+        keys += ["model"]
+    if command == "simulate" and values.get("target") == "policy":
+        keys += ["model", "phi"]
+    if "model" in keys:
+        keys += _MODEL_KEYS.get(values.get("model"), [])
+    return keys
+
+
+def _run_checks(values: dict) -> list:
+    """The preconditions of the calls that the run of the settled values
+    makes, as zero-argument checks: the builders the run uses, and the
+    checks and minimums of the functions it calls."""
+    command = values["command"]
+    path = values.get({"solve": "problem", "check": "chain",
+                       "simulate": "target"}.get(command))
+    checks = []
+    if command == "solve" and path == "g-expectation":
+        checks.append(lambda: check_mean_solve_inputs(
+            build_payoff(values, "terminal"), values["side"]))
+    if command == "converge" or path == "policy":
+        ns = values["schedule"] if command == "converge" else [_simulate_n(values)]
+        checks += [functools.partial(_rect_model, values, n) for n in ns]
+        checks.append(lambda: check_dp_inputs(build_payoff(values, "phi"),
+                                              values["side"]))
+    if path == "lindeberg":
+        checks += [functools.partial(_rect_model, values, n) for n in _ns(values)]
+    if path == "martingale":
+        checks.append(functools.partial(require_at_least, "reps", values["reps"],
+                                        BROWN_MIN_REPS))
+        checks += [functools.partial(_mds_model, values, n) for n in _ns(values)]
+    if path == "clt":
+        checks.append(functools.partial(require_at_least, "reps",
+                                        _simulate_reps(values), CLT_MIN_REPS))
+    if path == "hall":
+        checks.append(functools.partial(hall_limit, values["etas"], values["probs"],
+                                        values["kn"], _simulate_reps(values)))
+    if path == "mixture":
+        checks.append(functools.partial(_mixture_limit, values))
+    return checks
+
+
+def _out(cfg: dict) -> str:
+    """cfg["out"], which every run writes to and validate does not ask for."""
+    if cfg["out"] is None:
+        raise ConfigError("missing out")
+    return cfg["out"]
 
 
 def _or(value, default):
     return default if value is None else value
 
 
+def _ns(cfg: dict, default=(100, 400)) -> list:
+    return _or(cfg["ns"], list(default))
+
+
+def _simulate_n(cfg: dict) -> int:
+    return _or(cfg["n"], 100 if cfg["target"] == "policy" else 10_000)
+
+
+def _simulate_reps(cfg: dict) -> int:
+    return _or(cfg["reps"], 100_000 if cfg["target"] == "hall" else 10_000)
+
+
+def _mixture_limit(cfg: dict) -> MixtureLimit:
+    return MixtureLimit(DiscreteLaw(cfg["atoms"], cfg["probs"]))
+
+
 def build_payoff(cfg: dict, key: str):
     """The payoff named by cfg[key].  An s-shape reads its s_* options from
     cfg, or their table defaults where cfg leaves them unset."""
-    name = cfg.get(key)
-    if name is None:
-        raise ConfigError(f"missing {key}")
+    name = cfg[key]
     try:
         if name != "s-shape":
             return named_test_function(name)
@@ -421,10 +524,10 @@ def write_table(path: str, header: str, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_density(cfg: dict) -> int:
-    family = {"chen-epstein": "chen_epstein", "cez": "cez"}[_need(cfg, "family")]
+    family = {"chen-epstein": "chen_epstein", "cez": "cez"}[cfg["family"]]
     params = DensityParams(cfg["alpha"], cfg["beta"], cfg["c"])
     ys, ds = emit_density_curve(params, family, cfg["grid"]).T.tolist()
-    write_table(_need(cfg, "out"), "y,density", zip(ys, ds))
+    write_table(_out(cfg), "y,density", zip(ys, ds))
     return 0
 
 
@@ -465,7 +568,7 @@ def _figure_rows(curves):
 
 
 def cmd_figures(cfg: dict) -> int:
-    out_dir = _need(cfg, "out")
+    out_dir = _out(cfg)
     tables = [_figure_curves(e, cfg["grid"]) for e in PAPER_FIGURES]
     for name, curves in tables:  # compute everything before writing anything
         write_table(os.path.join(out_dir, name), "y,curve,density", _figure_rows(curves))
@@ -474,13 +577,13 @@ def cmd_figures(cfg: dict) -> int:
 
 def cmd_solve(cfg: dict) -> int:
     terminal = build_payoff(cfg, "terminal")
-    if _need(cfg, "problem") == "g-heat":
-        v = VarianceInterval(_need(cfg, "sigma_low"), _need(cfg, "sigma_high"))
+    if cfg["problem"] == "g-heat":
+        v = VarianceInterval(cfg["sigma_low"], cfg["sigma_high"])
         grid = solve_g_heat(v, terminal, space_points=cfg["space_points"],
                             time_steps=cfg["time_steps"])
         generator = GVariance(v)
     else:
-        m = MeanInterval(_need(cfg, "mu_low"), _need(cfg, "mu_high"))
+        m = MeanInterval(cfg["mu_low"], cfg["mu_high"])
         grid = solve_g_expectation(m, terminal, cfg["side"],
                                    space_points=cfg["space_points"],
                                    time_steps=cfg["time_steps"])
@@ -492,15 +595,15 @@ def cmd_solve(cfg: dict) -> int:
         rows.append(("abs_gap", abs(grid.u0 - tree)))
     if cfg["grid_out"]:
         write_table(cfg["grid_out"], "t,x,u", grid.rows())
-    write_table(_need(cfg, "out"), "name,value", rows)
+    write_table(_out(cfg), "name,value", rows)
     return 0
 
 
 def _rect_model(cfg: dict, n: int) -> RectangularModel:
-    if _need(cfg, "model") == "mean":
-        m = MeanInterval(_need(cfg, "mu_low"), _need(cfg, "mu_high"))
+    if cfg["model"] == "mean":
+        m = MeanInterval(cfg["mu_low"], cfg["mu_high"])
         return RectangularModel.mean_uncertain(m, cfg["sigma"], n)
-    v = VarianceInterval(_need(cfg, "sigma_low"), _need(cfg, "sigma_high"))
+    v = VarianceInterval(cfg["sigma_low"], cfg["sigma_high"])
     return RectangularModel.variance_uncertain(v, n)
 
 
@@ -509,7 +612,7 @@ def cmd_converge(cfg: dict) -> int:
     model = _rect_model(cfg, schedule[0])
     phi = build_payoff(cfg, "phi")
     rows = convergence_experiment(model, phi, schedule, cfg["side"])
-    write_table(_need(cfg, "out"), "n,dp_value,limit_value,gap", rows)
+    write_table(_out(cfg), "n,dp_value,limit_value,gap", rows)
     return 0
 
 
@@ -523,7 +626,7 @@ def _check_classical(cfg: dict):
     law = _law(cfg)
     model = IidModel(law, cfg["delta"])
     rows = []
-    for n in _or(cfg["ns"], [100, 400, 1600]):
+    for n in _ns(cfg, (100, 400, 1600)):
         rows.append((n, "lyapunov", lyapunov_statistic(model, n)))
         rows.append((n, "lindeberg", lindeberg_statistic(model, n, cfg["eps"])))
         rows.append((n, "feller", feller_ratio([law.variance()] * n)))
@@ -542,7 +645,7 @@ def _check_martingale(cfg: dict):
     spec = SeedSpec(cfg["seed"], cfg["stream"])
     reps = cfg["reps"]
     rows = []
-    for n in _or(cfg["ns"], [100, 400]):
+    for n in _ns(cfg):
         model = _mds_model(cfg, n)
         levy = levy_condition_terms(model, spec, eps=cfg["eps"])
         for label, value in zip(("levy_tail_sum", "levy_trunc_mean",
@@ -552,7 +655,8 @@ def _check_martingale(cfg: dict):
         b1, b2 = brown_ratios(model, reps, spec)
         rows.append((n, "brown_variance_ratio", b1))
         rows.append((n, "brown_max_ratio", b2))
-        est, se = mcleish_product_mean(model, cfg["t"], max(reps, 1000), spec)
+        est, se = mcleish_product_mean(model, cfg["t"],
+                                       max(reps, MCLEISH_MIN_REPS), spec)
         rows.append((n, "mcleish_abs_error", abs(est - 1.0)))
         rows.append((n, "mcleish_stderr", se))
     return "n,condition,value", rows
@@ -560,7 +664,7 @@ def _check_martingale(cfg: dict):
 
 def _check_lindeberg(cfg: dict):
     rows = []
-    for n in _or(cfg["ns"], [100, 400]):
+    for n in _ns(cfg):
         model = _rect_model(cfg, n)
         rows.append((n, "worst_case_lindeberg",
                      lindeberg_condition_value(model, cfg["eps"])))
@@ -570,16 +674,16 @@ def _check_lindeberg(cfg: dict):
 def cmd_check(cfg: dict) -> int:
     chains = {"classical": _check_classical, "martingale": _check_martingale,
               "lindeberg": _check_lindeberg}
-    header, rows = chains[_need(cfg, "chain")](cfg)
-    write_table(_need(cfg, "out"), header, rows)
+    header, rows = chains[cfg["chain"]](cfg)
+    write_table(_out(cfg), header, rows)
     return 0
 
 
 def cmd_simulate(cfg: dict) -> int:
-    target = _need(cfg, "target")
+    target = cfg["target"]
     spec = SeedSpec(cfg["seed"], cfg["stream"])
-    n = _or(cfg["n"], 100 if target == "policy" else 10_000)
-    reps = _or(cfg["reps"], 100_000 if target == "hall" else 10_000)
+    n = _simulate_n(cfg)
+    reps = _simulate_reps(cfg)
     rows = []
     if target == "clt":
         d = simulate_clt_distance(IidModel(_law(cfg)), n, reps, spec)
@@ -588,7 +692,7 @@ def cmd_simulate(cfg: dict) -> int:
         d = hall_convergence_check(cfg["etas"], cfg["probs"], cfg["kn"], reps, spec)
         rows.append(("ks_distance", d))
     elif target == "mixture":
-        limit = MixtureLimit(DiscreteLaw(cfg["atoms"], cfg["probs"]))
+        limit = _mixture_limit(cfg)
         sample = hall_mixture_sampler(limit, reps, spec)
         rows.append(("sample_mean", float(np.mean(sample))))
         rows.append(("sample_variance", float(np.var(sample))))
@@ -601,7 +705,7 @@ def cmd_simulate(cfg: dict) -> int:
         rows.append(("dp_value", value))
         rows.append(("policy_estimate", est))
         rows.append(("policy_stderr", se))
-    write_table(_need(cfg, "out"), "name,value", rows)
+    write_table(_out(cfg), "name,value", rows)
     return 0
 
 
@@ -686,7 +790,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             return cmd_validate(vars(args))
-        cfg, problems = _settle(merge_config(args))
+        cfg, problems = _preflight(merge_config(args))
         if problems:
             for p in problems:
                 print(f"config error: {p}", file=sys.stderr)

@@ -9,6 +9,12 @@ class InvalidParams(NlcltError, ValueError):
     """Inputs violate a documented precondition or type invariant."""
 
 
+def require_at_least(name: str, value, least) -> None:
+    """The precondition `name >= least`, as InvalidParams."""
+    if value < least:
+        raise InvalidParams(f"need {name} >= {least}")
+
+
 class NonConvergence(NlcltError):
     """Quadrature refinement budget exhausted before reaching the tolerance.
 

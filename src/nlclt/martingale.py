@@ -15,12 +15,17 @@ from typing import Optional
 import numpy as np
 
 from .classical import DiscreteLaw
-from .errors import InvalidParams
+from .errors import InvalidParams, require_at_least
 from .numerics import SeedSpec, generator, ks_one_sample, std_normal_cdf_arr
 
 IID_RADEMACHER = "iid_rademacher"
 HALL_MIXTURE = "hall_mixture"
 VAR_FEEDBACK = "var_feedback"
+# fewest replications (and Hall row length) each Monte Carlo check accepts
+BROWN_MIN_REPS = 100
+MCLEISH_MIN_REPS = 1000
+HALL_MIN_REPS = 1000
+HALL_MIN_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -129,8 +134,7 @@ def levy_condition_terms(model: MdsModel, spec: SeedSpec, eps: float = 0.1):
 def brown_ratios(model: MdsModel, reps: int, spec: SeedSpec):
     """Monte Carlo means of (b_n^2 / s_n^2, max_i sigma_i^2 / s_n^2) at
     n = model.n."""
-    if reps < 100:
-        raise InvalidParams("need reps >= 100")
+    require_at_least("reps", reps, BROWN_MIN_REPS)
     sig, _ = model.simulate_scales(reps, generator(spec))
     s2 = model.exact_s2()
     sig2 = sig ** 2
@@ -146,8 +150,7 @@ def mcleish_product_mean(model: MdsModel, t: float, reps: int, spec: SeedSpec):
     Returns (complex estimate, scalar standard error).  At t = 0 the
     product is identically 1 with zero variance.
     """
-    if reps < 1000:
-        raise InvalidParams("need reps >= 1000")
+    require_at_least("reps", reps, MCLEISH_MIN_REPS)
     if not math.isfinite(t):
         raise InvalidParams("t must be finite")
     if t == 0.0:
@@ -223,6 +226,14 @@ def hall_mixture_sampler(limit: MixtureLimit, reps: int,
     return t * z
 
 
+def hall_limit(eta_values, eta_probs, k_n: int, reps: int) -> MixtureLimit:
+    """The mixture limit of hall_convergence_check, after its checks on
+    the row length and the replications."""
+    require_at_least("k_n", k_n, HALL_MIN_STEPS)
+    require_at_least("reps", reps, HALL_MIN_REPS)
+    return MixtureLimit(DiscreteLaw(eta_values, eta_probs))
+
+
 def hall_convergence_check(eta_values, eta_probs, k_n: int, reps: int,
                            spec: SeedSpec) -> float:
     """KS distance of S_n = eta * sum(xi_i)/sqrt(k_n) to its mixture limit.
@@ -230,11 +241,7 @@ def hall_convergence_check(eta_values, eta_probs, k_n: int, reps: int,
     The row sum of squares is eta^2 exactly by construction, so the limit
     CDF is the closed-form mixture sum_j p_j Phi(x / eta_j).
     """
-    if k_n < 100:
-        raise InvalidParams("need k_n >= 100")
-    if reps < 1000:
-        raise InvalidParams("need reps >= 1000")
-    limit = MixtureLimit(DiscreteLaw(eta_values, eta_probs))
+    limit = hall_limit(eta_values, eta_probs, k_n, reps)
     gen = generator(spec)
     eta = limit.law.draw(gen, reps)
     # sum of k_n iid signs through a single binomial draw per row

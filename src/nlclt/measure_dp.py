@@ -117,27 +117,27 @@ class AdversaryPolicy:
 
 def _dp_grid(model: RectangularModel, target_points: int,
              controls: Optional[np.ndarray] = None):
-    """Statistic grid and per-(control, atom) cell offsets.
+    """Statistic grid and cell offsets, from sublinear._lattice_grid.
 
-    Returns (x, h, offsets[controls, atoms], exact) where exact means all
-    offsets are integers (no interpolation anywhere in the induction).
+    Returns (x, h, offsets[controls, atoms], drift[controls]): a step moves
+    by a control's drift (mu/n, or 0 for a scale) plus its innovation move
+    (k*eps or sigma*eps/sqrt(n)), and offsets are the two summed, in cells.
+    The grid snaps the innovation moves to whole cells where it can; the
+    mean model's small mu/n drift is then read off each step's innovation
+    expectation by interpolation, which stops the fixed-weight
+    interpolation bias from accumulating over n steps.
     """
     if controls is None:
         controls = model.controls()
     atoms = np.asarray(model.innovation.values, dtype=float)
     if model.kind == VARIANCE_KIND:
-        shifts = np.array([[sig * v / math.sqrt(model.n) for v in atoms]
-                           for sig in controls])
-        snap_on = shifts
+        drift = np.zeros(len(controls))
+        moves = np.array([[sig * v / math.sqrt(model.n) for v in atoms]
+                          for sig in controls])
     else:
-        k = model.mean_step_scale()
-        shifts = np.array([[mu / model.n + k * v for v in atoms]
-                           for mu in controls])
-        # snapping the innovation component keeps the dominant shift exact;
-        # only the small mu/n drift is interpolated, which stops the
-        # fixed-weight interpolation bias from accumulating over n steps
-        snap_on = k * atoms
-    return _lattice_grid(shifts, snap_on, model.halfwidth(), target_points)
+        drift = np.asarray(controls, dtype=float) / model.n
+        moves = np.tile(model.mean_step_scale() * atoms, (len(controls), 1))
+    return _lattice_grid(drift, moves, model.halfwidth(), target_points)
 
 
 def _backward_induction(model: RectangularModel, phi: TestFunction, side: str,
@@ -145,21 +145,26 @@ def _backward_induction(model: RectangularModel, phi: TestFunction, side: str,
                         controls: Optional[np.ndarray] = None):
     """Root value, grid, spacing and (optionally) the int8 policy table,
     from the lattice kernel on the model's grid and shifts."""
-    x, h, offsets, _ = _dp_grid(model, target_points, controls)
+    x, h, offsets, drift = _dp_grid(model, target_points, controls)
     probs = np.asarray(model.innovation.probs, dtype=float)
-    root, policy = _lattice_induction(phi(x), offsets, probs, model.n, side,
-                                      record_policy)
+    root, policy = _lattice_induction(phi(x), offsets, drift, probs, model.n,
+                                      side, record_policy)
     return root, x, h, policy
+
+
+def check_dp_inputs(phi: TestFunction, side: str) -> None:
+    """The adversarial DP's preconditions on its payoff and side."""
+    if side not in ("sup", "inf"):
+        raise InvalidParams(f"unknown side {side!r}")
+    if phi.growth != "bounded_with_limits":
+        raise InvalidParams("the adversarial DP needs a bounded payoff")
 
 
 def _dp_root(model: RectangularModel, phi: TestFunction, side: str,
              target_points: int, check_points: Optional[int],
              record_policy: bool):
     """Root value and, when record_policy, the AdversaryPolicy (else None)."""
-    if side not in ("sup", "inf"):
-        raise InvalidParams(f"unknown side {side!r}")
-    if phi.growth != "bounded_with_limits":
-        raise InvalidParams("the adversarial DP needs a bounded payoff")
+    check_dp_inputs(phi, side)
     root, x, h, policy = _backward_induction(model, phi, side, target_points,
                                              record_policy)
     if check_points is not None:

@@ -441,13 +441,20 @@ def _eval_nodes(f: Callable, xs: np.ndarray) -> np.ndarray:
     return ys
 
 
-def _gk15(f: Callable, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    ys = _eval_nodes(f, mid + half * _XGK)
-    k15 = half * float(np.dot(_WGK, ys))
-    g7 = half * float(np.dot(_WG, ys[1::2]))
-    return k15, abs(k15 - g7)
+def _gk15(f: Callable, *edges: float) -> list:
+    """(value, error) of the 15-point Kronrod rule on each panel between
+    consecutive edges, from one call of f on all the panels' nodes (the
+    integrands are elementwise, so each node's value is the same as from a
+    call per panel)."""
+    panels = [(0.5 * (b - a), 0.5 * (a + b)) for a, b in zip(edges, edges[1:])]
+    ys = _eval_nodes(f, np.concatenate([mid + half * _XGK for half, mid in panels]))
+    rules = []
+    for i, (half, _) in enumerate(panels):
+        panel = ys[15 * i:15 * (i + 1)]
+        k15 = half * float(np.dot(_WGK, panel))
+        g7 = half * float(np.dot(_WG, panel[1::2]))
+        rules.append((k15, abs(k15 - g7)))
+    return rules
 
 
 def _truncation_point(f: Callable, start: float, direction: float,
@@ -489,7 +496,7 @@ def quad_integrate(f: Callable, lo: float, hi: float, abs_tol: float = 1e-10,
         hi = _truncation_point(f, lo, +1.0, cutoff)
 
     evals = 0
-    value, err = _gk15(f, lo, hi)
+    (value, err), = _gk15(f, lo, hi)
     evals += 15
     # heap of (-panel_error, a, b, value, error); split the worst panel first
     heap = [(-err, lo, hi, value, err)]
@@ -498,8 +505,7 @@ def quad_integrate(f: Callable, lo: float, hi: float, abs_tol: float = 1e-10,
     while total_err > abs_tol and evals + 30 <= max_evals:
         neg, a, b, v, e = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        v1, e1 = _gk15(f, a, m)
-        v2, e2 = _gk15(f, m, b)
+        (v1, e1), (v2, e2) = _gk15(f, a, m, b)
         evals += 30
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e

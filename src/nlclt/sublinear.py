@@ -7,7 +7,11 @@ equivalent parabolic form).  Each solve marches its grid and every other
 point of it, and reports the two-grid Richardson extrapolation.  The
 lattice section holds the adversarial backward-induction kernel shared
 with measure_dp, and the +-1-innovation lattice oracle on it, an
-independent cross-check of both solvers.
+independent cross-check of both solvers.  The kernel works on two levels:
+each step forms one innovation expectation per distinct row of whole-cell
+innovation moves, and each control reads it at its own drift (a view at a
+whole cell, else interpolated between two); a control whose innovation
+moves are not whole cells sums its atoms' interpolated shifts itself.
 """
 from __future__ import annotations
 
@@ -538,6 +542,14 @@ def solve_g_heat(v: VarianceInterval, terminal: TestFunction,
                   space_points, time_steps)
 
 
+def check_mean_solve_inputs(terminal: TestFunction, side: str) -> None:
+    """solve_g_expectation's preconditions on its terminal and side."""
+    if side not in ("sup", "inf"):
+        raise InvalidParams(f"unknown side {side!r}")
+    if terminal.growth != "bounded_with_limits":
+        raise InvalidParams("mean-uncertain solve needs a bounded terminal")
+
+
 def solve_g_expectation(m: MeanInterval, terminal: TestFunction, side: str,
                         space_points: int = DEFAULT_SPACE_POINTS,
                         time_steps: Optional[int] = None,
@@ -548,10 +560,7 @@ def solve_g_expectation(m: MeanInterval, terminal: TestFunction, side: str,
     Bounded terminals only; the drift term is max (sup) or min (inf) of
     mu * gradient over the mean interval.
     """
-    if side not in ("sup", "inf"):
-        raise InvalidParams(f"unknown side {side!r}")
-    if terminal.growth != "bounded_with_limits":
-        raise InvalidParams("mean-uncertain solve needs a bounded terminal")
+    check_mean_solve_inputs(terminal, side)
     return _solve(HjbProblem(GMean(m, side=side), terminal, domain_halfwidth),
                   space_points, time_steps)
 
@@ -585,88 +594,171 @@ def _snapped_spacing(shifts: np.ndarray, halfwidth: float,
     return h if h * SNAP_REFINE_CAP >= h_target else None
 
 
-def _lattice_grid(shifts: np.ndarray, snap_on: np.ndarray, halfwidth: float,
+def _lattice_grid(drift: np.ndarray, moves: np.ndarray, halfwidth: float,
                   target_points: int):
     """Grid through 0 covering [-halfwidth, halfwidth], and cell offsets.
 
-    shifts[control, atom] is one step's move.  The target spacing
-    2 * halfwidth / (target_points - 1) is refined, where the ratios allow,
-    so that every entry of snap_on is a whole number of cells.  Returns
-    (x, h, offsets, exact); exact means every offset is an integer.
+    One step moves control c by drift[c] + moves[c, atom]: its drift and
+    its innovation move.  The target spacing 2 * halfwidth /
+    (target_points - 1) is refined, where the ratios allow, so that every
+    innovation move is a whole number of cells.  Returns (x, h, offsets,
+    drift_cells): offsets[c, a] = (drift[c] + moves[c, a]) / h, rounded
+    when every one is within 1e-9 of an integer, and drift_cells =
+    drift / h.
     """
-    h = _snapped_spacing(snap_on, halfwidth, target_points)
+    h = _snapped_spacing(moves, halfwidth, target_points)
     if h is None:
         h = 2.0 * halfwidth / (target_points - 1)
     half_cells = math.ceil(halfwidth / h)
     x = (np.arange(-half_cells, half_cells + 1)) * h
-    offsets = shifts / h
-    exact = bool(np.all(np.abs(offsets - np.round(offsets)) < 1e-9))
-    if exact:
+    offsets = (drift[:, None] + moves) / h
+    if np.all(np.abs(offsets - np.round(offsets)) < 1e-9):
         offsets = np.round(offsets)
-    return x, h, offsets, exact
+    return x, h, offsets, drift / h
 
 
-def _shift_plan(offsets: np.ndarray, points: int):
-    """Integer shifts and interpolation weights, one row per control.
+def _clamp(m: int, limit: int) -> int:
+    return max(-limit, min(limit, m))
 
-    An offset within 1e-9 of an integer m is the exact shift m (weight
-    None); otherwise it interpolates between m = floor(offset) and m + 1
-    with weight offset - m.  Shifts are clamped to +-(points - 1): past that
-    every cell reads the edge value anyway.
+
+def _cell_split(offset: float):
+    """(m, None) for an offset within 1e-9 of the integer m, else
+    (floor(offset), offset - floor(offset)): the cell and the weight of
+    the next one."""
+    m = math.floor(offset + 0.5)
+    if abs(offset - m) < 1e-9:
+        return m, None
+    m = math.floor(offset)
+    return m, offset - m
+
+
+class LatticeStencil(NamedTuple):
+    """How `_lattice_induction` forms each control's expectation.
+
+    groups: one (moves, reach, members) per distinct row of whole-cell
+    innovation moves.  The group's expectation E = sum over atoms of
+    p * V[i + move] is formed once per step over `reach` cells past both
+    ends; each member (control, f, w) reads it at its drift in cells: the
+    view E[i + f] when w is None, else (1 - w) * E[i + f] + w * E[i + f + 1].
+    per_atom: (control, terms) for a control whose innovation moves are
+    not whole cells; terms holds (m, m + 1 or None, w) per atom of its
+    summed offsets, the drift folded in.
+    Every shift is clamped to the cells that can still reach the grid.
     """
-    limit = points - 1
-    plan = []
-    for row in offsets:
+
+    groups: list
+    per_atom: list
+
+
+def _lattice_stencil(offsets: np.ndarray, drift: np.ndarray,
+                     points: int) -> LatticeStencil:
+    """Split the controls into innovation groups and per-atom rows."""
+    groups = {}
+    per_atom = []
+    for c, (row, d) in enumerate(zip(offsets, drift)):
+        moves = row - d
+        whole = np.round(moves)
+        if np.all(np.abs(moves - whole) < 1e-9):
+            groups.setdefault(tuple(int(m) for m in whole), []).append(
+                (c, *_cell_split(d)))
+            continue
         terms = []
         for off in row:
-            m = math.floor(off + 0.5)
-            if abs(off - m) < 1e-9:
-                terms.append((max(-limit, min(limit, m)), None, None))
-            else:
-                m = math.floor(off)
-                terms.append((max(-limit, min(limit, m)),
-                              max(-limit, min(limit, m + 1)), off - m))
-        plan.append(terms)
-    return plan
+            m, w = _cell_split(off)
+            terms.append((_clamp(m, points - 1), None, None) if w is None
+                         else (_clamp(m, points - 1), _clamp(m + 1, points - 1), w))
+        per_atom.append((c, terms))
+    stencil_groups = []
+    for moves, members in groups.items():
+        reach = max(max(abs(f), 0 if w is None else abs(f + 1))
+                    for _, f, w in members)
+        stencil_groups.append((tuple(_clamp(m, points - 1 + reach) for m in moves),
+                               reach, members))
+    return LatticeStencil(stencil_groups, per_atom)
 
 
-def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray, probs,
-                       steps: int, side: str, record_policy: bool):
+def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
+                       drift: np.ndarray, probs, steps: int, side: str,
+                       record_policy: bool):
     """Middle-point value and (optionally) the int8 policy table after
     `steps` adversarial steps back from the terminal values on a grid: per
-    point, the control row of offsets with the best expectation over the
-    atoms (weights probs), the largest for side "sup", the least for "inf".
+    point, the control c (moving offsets[c, a] cells on atom a, drift[c]
+    cells of that its drift) with the best expectation over the atoms
+    (weights probs), the largest for side "sup", the least for "inf".
 
     The values live in the middle of one buffer whose margins repeat the
     end values, so the clamped shift by m cells is a fixed view of that
     buffer.  Each step refreshes the margins and fills preallocated rows
-    with `out=` ufuncs: per control, 0.0 + sum over atoms of
-    p * ((1 - w) * A + w * B), or p * A for an exact shift.
+    with `out=` ufuncs, on two levels (see LatticeStencil).  Innovation
+    level: p * V once per distinct p over the whole buffer, and per group
+    E = 0.0 + sum over atoms of (p * V)[i + move], a sum of views.  Control
+    level: a view of E at a whole-cell drift, else (1 - w) * E[i + f] +
+    w * E[i + f + 1].  A per-atom control sums 0.0 + p * ((1 - w) * A +
+    w * B), or p * A for an exact shift, over its atoms.
     """
     points = len(terminal)
-    plan = _shift_plan(offsets, points)
-    pad = max(abs(m) for terms in plan for t in terms for m in t[:2]
-              if m is not None)
+    stencil = _lattice_stencil(offsets, drift, points)
+    pad = max([reach + max(map(abs, moves)) for moves, reach, _ in stencil.groups]
+              + [abs(m) for _, terms in stencil.per_atom for t in terms
+                 for m in t[:2] if m is not None])
     padded = np.empty(points + 2 * pad)
     values = padded[pad:pad + points]
-    values[:] = terminal
+    # 0.0 + v, as each per-atom sum starts from 0.0: with no -0.0 in V (no
+    # row makes one, short of an underflow) a group sum that skips the 0.0
+    # has the same bits
+    np.add(terminal, 0.0, out=values)
 
     def view(m):
         return padded[pad + m:pad + m + points]
 
-    # per control: (p, A, B, 1 - w, w) per atom, B None for an exact shift
-    stencil = [[(p, view(m), None, None, None) if w is None
-                else (p, view(m), view(m1), 1.0 - w, w)
-                for p, (m, m1, w) in zip(probs, terms)] for terms in plan]
-    stacked = np.empty((len(plan), points))
+    rows = [None] * len(offsets)
+    products = {}  # p -> p * padded
+    sums = []      # per group: (E, its term views)
+    drifted = []   # (row, E[i + f], E[i + f + 1], 1 - w, w)
+    for moves, reach, members in stencil.groups:
+        width = points + 2 * reach
+        expectation = np.empty(width)
+        terms = []
+        for p, m in zip(probs, moves):
+            product = products.setdefault(float(p), np.empty(len(padded)))
+            terms.append(product[pad - reach + m:pad - reach + m + width])
+        sums.append((expectation, terms))
+
+        def at(f):
+            return expectation[reach + f:reach + f + points]
+
+        for c, f, w in members:
+            if w is None:
+                rows[c] = at(f)
+            else:
+                rows[c] = np.empty(points)
+                drifted.append((rows[c], at(f), at(f + 1), 1.0 - w, w))
+    # per-atom control: (row, (p, A, B, 1 - w, w) per atom), B None for an
+    # exact shift
+    per_atom = []
+    for c, terms in stencil.per_atom:
+        rows[c] = np.empty(points)
+        per_atom.append((rows[c], [(p, view(m), None, None, None) if w is None
+                                   else (p, view(m), view(m1), 1.0 - w, w)
+                                   for p, (m, m1, w) in zip(probs, terms)]))
     term = np.empty(points)
     upper = np.empty(points)
-    take_best = np.max if side == "sup" else np.min
+    best = np.maximum if side == "sup" else np.minimum
     policy = np.empty((steps, points), dtype=np.int8) if record_policy else None
     for step in range(steps - 1, -1, -1):
         padded[:pad] = values[0]
         padded[pad + points:] = values[-1]
-        for acc, terms in zip(stacked, stencil):
+        for p, product in products.items():
+            np.multiply(padded, p, out=product)
+        for expectation, terms in sums:
+            np.add(terms[0], terms[1], out=expectation)
+            for t in terms[2:]:
+                np.add(expectation, t, out=expectation)
+        for row, lower, higher, w_lower, w in drifted:
+            np.multiply(lower, w_lower, out=row)
+            np.multiply(higher, w, out=upper)
+            np.add(row, upper, out=row)
+        for acc, terms in per_atom:
             acc.fill(0.0)
             for p, lower, higher, w_lower, w in terms:
                 if higher is None:
@@ -677,15 +769,22 @@ def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray, probs,
                     np.add(term, upper, out=term)
                     np.multiply(term, p, out=term)
                 np.add(acc, term, out=acc)
-        take_best(stacked, axis=0, out=values)
+        # pointwise best over the rows in control order, as np.max/np.min
+        # over them stacked would reduce
+        if len(rows) == 1:
+            np.copyto(values, rows[0])
+        else:
+            best(rows[0], rows[1], out=values)
+            for row in rows[2:]:
+                best(values, row, out=values)
         if record_policy:
             # the first control whose row reaches the best value: np.argmax's
             # index for non-NaN rows (ties go to the lower control), without
             # its cost of twice the rest of the step
             row = policy[step]
-            row.fill(len(stacked) - 1)
-            for k in range(len(stacked) - 2, -1, -1):
-                np.copyto(row, k, where=stacked[k] == values)
+            row.fill(len(rows) - 1)
+            for k in range(len(rows) - 2, -1, -1):
+                np.copyto(row, k, where=rows[k] == values)
     return float(values[points // 2]), policy
 
 
@@ -706,27 +805,27 @@ def tree_value_oracle(problem: HjbProblem, steps: int,
         raise InvalidParams(f"grid_points must be >= 3, got {grid_points}")
     gen = problem.generator
     atoms = (-1.0, 1.0)
-    # per control, the moves of the statistic for each equally likely atom
+    # per control, the drift of the statistic and its move for each equally
+    # likely atom
     if isinstance(gen, GVariance):
         rtn = math.sqrt(steps)
-        shifts = np.array([[sig * a / rtn for a in atoms]
-                           for sig in (gen.interval.sigma_low,
-                                       gen.interval.sigma_high)])
-        snap_on = shifts
+        scales = (gen.interval.sigma_low, gen.interval.sigma_high)
+        drift = np.zeros(2)
+        moves = np.array([[sig * a / rtn for a in atoms] for sig in scales])
     elif isinstance(gen, GMean):
         rtn = 1.0 / math.sqrt(steps)
-        shifts = np.array([[mu / steps + a * rtn for a in atoms]
-                           for mu in (gen.interval.mu_low, gen.interval.mu_high)])
-        snap_on = np.array(atoms) * rtn
+        drift = np.array([gen.interval.mu_low, gen.interval.mu_high]) / steps
+        moves = np.array([[a * rtn for a in atoms]] * 2)
     else:
         raise InvalidParams(f"unknown generator {type(gen).__name__}")
-    x, _, offsets, _ = _lattice_grid(shifts, snap_on, problem.halfwidth(),
-                                     grid_points)
+    x, _, offsets, drift_cells = _lattice_grid(drift, moves,
+                                               problem.halfwidth(), grid_points)
     widest = float(np.abs(offsets).max())
     if widest >= len(x) - 1:
         raise InvalidParams(
             f"a lattice move of {widest:.4g} cells spans the whole grid of "
             f"{len(x)} points; use a wider domain or more steps")
-    root, _ = _lattice_induction(problem.terminal(x), offsets, (0.5, 0.5),
-                                 steps, gen.side, record_policy=False)
+    root, _ = _lattice_induction(problem.terminal(x), offsets, drift_cells,
+                                 (0.5, 0.5), steps, gen.side,
+                                 record_policy=False)
     return root

@@ -107,3 +107,21 @@ def enumerate_adapted_policies_value(n, sigmas, phi, side="sup"):
         else:
             best = max(best, total) if side == "sup" else min(best, total)
     return best / 2 ** n
+
+
+def integer_lattice_value(payoff, drifts, moves, probs, steps, side="sup"):
+    """Game value from state 0 after `steps` steps on the integers: control c
+    moves the state by drifts[c] + moves[c][a] with probability probs[a],
+    and the adversary picks the control with the best expectation.
+
+    payoff(s) is the terminal value at the integer s.  The recursion keeps
+    exactly the states reachable from 0, so no grid edge is ever read.
+    """
+    reach = max(abs(d + m) for d, row in zip(drifts, moves) for m in row)
+    pick = max if side == "sup" else min
+    v = {s: payoff(s) for s in range(-steps * reach, steps * reach + 1)}
+    for k in range(steps - 1, -1, -1):
+        v = {s: pick(sum(p * v[s + d + m] for p, m in zip(probs, row))
+                     for d, row in zip(drifts, moves))
+             for s in range(-k * reach, k * reach + 1)}
+    return v[0]

@@ -290,6 +290,37 @@ class TestConfigHandling:
         assert run("validate", "--config", str(cfg_path)) == 0
         assert "no violations" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cfg,problems", [
+        ({"command": "simulate", "target": "hall", "reps": 10},
+         ["need reps >= 1000"]),
+        ({"command": "simulate", "target": "clt", "reps": 10},
+         ["need reps >= 100"]),
+        ({"command": "simulate", "target": "hall", "kn": 10},
+         ["need k_n >= 100"]),
+        ({"command": "check", "chain": "martingale", "reps": 10},
+         ["need reps >= 100"]),
+        ({"command": "converge", "model": "mean"},
+         ["missing phi", "missing mu_low", "missing mu_high"]),
+        ({"command": "simulate", "target": "policy", "model": "variance",
+          "sigma_low": 1.0, "sigma_high": 2.0, "phi": "abs"},
+         ["the adversarial DP needs a bounded payoff"]),
+        ({"command": "simulate", "target": "mixture", "atoms": "1,2,3"},
+         ["law needs matching non-empty values/probs"]),
+    ])
+    def test_validate_reports_what_the_run_refuses(self, tmp_path, capsys, cfg,
+                                                   problems):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("validate", "--config", str(cfg_path)) == 0
+        assert capsys.readouterr().out == "".join(
+            [f"validation report: {len(problems)} violation(s)\n"]
+            + [f"  - {p}\n" for p in problems])
+        out = tmp_path / "never.csv"
+        assert run(cfg["command"], "--config", str(cfg_path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "".join(
+            f"config error: {p}\n" for p in problems)
+        assert not out.exists()
+
     def test_validate_negative_tolerance_named(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad2.json"
         cfg_path.write_text(json.dumps({
@@ -617,7 +648,8 @@ class TestConfigFuzz:
             cfg_path = os.path.join(work, "cfg.json")
             with open(cfg_path, "w") as handle:
                 json.dump(cfg, handle)
-            assert isinstance(validate_config(cfg), list)
+            problems = validate_config(cfg)
+            assert isinstance(problems, list)
             err = io.StringIO()
             with warnings.catch_warnings(), contextlib.redirect_stderr(err):
                 warnings.simplefilter("error")
@@ -627,6 +659,8 @@ class TestConfigFuzz:
         assert all(line.startswith(("config error:", "numerical failure:"))
                    for line in lines), (cfg, lines)
         assert (code == 0) == (not lines), (cfg, lines)
+        # a config that validate passes is not refused when it runs
+        assert problems or code != 2, (cfg, lines)
 
 
 class TestUnwritableOutput:

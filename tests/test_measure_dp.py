@@ -4,8 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from helpers_dp import (
     enumerate_adapted_policies_value,
+    integer_lattice_value,
     lattice_tree_value,
     lattice_tree_value_split,
     lattice_tree_value_two_layer,
@@ -15,14 +19,23 @@ from nlclt.classical import DiscreteLaw
 from nlclt.densities import DensityParams, MeanInterval, VarianceInterval, chen_epstein_pdf
 from nlclt.errors import GridTooCoarse, InvalidParams, PolicyMismatch
 from nlclt.measure_dp import (
+    COARSE_GRID_POINTS,
+    DEFAULT_GRID_POINTS,
     RectangularModel,
+    _dp_grid,
     lindeberg_condition_value,
     convergence_experiment,
     policy_simulate,
     sup_expectation_dp,
 )
 from nlclt.numerics import SeedSpec, quad_integrate, std_normal_pdf
-from nlclt.sublinear import SShapeSpec, make_s_shaped, named_test_function
+from nlclt.sublinear import (
+    SShapeSpec,
+    _lattice_induction,
+    _lattice_stencil,
+    make_s_shaped,
+    named_test_function,
+)
 
 ONE_OVER_SQRT3 = 0.5773502691896258  # int exp(-y^2) * standard normal pdf
 INT_GAUSS_F_SUP = 0.7020778530770605
@@ -112,6 +125,72 @@ class TestBruteForceEquivalence:
         model = RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), 12)
         dp, _ = sup_expectation_dp(model, phi, "sup", check_points=None)
         assert abs(dp - lattice_tree_value(12, phi, "sup")) <= 1e-12
+
+
+class TestLatticeStencil:
+    """The two-level stencil each criterion-8 problem gets: the mean model's
+    5 controls share one innovation expectation, each variance scale is its
+    own group read at zero drift."""
+
+    @staticmethod
+    def stencil(model, points):
+        x, _, offsets, drift = _dp_grid(model, points)
+        return _lattice_stencil(offsets, drift, len(x))
+
+    @pytest.mark.parametrize("points", [DEFAULT_GRID_POINTS, COARSE_GRID_POINTS])
+    @pytest.mark.parametrize("n", [125, 250, 500, 1000, 2000])
+    def test_criterion_8_problems(self, n, points):
+        mean = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, n)
+        stencil = self.stencil(mean, points)
+        assert stencil.per_atom == [] and len(stencil.groups) == 1
+        assert [c for c, _, _ in stencil.groups[0][2]] == list(range(5))
+        var = RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), n)
+        stencil = self.stencil(var, points)
+        assert stencil.per_atom == []
+        assert [(reach, members) for _, reach, members in stencil.groups] == \
+            [(0, [(0, 0, None)]), (0, [(1, 0, None)])]
+
+    def test_irrational_law_keeps_the_per_atom_stencil(self):
+        # (1 - p)/p = sqrt(2) - 1: no spacing makes both atoms whole cells
+        p = 1.0 / math.sqrt(2.0)
+        s = math.sqrt(p * (1.0 - p))
+        law = DiscreteLaw(values=(-p / s, (1.0 - p) / s), probs=(1.0 - p, p))
+        model = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0,
+                                                125, innovation=law)
+        stencil = self.stencil(model, DEFAULT_GRID_POINTS)
+        assert stencil.groups == []
+        assert [c for c, _ in stencil.per_atom] == list(range(5))
+
+
+@st.composite
+def integer_games(draw):
+    """(probs, drifts, moves, steps, side, payoff name): controls with
+    integer drifts, each taking one of two rows of integer moves."""
+    probs = draw(st.sampled_from([(0.5, 0.5), (0.25, 0.5, 0.25), (0.3, 0.7)]))
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=len(probs),
+                          max_size=len(probs))) for _ in range(2)]
+    count = draw(st.integers(1, 4))
+    drifts = draw(st.lists(st.integers(-2, 2), min_size=count, max_size=count))
+    moves = [rows[draw(st.integers(0, 1))] for _ in range(count)]
+    return (probs, drifts, moves, draw(st.integers(1, 8)),
+            draw(st.sampled_from(["sup", "inf"])),
+            draw(st.sampled_from(["gauss", "normal_cdf", "tanh"])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(integer_games())
+def test_two_level_kernel_matches_an_integer_lattice_recursion(game):
+    probs, drifts, moves, steps, side, name = game
+    reach = max(1, max(abs(d + m) for d, row in zip(drifts, moves) for m in row))
+    half = steps * reach
+    terminal = named_test_function(name)(np.arange(-half, half + 1) * 0.2)
+    drift = np.array(drifts, dtype=float)
+    offsets = drift[:, None] + np.array(moves, dtype=float)
+    root, _ = _lattice_induction(terminal, offsets, drift, probs, steps, side,
+                                 record_policy=False)
+    want = integer_lattice_value(lambda s: float(terminal[s + half]), drifts,
+                                 moves, probs, steps, side)
+    assert abs(root - want) <= 1e-12
 
 
 class TestRectangularityAudit:

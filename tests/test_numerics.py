@@ -1,10 +1,18 @@
 import math
 
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nlclt.densities import MEAN_FAMILY, VARIANCE_FAMILY, DensityParams, density_pdf
 from nlclt.errors import InvalidParams, NonConvergence
 from nlclt.numerics import (
+    _WG,
+    _WGK,
+    _XGK,
     Grid1D,
     SeedSpec,
     erfcx,
@@ -105,6 +113,60 @@ class TestQuadrature:
             quad_integrate(np.cos, 1.0, 0.0)
         with pytest.raises(InvalidParams):
             quad_integrate(np.cos, 0.0, 1.0, abs_tol=-1.0)
+
+
+def frozen_gk15(f, a, b):
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    xs = mid + half * _XGK
+    ys = np.asarray(f(xs), dtype=float)
+    k15 = half * float(np.dot(_WGK, ys))
+    g7 = half * float(np.dot(_WG, ys[1::2]))
+    return k15, abs(k15 - g7)
+
+
+def frozen_two_call_quad(f, lo, hi, abs_tol):
+    """quad_integrate on finite bounds as it was with one kernel call per
+    half of a split panel: (value, err_estimate, evaluations)."""
+    value, err = frozen_gk15(f, lo, hi)
+    evals = 15
+    heap = [(-err, lo, hi, value, err)]
+    total_err = err
+    while total_err > abs_tol and evals + 30 <= 2_000_000:
+        neg, a, b, v, e = heapq.heappop(heap)
+        m = 0.5 * (a + b)
+        v1, e1 = frozen_gk15(f, a, m)
+        v2, e2 = frozen_gk15(f, m, b)
+        evals += 30
+        total_err += e1 + e2 - e
+        heapq.heappush(heap, (-e1, a, m, v1, e1))
+        heapq.heappush(heap, (-e2, m, b, v2, e2))
+    return (math.fsum(item[3] for item in heap),
+            math.fsum(item[4] for item in heap), evals)
+
+
+@st.composite
+def density_halves(draw):
+    """(family, params, lo, hi): one half-line panel of the normalization."""
+    family = draw(st.sampled_from([MEAN_FAMILY, VARIANCE_FAMILY]))
+    low = -2.0 if family == MEAN_FAMILY else 0.25
+    p = DensityParams(draw(st.floats(low, 2.0)), draw(st.floats(low, 2.0)),
+                      draw(st.floats(-1.0, 1.0)))
+    spread = 8.0 * (1.0 + abs(p.alpha) + abs(p.beta) + abs(p.c))
+    lo, hi = (p.c - spread, p.c) if draw(st.booleans()) else (p.c, p.c + spread)
+    return family, p, lo, hi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(density_halves())
+def test_split_panel_in_one_call_is_byte_identical(case):
+    family, p, lo, hi = case
+    pdf = density_pdf(family, p)
+    res = quad_integrate(pdf, lo, hi, abs_tol=5e-10)
+    value, err, evals = frozen_two_call_quad(pdf, lo, hi, 5e-10)
+    assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+    assert np.float64(res.err_estimate).tobytes() == np.float64(err).tobytes()
+    assert res.evaluations == evals
 
 
 class TestGrid:

@@ -412,10 +412,12 @@ class TestTreeOracle:
 
     def test_snapping_refines_the_target_grid_a_bounded_amount(self):
         rows = np.array([[-1.0, 1.0], [-2.0, 2.0]])
-        x, h, offsets, exact = _lattice_grid(rows, rows, 16.0, 3)
-        assert exact and h == 16.0 / SNAP_REFINE_CAP and len(x) == 33
-        x, h, offsets, exact = _lattice_grid(rows / 2, rows / 2, 16.0, 3)
-        assert not exact and h == 16.0 and len(x) == 3
+        x, h, offsets, _ = _lattice_grid(np.zeros(2), rows, 16.0, 3)
+        assert np.array_equal(offsets, np.round(offsets))
+        assert h == 16.0 / SNAP_REFINE_CAP and len(x) == 33
+        x, h, offsets, _ = _lattice_grid(np.zeros(2), rows / 2, 16.0, 3)
+        assert not np.array_equal(offsets, np.round(offsets))
+        assert h == 16.0 and len(x) == 3
 
     def test_steps_floor(self):
         tf = named_test_function("gauss")
