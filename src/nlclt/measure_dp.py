@@ -6,12 +6,20 @@ conditional mean (from a small control grid) or the conditional scale
 (bang-bang) at every step.  For rationally related scales the grid is
 snapped so that every innovation shift lands exactly on grid points and
 the induction is exact-on-grid.
+
+The lattice section owns the one backward-induction kernel; the PDE
+module's lattice oracle calls it too.  The kernel works on two levels:
+each step forms one innovation expectation per distinct row of whole-cell
+innovation moves, and each control reads it at its own drift (a view at a
+whole cell, else interpolated between two); a control whose innovation
+moves are not whole cells sums its atoms' interpolated shifts itself.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -26,8 +34,8 @@ from .densities import (
 )
 from .errors import GridTooCoarse, InvalidParams, PolicyMismatch, UnsupportedCombination
 from .numerics import Categorical, SeedSpec, generator, quad_integrate
-from .sublinear import (TestFunction, _lattice_grid, _lattice_induction,
-                        default_halfwidth, solve_g_expectation, solve_g_heat)
+from .sublinear import (TestFunction, default_halfwidth, solve_g_expectation,
+                        solve_g_heat)
 
 MEAN_KIND = "mean_uncertain"
 VARIANCE_KIND = "variance_uncertain"
@@ -35,6 +43,12 @@ MEAN_CONTROL_POINTS = 5
 DEFAULT_GRID_POINTS = 4001
 COARSE_GRID_POINTS = 2001
 INTERP_TOLERANCE = 1e-3
+# A lattice snaps to shifts whose ratios are fractions of at most this
+# denominator (to this tolerance), by refining the target spacing at most
+# SNAP_REFINE_CAP times: a tiny shift would ask for an unbounded grid.
+SNAP_DENOMINATOR_CAP = 64
+SNAP_REL_TOL = 1e-9
+SNAP_REFINE_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -45,6 +59,10 @@ class RectangularModel:
     variance_uncertain: X_i = sigma_i * eps_i,       sigma_i in {sig_low, sig_high}
 
     eps_i are iid draws from a finite zero-mean unit-variance innovation law.
+    A mean model's step moves its statistic by mu_i/n plus
+    mean_step_scale() * eps_i.  sigma may be 0: the step is then
+    mu_i/n + eps_i/sqrt(n) exactly, the lattice of the drift equation that
+    sublinear.tree_value_oracle runs.
     """
 
     kind: str
@@ -68,8 +86,8 @@ class RectangularModel:
         if self.kind == MEAN_KIND:
             if self.mean_interval is None:
                 raise InvalidParams("mean_uncertain model needs a MeanInterval")
-            if not self.sigma > 0:
-                raise InvalidParams("sigma must be positive")
+            if not 0.0 <= self.sigma < math.inf:
+                raise InvalidParams("sigma must be finite and >= 0")
         else:
             if self.var_interval is None:
                 raise InvalidParams("variance_uncertain model needs a VarianceInterval")
@@ -115,20 +133,57 @@ class AdversaryPolicy:
     controls: np.ndarray  # int8, shape (n, points)
 
 
+# ---------------------------------------------------------------------------
+# lattice backward induction (also run by sublinear.tree_value_oracle)
+# ---------------------------------------------------------------------------
+
+def _snapped_spacing(shifts: np.ndarray, halfwidth: float,
+                     target_points: int) -> Optional[float]:
+    """Grid spacing making every |shift| an exact integer multiple, or None.
+
+    Requires the pairwise shift ratios to be rational with denominator at
+    most SNAP_DENOMINATOR_CAP (covers every rationally related scale pair),
+    and the spacing to be at least the target's over SNAP_REFINE_CAP.
+    """
+    mags = np.unique(np.abs(shifts[shifts != 0.0]))
+    if len(mags) == 0:
+        return None
+    unit = float(mags[0])
+    denominators = []
+    for d in mags:
+        frac = Fraction(float(d) / unit).limit_denominator(SNAP_DENOMINATOR_CAP)
+        if abs(float(d) / unit - frac) > SNAP_REL_TOL:
+            return None
+        denominators.append(frac.denominator)
+    base = math.lcm(*denominators)
+    h_target = 2.0 * halfwidth / (target_points - 1)
+    mult = max(1, math.ceil(unit / (base * h_target)))
+    h = unit / (base * mult)
+    return h if h * SNAP_REFINE_CAP >= h_target else None
+
+
 def _dp_grid(model: RectangularModel, target_points: int,
-             controls: Optional[np.ndarray] = None):
-    """Statistic grid and cell offsets, from sublinear._lattice_grid.
+             controls: Optional[np.ndarray] = None,
+             halfwidth: Optional[float] = None):
+    """Statistic grid through 0 covering [-halfwidth, halfwidth] (by default
+    the model's), and cell offsets.
 
     Returns (x, h, offsets[controls, atoms], drift[controls]): a step moves
     by a control's drift (mu/n, or 0 for a scale) plus its innovation move
-    (k*eps or sigma*eps/sqrt(n)), and offsets are the two summed, in cells.
-    The grid snaps the innovation moves to whole cells where it can; the
-    mean model's small mu/n drift is then read off each step's innovation
-    expectation by interpolation, which stops the fixed-weight
-    interpolation bias from accumulating over n steps.
+    (k*eps or sigma*eps/sqrt(n)); offsets are the two summed, in cells,
+    rounded when every one is within 1e-9 of an integer, and drift is the
+    drift in cells.  The target spacing 2 * halfwidth / (target_points - 1)
+    is refined, where the ratios allow, so that every innovation move is a
+    whole number of cells; the mean model's small mu/n drift is then read
+    off each step's innovation expectation by interpolation, which stops
+    the fixed-weight interpolation bias from accumulating over n steps.
     """
+    if target_points < 3:
+        raise InvalidParams(f"grid_points must be >= 3, got {target_points}")
     if controls is None:
         controls = model.controls()
+    if halfwidth is None:
+        halfwidth = model.halfwidth()
     atoms = np.asarray(model.innovation.values, dtype=float)
     if model.kind == VARIANCE_KIND:
         drift = np.zeros(len(controls))
@@ -137,15 +192,195 @@ def _dp_grid(model: RectangularModel, target_points: int,
     else:
         drift = np.asarray(controls, dtype=float) / model.n
         moves = np.tile(model.mean_step_scale() * atoms, (len(controls), 1))
-    return _lattice_grid(drift, moves, model.halfwidth(), target_points)
+    h = _snapped_spacing(moves, halfwidth, target_points)
+    if h is None:
+        h = 2.0 * halfwidth / (target_points - 1)
+    half_cells = math.ceil(halfwidth / h)
+    x = (np.arange(-half_cells, half_cells + 1)) * h
+    offsets = (drift[:, None] + moves) / h
+    if np.all(np.abs(offsets - np.round(offsets)) < 1e-9):
+        offsets = np.round(offsets)
+    return x, h, offsets, drift / h
+
+
+def _clamp(m: int, limit: int) -> int:
+    return max(-limit, min(limit, m))
+
+
+def _cell_split(offset: float):
+    """(m, None) for an offset within 1e-9 of the integer m, else
+    (floor(offset), offset - floor(offset)): the cell and the weight of
+    the next one."""
+    m = math.floor(offset + 0.5)
+    if abs(offset - m) < 1e-9:
+        return m, None
+    m = math.floor(offset)
+    return m, offset - m
+
+
+class LatticeStencil(NamedTuple):
+    """How `_lattice_induction` forms each control's expectation.
+
+    groups: one (moves, reach, members) per distinct row of whole-cell
+    innovation moves.  The group's expectation E = sum over atoms of
+    p * V[i + move] is formed once per step over `reach` cells past both
+    ends; each member (control, f, w) reads it at its drift in cells: the
+    view E[i + f] when w is None, else (1 - w) * E[i + f] + w * E[i + f + 1].
+    per_atom: (control, terms) for a control whose innovation moves are
+    not whole cells; terms holds (m, m + 1 or None, w) per atom of its
+    summed offsets, the drift folded in.
+    Every shift is clamped to the cells that can still reach the grid.
+    """
+
+    groups: list
+    per_atom: list
+
+
+def _lattice_stencil(offsets: np.ndarray, drift: np.ndarray,
+                     points: int) -> LatticeStencil:
+    """Split the controls into innovation groups and per-atom rows."""
+    groups = {}
+    per_atom = []
+    for c, (row, d) in enumerate(zip(offsets, drift)):
+        moves = row - d
+        whole = np.round(moves)
+        if np.all(np.abs(moves - whole) < 1e-9):
+            groups.setdefault(tuple(int(m) for m in whole), []).append(
+                (c, *_cell_split(d)))
+            continue
+        terms = []
+        for off in row:
+            m, w = _cell_split(off)
+            terms.append((_clamp(m, points - 1), None, None) if w is None
+                         else (_clamp(m, points - 1), _clamp(m + 1, points - 1), w))
+        per_atom.append((c, terms))
+    stencil_groups = []
+    for moves, members in groups.items():
+        reach = max(max(abs(f), 0 if w is None else abs(f + 1))
+                    for _, f, w in members)
+        stencil_groups.append((tuple(_clamp(m, points - 1 + reach) for m in moves),
+                               reach, members))
+    return LatticeStencil(stencil_groups, per_atom)
+
+
+def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
+                       drift: np.ndarray, probs, steps: int, side: str,
+                       record_policy: bool):
+    """Middle-point value and (optionally) the int8 policy table after
+    `steps` adversarial steps back from the terminal values on a grid: per
+    point, the control c (moving offsets[c, a] cells on atom a, drift[c]
+    cells of that its drift) with the best expectation over the atoms
+    (weights probs), the largest for side "sup", the least for "inf".
+
+    The values live in the middle of one buffer whose margins repeat the
+    end values, so the clamped shift by m cells is a fixed view of that
+    buffer.  Each step refreshes the margins and fills preallocated rows
+    with `out=` ufuncs, on two levels (see LatticeStencil).  Innovation
+    level: p * V once per distinct p over the whole buffer, and per group
+    E = 0.0 + sum over atoms of (p * V)[i + move], a sum of views.  Control
+    level: a view of E at a whole-cell drift, else (1 - w) * E[i + f] +
+    w * E[i + f + 1].  A per-atom control sums 0.0 + p * ((1 - w) * A +
+    w * B), or p * A for an exact shift, over its atoms.
+    """
+    points = len(terminal)
+    stencil = _lattice_stencil(offsets, drift, points)
+    pad = max([reach + max(map(abs, moves)) for moves, reach, _ in stencil.groups]
+              + [abs(m) for _, terms in stencil.per_atom for t in terms
+                 for m in t[:2] if m is not None])
+    padded = np.empty(points + 2 * pad)
+    values = padded[pad:pad + points]
+    # 0.0 + v, as each per-atom sum starts from 0.0: with no -0.0 in V (no
+    # row makes one, short of an underflow) a group sum that skips the 0.0
+    # has the same bits
+    np.add(terminal, 0.0, out=values)
+
+    def view(m):
+        return padded[pad + m:pad + m + points]
+
+    rows = [None] * len(offsets)
+    products = {}  # p -> p * padded
+    sums = []      # per group: (E, its term views)
+    drifted = []   # (row, E[i + f], E[i + f + 1], 1 - w, w)
+    for moves, reach, members in stencil.groups:
+        width = points + 2 * reach
+        expectation = np.empty(width)
+        terms = []
+        for p, m in zip(probs, moves):
+            product = products.setdefault(float(p), np.empty(len(padded)))
+            terms.append(product[pad - reach + m:pad - reach + m + width])
+        sums.append((expectation, terms))
+
+        def at(f):
+            return expectation[reach + f:reach + f + points]
+
+        for c, f, w in members:
+            if w is None:
+                rows[c] = at(f)
+            else:
+                rows[c] = np.empty(points)
+                drifted.append((rows[c], at(f), at(f + 1), 1.0 - w, w))
+    # per-atom control: (row, (p, A, B, 1 - w, w) per atom), B None for an
+    # exact shift
+    per_atom = []
+    for c, terms in stencil.per_atom:
+        rows[c] = np.empty(points)
+        per_atom.append((rows[c], [(p, view(m), None, None, None) if w is None
+                                   else (p, view(m), view(m1), 1.0 - w, w)
+                                   for p, (m, m1, w) in zip(probs, terms)]))
+    term = np.empty(points)
+    upper = np.empty(points)
+    best = np.maximum if side == "sup" else np.minimum
+    policy = np.empty((steps, points), dtype=np.int8) if record_policy else None
+    for step in range(steps - 1, -1, -1):
+        padded[:pad] = values[0]
+        padded[pad + points:] = values[-1]
+        for p, product in products.items():
+            np.multiply(padded, p, out=product)
+        for expectation, terms in sums:
+            np.add(terms[0], terms[1], out=expectation)
+            for t in terms[2:]:
+                np.add(expectation, t, out=expectation)
+        for row, lower, higher, w_lower, w in drifted:
+            np.multiply(lower, w_lower, out=row)
+            np.multiply(higher, w, out=upper)
+            np.add(row, upper, out=row)
+        for acc, terms in per_atom:
+            acc.fill(0.0)
+            for p, lower, higher, w_lower, w in terms:
+                if higher is None:
+                    np.multiply(lower, p, out=term)
+                else:
+                    np.multiply(lower, w_lower, out=term)
+                    np.multiply(higher, w, out=upper)
+                    np.add(term, upper, out=term)
+                    np.multiply(term, p, out=term)
+                np.add(acc, term, out=acc)
+        # pointwise best over the rows in control order, as np.max/np.min
+        # over them stacked would reduce
+        if len(rows) == 1:
+            np.copyto(values, rows[0])
+        else:
+            best(rows[0], rows[1], out=values)
+            for row in rows[2:]:
+                best(values, row, out=values)
+        if record_policy:
+            # the first control whose row reaches the best value: np.argmax's
+            # index for non-NaN rows (ties go to the lower control), without
+            # its cost of twice the rest of the step
+            row = policy[step]
+            row.fill(len(rows) - 1)
+            for k in range(len(rows) - 2, -1, -1):
+                np.copyto(row, k, where=rows[k] == values)
+    return float(values[points // 2]), policy
 
 
 def _backward_induction(model: RectangularModel, phi: TestFunction, side: str,
                         target_points: int, record_policy: bool,
-                        controls: Optional[np.ndarray] = None):
+                        controls: Optional[np.ndarray] = None,
+                        halfwidth: Optional[float] = None):
     """Root value, grid, spacing and (optionally) the int8 policy table,
     from the lattice kernel on the model's grid and shifts."""
-    x, h, offsets, drift = _dp_grid(model, target_points, controls)
+    x, h, offsets, drift = _dp_grid(model, target_points, controls, halfwidth)
     probs = np.asarray(model.innovation.probs, dtype=float)
     root, policy = _lattice_induction(phi(x), offsets, drift, probs, model.n,
                                       side, record_policy)

@@ -5,19 +5,14 @@ variance-uncertain limit; the semilinear drift equation gives the
 mean-uncertain value (the backward-equation value solved through its
 equivalent parabolic form).  Each solve marches its grid and every other
 point of it, and reports the two-grid Richardson extrapolation.  The
-lattice section holds the adversarial backward-induction kernel shared
-with measure_dp, and the +-1-innovation lattice oracle on it, an
-independent cross-check of both solvers.  The kernel works on two levels:
-each step forms one innovation expectation per distinct row of whole-cell
-innovation moves, and each control reads it at its own drift (a view at a
-whole cell, else interpolated between two); a control whose innovation
-moves are not whole cells sums its atoms' interpolated shifts itself.
+lattice oracle checks both solvers against the adversarial DP: it is a
+call of measure_dp's backward induction with +-1 innovations on the
+problem's domain, and owns no lattice code.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -48,12 +43,6 @@ MAX_VALUE_SNAPSHOTS = 11
 # Steps a march takes between two reductions of its running min/max: a
 # block of 16 rows at 2001 points is 256 KiB, and stays in cache.
 MARCH_BLOCK_STEPS = 16
-# A lattice snaps to shifts whose ratios are fractions of at most this
-# denominator (to this tolerance), by refining the target spacing at most
-# SNAP_REFINE_CAP times: a tiny shift would ask for an unbounded grid.
-SNAP_DENOMINATOR_CAP = 64
-SNAP_REL_TOL = 1e-9
-SNAP_REFINE_CAP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +232,9 @@ class HjbProblem:
     domain_halfwidth: Optional[float] = None
 
     def __post_init__(self):
+        if not isinstance(self.generator, (GVariance, GMean)):
+            raise InvalidParams(
+                f"unknown generator {type(self.generator).__name__}")
         if self.domain_halfwidth is not None and not (
                 0.0 < self.domain_halfwidth < math.inf):
             raise InvalidParams(f"domain_halfwidth must be finite and > 0, "
@@ -566,266 +558,31 @@ def solve_g_expectation(m: MeanInterval, terminal: TestFunction, side: str,
 
 
 # ---------------------------------------------------------------------------
-# lattice backward induction (shared with the adversarial DP)
+# lattice oracle
 # ---------------------------------------------------------------------------
-
-def _snapped_spacing(shifts: np.ndarray, halfwidth: float,
-                     target_points: int) -> Optional[float]:
-    """Grid spacing making every |shift| an exact integer multiple, or None.
-
-    Requires the pairwise shift ratios to be rational with denominator at
-    most SNAP_DENOMINATOR_CAP (covers every rationally related scale pair),
-    and the spacing to be at least the target's over SNAP_REFINE_CAP.
-    """
-    mags = np.unique(np.abs(shifts[shifts != 0.0]))
-    if len(mags) == 0:
-        return None
-    unit = float(mags[0])
-    denominators = []
-    for d in mags:
-        frac = Fraction(float(d) / unit).limit_denominator(SNAP_DENOMINATOR_CAP)
-        if abs(float(d) / unit - frac) > SNAP_REL_TOL:
-            return None
-        denominators.append(frac.denominator)
-    base = math.lcm(*denominators)
-    h_target = 2.0 * halfwidth / (target_points - 1)
-    mult = max(1, math.ceil(unit / (base * h_target)))
-    h = unit / (base * mult)
-    return h if h * SNAP_REFINE_CAP >= h_target else None
-
-
-def _lattice_grid(drift: np.ndarray, moves: np.ndarray, halfwidth: float,
-                  target_points: int):
-    """Grid through 0 covering [-halfwidth, halfwidth], and cell offsets.
-
-    One step moves control c by drift[c] + moves[c, atom]: its drift and
-    its innovation move.  The target spacing 2 * halfwidth /
-    (target_points - 1) is refined, where the ratios allow, so that every
-    innovation move is a whole number of cells.  Returns (x, h, offsets,
-    drift_cells): offsets[c, a] = (drift[c] + moves[c, a]) / h, rounded
-    when every one is within 1e-9 of an integer, and drift_cells =
-    drift / h.
-    """
-    h = _snapped_spacing(moves, halfwidth, target_points)
-    if h is None:
-        h = 2.0 * halfwidth / (target_points - 1)
-    half_cells = math.ceil(halfwidth / h)
-    x = (np.arange(-half_cells, half_cells + 1)) * h
-    offsets = (drift[:, None] + moves) / h
-    if np.all(np.abs(offsets - np.round(offsets)) < 1e-9):
-        offsets = np.round(offsets)
-    return x, h, offsets, drift / h
-
-
-def _clamp(m: int, limit: int) -> int:
-    return max(-limit, min(limit, m))
-
-
-def _cell_split(offset: float):
-    """(m, None) for an offset within 1e-9 of the integer m, else
-    (floor(offset), offset - floor(offset)): the cell and the weight of
-    the next one."""
-    m = math.floor(offset + 0.5)
-    if abs(offset - m) < 1e-9:
-        return m, None
-    m = math.floor(offset)
-    return m, offset - m
-
-
-class LatticeStencil(NamedTuple):
-    """How `_lattice_induction` forms each control's expectation.
-
-    groups: one (moves, reach, members) per distinct row of whole-cell
-    innovation moves.  The group's expectation E = sum over atoms of
-    p * V[i + move] is formed once per step over `reach` cells past both
-    ends; each member (control, f, w) reads it at its drift in cells: the
-    view E[i + f] when w is None, else (1 - w) * E[i + f] + w * E[i + f + 1].
-    per_atom: (control, terms) for a control whose innovation moves are
-    not whole cells; terms holds (m, m + 1 or None, w) per atom of its
-    summed offsets, the drift folded in.
-    Every shift is clamped to the cells that can still reach the grid.
-    """
-
-    groups: list
-    per_atom: list
-
-
-def _lattice_stencil(offsets: np.ndarray, drift: np.ndarray,
-                     points: int) -> LatticeStencil:
-    """Split the controls into innovation groups and per-atom rows."""
-    groups = {}
-    per_atom = []
-    for c, (row, d) in enumerate(zip(offsets, drift)):
-        moves = row - d
-        whole = np.round(moves)
-        if np.all(np.abs(moves - whole) < 1e-9):
-            groups.setdefault(tuple(int(m) for m in whole), []).append(
-                (c, *_cell_split(d)))
-            continue
-        terms = []
-        for off in row:
-            m, w = _cell_split(off)
-            terms.append((_clamp(m, points - 1), None, None) if w is None
-                         else (_clamp(m, points - 1), _clamp(m + 1, points - 1), w))
-        per_atom.append((c, terms))
-    stencil_groups = []
-    for moves, members in groups.items():
-        reach = max(max(abs(f), 0 if w is None else abs(f + 1))
-                    for _, f, w in members)
-        stencil_groups.append((tuple(_clamp(m, points - 1 + reach) for m in moves),
-                               reach, members))
-    return LatticeStencil(stencil_groups, per_atom)
-
-
-def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
-                       drift: np.ndarray, probs, steps: int, side: str,
-                       record_policy: bool):
-    """Middle-point value and (optionally) the int8 policy table after
-    `steps` adversarial steps back from the terminal values on a grid: per
-    point, the control c (moving offsets[c, a] cells on atom a, drift[c]
-    cells of that its drift) with the best expectation over the atoms
-    (weights probs), the largest for side "sup", the least for "inf".
-
-    The values live in the middle of one buffer whose margins repeat the
-    end values, so the clamped shift by m cells is a fixed view of that
-    buffer.  Each step refreshes the margins and fills preallocated rows
-    with `out=` ufuncs, on two levels (see LatticeStencil).  Innovation
-    level: p * V once per distinct p over the whole buffer, and per group
-    E = 0.0 + sum over atoms of (p * V)[i + move], a sum of views.  Control
-    level: a view of E at a whole-cell drift, else (1 - w) * E[i + f] +
-    w * E[i + f + 1].  A per-atom control sums 0.0 + p * ((1 - w) * A +
-    w * B), or p * A for an exact shift, over its atoms.
-    """
-    points = len(terminal)
-    stencil = _lattice_stencil(offsets, drift, points)
-    pad = max([reach + max(map(abs, moves)) for moves, reach, _ in stencil.groups]
-              + [abs(m) for _, terms in stencil.per_atom for t in terms
-                 for m in t[:2] if m is not None])
-    padded = np.empty(points + 2 * pad)
-    values = padded[pad:pad + points]
-    # 0.0 + v, as each per-atom sum starts from 0.0: with no -0.0 in V (no
-    # row makes one, short of an underflow) a group sum that skips the 0.0
-    # has the same bits
-    np.add(terminal, 0.0, out=values)
-
-    def view(m):
-        return padded[pad + m:pad + m + points]
-
-    rows = [None] * len(offsets)
-    products = {}  # p -> p * padded
-    sums = []      # per group: (E, its term views)
-    drifted = []   # (row, E[i + f], E[i + f + 1], 1 - w, w)
-    for moves, reach, members in stencil.groups:
-        width = points + 2 * reach
-        expectation = np.empty(width)
-        terms = []
-        for p, m in zip(probs, moves):
-            product = products.setdefault(float(p), np.empty(len(padded)))
-            terms.append(product[pad - reach + m:pad - reach + m + width])
-        sums.append((expectation, terms))
-
-        def at(f):
-            return expectation[reach + f:reach + f + points]
-
-        for c, f, w in members:
-            if w is None:
-                rows[c] = at(f)
-            else:
-                rows[c] = np.empty(points)
-                drifted.append((rows[c], at(f), at(f + 1), 1.0 - w, w))
-    # per-atom control: (row, (p, A, B, 1 - w, w) per atom), B None for an
-    # exact shift
-    per_atom = []
-    for c, terms in stencil.per_atom:
-        rows[c] = np.empty(points)
-        per_atom.append((rows[c], [(p, view(m), None, None, None) if w is None
-                                   else (p, view(m), view(m1), 1.0 - w, w)
-                                   for p, (m, m1, w) in zip(probs, terms)]))
-    term = np.empty(points)
-    upper = np.empty(points)
-    best = np.maximum if side == "sup" else np.minimum
-    policy = np.empty((steps, points), dtype=np.int8) if record_policy else None
-    for step in range(steps - 1, -1, -1):
-        padded[:pad] = values[0]
-        padded[pad + points:] = values[-1]
-        for p, product in products.items():
-            np.multiply(padded, p, out=product)
-        for expectation, terms in sums:
-            np.add(terms[0], terms[1], out=expectation)
-            for t in terms[2:]:
-                np.add(expectation, t, out=expectation)
-        for row, lower, higher, w_lower, w in drifted:
-            np.multiply(lower, w_lower, out=row)
-            np.multiply(higher, w, out=upper)
-            np.add(row, upper, out=row)
-        for acc, terms in per_atom:
-            acc.fill(0.0)
-            for p, lower, higher, w_lower, w in terms:
-                if higher is None:
-                    np.multiply(lower, p, out=term)
-                else:
-                    np.multiply(lower, w_lower, out=term)
-                    np.multiply(higher, w, out=upper)
-                    np.add(term, upper, out=term)
-                    np.multiply(term, p, out=term)
-                np.add(acc, term, out=acc)
-        # pointwise best over the rows in control order, as np.max/np.min
-        # over them stacked would reduce
-        if len(rows) == 1:
-            np.copyto(values, rows[0])
-        else:
-            best(rows[0], rows[1], out=values)
-            for row in rows[2:]:
-                best(values, row, out=values)
-        if record_policy:
-            # the first control whose row reaches the best value: np.argmax's
-            # index for non-NaN rows (ties go to the lower control), without
-            # its cost of twice the rest of the step
-            row = policy[step]
-            row.fill(len(rows) - 1)
-            for k in range(len(rows) - 2, -1, -1):
-                np.copyto(row, k, where=rows[k] == values)
-    return float(values[points // 2]), policy
-
 
 def tree_value_oracle(problem: HjbProblem, steps: int,
                       grid_points: int = 4001) -> float:
-    """Backward induction on a recombining lattice with +-1 innovations.
+    """The adversarial DP of measure_dp with +-1 innovations over `steps`
+    steps, on the problem's domain: the lattice counterpart of the PDE.
 
-    At each step the adversary takes whichever extreme control (scale or
-    drift) optimizes the one-step expectation of the continuation value.
-    Serves as the solver-independent cross-check of the PDE values.  Runs
-    the DP's kernel on a grid snapped so that the +-1/sqrt(steps) moves
-    (and every scale move) are whole cells; values past the ends are held
-    at the end values.  grid_points is a target the snapping may refine.
+    A variance generator runs the DP's variance model (bang-bang scales);
+    a mean generator runs its mean model at sigma = 0, a +-1/sqrt(steps)
+    walk drifted by mu_low/steps or mu_high/steps.  grid_points is a target
+    the DP's snapping may refine; values past the ends are held at the end
+    values.
     """
-    if steps < 1:
-        raise InvalidParams("steps must be >= 1")
-    if grid_points < 3:
-        raise InvalidParams(f"grid_points must be >= 3, got {grid_points}")
+    from .measure_dp import RectangularModel, _backward_induction
+
     gen = problem.generator
-    atoms = (-1.0, 1.0)
-    # per control, the drift of the statistic and its move for each equally
-    # likely atom
+    controls = None
     if isinstance(gen, GVariance):
-        rtn = math.sqrt(steps)
-        scales = (gen.interval.sigma_low, gen.interval.sigma_high)
-        drift = np.zeros(2)
-        moves = np.array([[sig * a / rtn for a in atoms] for sig in scales])
-    elif isinstance(gen, GMean):
-        rtn = 1.0 / math.sqrt(steps)
-        drift = np.array([gen.interval.mu_low, gen.interval.mu_high]) / steps
-        moves = np.array([[a * rtn for a in atoms]] * 2)
+        model = RectangularModel.variance_uncertain(gen.interval, steps)
     else:
-        raise InvalidParams(f"unknown generator {type(gen).__name__}")
-    x, _, offsets, drift_cells = _lattice_grid(drift, moves,
-                                               problem.halfwidth(), grid_points)
-    widest = float(np.abs(offsets).max())
-    if widest >= len(x) - 1:
-        raise InvalidParams(
-            f"a lattice move of {widest:.4g} cells spans the whole grid of "
-            f"{len(x)} points; use a wider domain or more steps")
-    root, _ = _lattice_induction(problem.terminal(x), offsets, drift_cells,
-                                 (0.5, 0.5), steps, gen.side,
-                                 record_policy=False)
+        model = RectangularModel.mean_uncertain(gen.interval, 0.0, steps)
+        controls = np.array([gen.interval.mu_low, gen.interval.mu_high])
+    root, _, _, _ = _backward_induction(model, problem.terminal, gen.side,
+                                        grid_points, record_policy=False,
+                                        controls=controls,
+                                        halfwidth=problem.halfwidth())
     return root

@@ -183,6 +183,15 @@ class TestConvergeCommand:
         limit = float(row.split(",")[2])
         assert abs(limit - 0.5 * math.erfc(-0.25)) <= 1e-8
 
+    def test_zero_sigma_is_a_config_error(self, tmp_path, capsys):
+        # the mean model accepts sigma = 0 (the lattice oracle runs it); the
+        # command keeps its own sigma > 0 check
+        assert run("converge", "--model", "mean", "--mu-low", "-0.5",
+                   "--mu-high", "0.5", "--sigma", "0", "--phi", "gauss",
+                   "--out", str(tmp_path / "converge.csv")) == 2
+        assert "sigma" in capsys.readouterr().err
+        assert not (tmp_path / "converge.csv").exists()
+
 
 class TestCheckAndSimulate:
     def test_classical_chain_report(self, tmp_path):

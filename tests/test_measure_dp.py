@@ -23,6 +23,8 @@ from nlclt.measure_dp import (
     DEFAULT_GRID_POINTS,
     RectangularModel,
     _dp_grid,
+    _lattice_induction,
+    _lattice_stencil,
     lindeberg_condition_value,
     convergence_experiment,
     policy_simulate,
@@ -31,8 +33,6 @@ from nlclt.measure_dp import (
 from nlclt.numerics import SeedSpec, quad_integrate, std_normal_pdf
 from nlclt.sublinear import (
     SShapeSpec,
-    _lattice_induction,
-    _lattice_stencil,
     make_s_shaped,
     named_test_function,
 )
@@ -108,6 +108,17 @@ class TestSupExpectationDp:
         model = RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), 10)
         with pytest.raises(InvalidParams):
             sup_expectation_dp(model, named_test_function("abs"), "sup")
+
+    @pytest.mark.parametrize("points", [{"target_points": 1},
+                                        {"target_points": 2},
+                                        {"check_points": 1}])
+    def test_grid_points_floor(self, points):
+        # a grid of fewer than 3 target points has no spacing to refine
+        # (1 point divided by zero)
+        model = RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), 10)
+        with pytest.raises(InvalidParams, match="grid_points"):
+            sup_expectation_dp(model, named_test_function("gauss"), "sup",
+                               **points)
 
 
 class TestBruteForceEquivalence:
@@ -365,6 +376,22 @@ class TestModelValidation:
         # worst atom is 2*sqrt(2) = 2.83: above sqrt(16*0.1) but not sqrt(16*0.6)
         assert lindeberg_condition_value(model, 0.1) == pytest.approx(4.0)
         assert lindeberg_condition_value(model, 0.6) == 0.0
+
+    def test_zero_sigma_is_the_bare_drift_lattice(self):
+        model = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 0.0, 7)
+        assert model.mean_step_scale() == 1.0 / math.sqrt(7)
+        # n = 1: the step is mu +- 1, and the sup takes mu = 0.5 on the
+        # increasing payoff
+        one = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 0.0, 1)
+        value, _ = sup_expectation_dp(one, named_test_function("clip_linear"),
+                                      "sup", check_points=None)
+        assert value == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("sigma", [-1.0, -1e-300, math.nan, math.inf])
+    def test_negative_or_non_finite_sigma_is_rejected(self, sigma):
+        # an infinite sigma would reach the grid snapping as Fraction(nan)
+        with pytest.raises(InvalidParams, match="sigma"):
+            RectangularModel.mean_uncertain(MeanInterval(0.0, 1.0), sigma, 5)
 
     def test_kind_field_validation(self):
         with pytest.raises(InvalidParams):

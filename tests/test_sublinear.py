@@ -11,16 +11,15 @@ from nlclt.densities import (
     chen_epstein_pdf,
 )
 from nlclt.errors import InvalidParams, InvalidTheta, UnstableResolution
+from nlclt.measure_dp import SNAP_REFINE_CAP, RectangularModel, _dp_grid
 from nlclt.numerics import quad_integrate, std_normal_cdf_arr, std_normal_pdf
 from nlclt.sublinear import (
-    SNAP_REFINE_CAP,
     GMean,
     GVariance,
     HjbProblem,
     Shape,
     SShapeSpec,
     TestFunction,
-    _lattice_grid,
     make_s_shaped,
     named_test_function,
     solve_g_expectation,
@@ -411,11 +410,14 @@ class TestTreeOracle:
             assert abs(tree_value_oracle(problem, n) - target) <= 1e-3, n
 
     def test_snapping_refines_the_target_grid_a_bounded_amount(self):
-        rows = np.array([[-1.0, 1.0], [-2.0, 2.0]])
-        x, h, offsets, _ = _lattice_grid(np.zeros(2), rows, 16.0, 3)
+        # one step of scales (1, 2), then (0.5, 1): moves of +-1 and +-2,
+        # then +-0.5 and +-1, on a 3-point target over [-16, 16]
+        model = RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), 1)
+        x, h, offsets, _ = _dp_grid(model, 3, halfwidth=16.0)
         assert np.array_equal(offsets, np.round(offsets))
         assert h == 16.0 / SNAP_REFINE_CAP and len(x) == 33
-        x, h, offsets, _ = _lattice_grid(np.zeros(2), rows / 2, 16.0, 3)
+        model = RectangularModel.variance_uncertain(VarianceInterval(0.5, 1.0), 1)
+        x, h, offsets, _ = _dp_grid(model, 3, halfwidth=16.0)
         assert not np.array_equal(offsets, np.round(offsets))
         assert h == 16.0 and len(x) == 3
 
@@ -438,21 +440,24 @@ class TestTreeOracle:
 
     @pytest.mark.parametrize("gen", [GVariance(VarianceInterval(1.0, 2.0)),
                                      GMean(MeanInterval(-0.5, 0.5), side="inf")])
-    def test_move_spanning_the_grid_is_rejected(self, gen):
-        # 11 points 0.02 apart: one step moves 50 cells
+    def test_move_spanning_the_grid_clamps_to_the_end_values(self, gen):
+        # 11 points 0.02 apart: one step moves at least 25 cells, past both
+        # ends, so every move reads an end value, gauss(+-0.1)
         problem = HjbProblem(gen, named_test_function("gauss"), domain_halfwidth=0.1)
-        with pytest.raises(InvalidParams, match="spans the whole grid"):
-            tree_value_oracle(problem, 1, 11)
+        assert tree_value_oracle(problem, 1, 11) == pytest.approx(
+            math.exp(-0.01), abs=1e-15)
 
     def test_move_just_inside_the_grid_runs(self):
         # 5 points 1.0 apart: moves of 1 and 2 cells, under the width of 4
         problem = HjbProblem(GVariance(VarianceInterval(1.0, 2.0)),
                              named_test_function("gauss"), domain_halfwidth=2.0)
         assert math.isfinite(tree_value_oracle(problem, 1, 5))
-        wide = HjbProblem(GVariance(VarianceInterval(1.0, 4.0)),
-                          named_test_function("gauss"), domain_halfwidth=2.0)
-        with pytest.raises(InvalidParams):
-            tree_value_oracle(wide, 1, 5)
+        # scales (1, 4): the 4-cell move from the middle clamps to the ends,
+        # |x| = 2 either way, where the 1-cell move reads |x| = 1
+        for side, want in (("sup", 2.0), ("inf", 1.0)):
+            wide = HjbProblem(GVariance(VarianceInterval(1.0, 4.0), side=side),
+                              named_test_function("abs"), domain_halfwidth=2.0)
+            assert tree_value_oracle(wide, 1, 5) == want
 
 
 class TestHjbProblem:
@@ -468,6 +473,10 @@ class TestHjbProblem:
         with pytest.raises(InvalidParams, match="domain_halfwidth"):
             solve_g_expectation(MeanInterval(-0.5, 0.5), named_test_function("gauss"),
                                 "sup", space_points=11, domain_halfwidth=halfwidth)
+
+    def test_unknown_generator_is_rejected(self):
+        with pytest.raises(InvalidParams, match="unknown generator"):
+            HjbProblem(VarianceInterval(1.0, 2.0), named_test_function("abs"))
 
     def test_positive_domain_halfwidth_is_kept(self):
         problem = HjbProblem(GVariance(VarianceInterval(1.0, 2.0)),
