@@ -588,6 +588,15 @@ def cmd_solve(cfg: dict) -> int:
                                    space_points=cfg["space_points"],
                                    time_steps=cfg["time_steps"])
         generator = GMean(m, side=cfg["side"])
+    at_end = terminal(grid.x)
+    low, high = float(at_end.min()), float(at_end.max())
+    slack = 1e-12 * max(1.0, high - low)
+    if grid.min_seen < low - slack or grid.max_seen > high + slack:
+        # a grid too coarse for the extrapolation, or a drift past Peclet 1
+        print(f"warning: the solution reaches [{grid.min_seen:.6g}, "
+              f"{grid.max_seen:.6g}], outside the terminal's range "
+              f"[{low:.6g}, {high:.6g}] on the grid; increase space_points",
+              file=sys.stderr)
     rows = [("u0", grid.u0)]
     if cfg["tree_steps"] is not None:
         tree = tree_value_oracle(HjbProblem(generator, terminal), cfg["tree_steps"])

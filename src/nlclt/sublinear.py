@@ -20,11 +20,12 @@ import numpy as np
 from .densities import MeanInterval, VarianceInterval
 from .errors import InvalidParams, InvalidTheta, UnstableResolution
 
-# The coarse march's step is this fraction of its grid's stability bound,
-# and the fine march's is a quarter of it at half the spacing: on both, the
-# G-heat ratio a_pos * dt / dx^2 is 0.45 <= 0.5 and, while the drift's
-# bound is dx^2 (|mu| * 2 * dx <= 1 on the coarse grid), the drift step's
-# centre weight 1 - dt / dx^2 is 0.1 > 0, so the scheme stays monotone.
+# The coarse march's step is at most this fraction of its grid's stability
+# bound, and the fine march's is a quarter of it at half the spacing: on
+# both, the G-heat coefficient c_pos = a_pos * dt / dx^2 is at most
+# 0.45 <= 0.5 and, while the drift's bound is dx^2 (|mu| * 2 * dx <= 1 on
+# the coarse grid), the drift step's centre weight 1 - 2 * c_d
+# (c_d = dt / (2 dx^2)) is at least 0.1 > 0, so the scheme stays monotone.
 # Past that the drift's bound is 1 / mu^2: stable, but not monotone.
 CFL_SAFETY = 0.9
 # Largest |mu| * 2 * dx (the cell Peclet number of the coarse grid) a drift
@@ -276,6 +277,7 @@ class ValueGrid:
     max_seen: float
     steps: int                 # steps of the fine march
     richardson_gap: float      # u0 minus the fine march's u(0, 0)
+    dt_ratio: float            # the fine march's dt over its dt_bound(dx)
 
     def rows(self):
         x = self.x.tolist()
@@ -286,7 +288,8 @@ class ValueGrid:
 
 class _March(NamedTuple):
     """One single-grid march: its grid, step count, stored layer times and
-    layers, and its least and greatest value over every marched step."""
+    layers, its least and greatest value over every marched step, and its
+    dt over its scheme's dt_bound on its grid."""
 
     x: np.ndarray
     steps: int
@@ -294,12 +297,13 @@ class _March(NamedTuple):
     values: np.ndarray
     lo: float
     hi: float
+    dt_ratio: float
 
 
 def _march(u0: np.ndarray, steps: int, every: int, step: Callable) -> tuple:
     """Explicit backward march from t = 1 to t = 0 through `steps` calls of
-    `step(u, out)`, each of which writes the state one step on from u into
-    out (a different row).
+    `step(u, out)`, each of which writes the interior of the state one step
+    on from u into out (a different row).
 
     The steps fill the rows of a block of at most MARCH_BLOCK_STEPS rows
     after the row they start from, and the block's least and greatest values
@@ -311,9 +315,11 @@ def _march(u0: np.ndarray, steps: int, every: int, step: Callable) -> tuple:
     ends = list(range(every, steps + 1, every))
     if ends[-1] != steps:
         ends.append(steps)
+    # Every row starts as the terminal: a step writes only the interior,
+    # so the end values stay the terminal's.
     block = np.empty((min(MARCH_BLOCK_STEPS, steps) + 1, len(u0)))
+    block[:] = u0
     rows = list(block)
-    block[0] = u0
     times = np.empty(len(ends) + 1)
     values = np.empty((len(ends) + 1, len(u0)))
     times[0] = 1.0
@@ -336,50 +342,36 @@ def _march(u0: np.ndarray, steps: int, every: int, step: Callable) -> tuple:
     return times, values, float(lo), float(hi)
 
 
-def _second_difference_into(u: np.ndarray, dx2: float, d2: np.ndarray) -> None:
-    """Write (u[i+1] - 2 u[i] + u[i-1]) / dx2 into the interior of d2.
-
-    The ends of d2 are left as they are; the callers keep them at 0, a
-    vanishing second difference at the boundary (linear extrapolation).
-    """
-    inner = d2[1:-1]
-    np.multiply(u[1:-1], 2.0, out=inner)
-    np.subtract(u[2:], inner, out=inner)
-    np.add(inner, u[:-2], out=inner)
-    np.divide(inner, dx2, out=inner)
-
-
 def _g_heat_scheme(v: VarianceInterval) -> tuple:
     """(diffusion_bound, dt_bound, make_step) of the G-heat march.
 
     dt_bound(dx) is the largest stable time step and diffusion_bound(dx)
     the largest the diffusion term alone allows (here the same), and
     make_step(n, dx, dt) returns the one-step update step(u, out) on n grid
-    points.
+    points.  The step folds dt / dx^2 into the control coefficients,
+    c_pm = a_pm * dt / dx^2, and writes the interior only:
+    out[1:-1] = u[1:-1] + max(c_neg * s, c_pos * s), with s the second
+    difference of u.  That is 6 array operations per step.
     """
     sig_max2 = v.sigma_high ** 2
     a_pos = 0.5 * sig_max2
     a_neg = 0.5 * v.sigma_low ** 2
 
     def make_step(n, dx, dt):
-        dx2 = dx * dx
-        d2 = np.zeros(n)
-        rate = np.empty(n)
-        rate_pos = np.empty(n)
+        c_pos = a_pos * dt / (dx * dx)
+        c_neg = a_neg * dt / (dx * dx)
+        first = np.empty(n - 1)
+        second = np.empty(n - 2)
+        rate = np.empty(n - 2)
 
         def step(u, out):
-            # out = u + dt * G(d2), where G(d2) is the larger control product.
-            # It is the product np.where(d2 >= 0, a_pos * d2, a_neg * d2)
-            # picks, bit for bit: a_pos >= a_neg > 0 and rounding is
-            # monotone, so fl(a_pos * d2) >= fl(a_neg * d2) when d2 >= 0 (and
-            # <= when d2 < 0), and two products of one d2 that are equal
-            # carry the sign of d2, zeros included, so they have equal bits.
-            _second_difference_into(u, dx2, d2)
-            np.multiply(d2, a_neg, out=rate)
-            np.multiply(d2, a_pos, out=rate_pos)
-            np.maximum(rate, rate_pos, out=rate)
-            np.multiply(rate, dt, out=rate)
-            np.add(u, rate, out=out)
+            # c_pos >= c_neg >= 0, so the max picks c_pos * s where s >= 0.
+            np.subtract(u[1:], u[:-1], out=first)
+            np.subtract(first[1:], first[:-1], out=second)
+            np.multiply(second, c_neg, out=rate)
+            np.multiply(second, c_pos, out=second)
+            np.maximum(rate, second, out=rate)
+            np.add(u[1:-1], rate, out=out[1:-1])
         return step
 
     def dt_bound(dx):
@@ -390,10 +382,16 @@ def _g_heat_scheme(v: VarianceInterval) -> tuple:
 
 def _drift_scheme(m: MeanInterval, side: str) -> tuple:
     """(diffusion_bound, dt_bound, make_step) of the drift march, as
-    _g_heat_scheme."""
+    _g_heat_scheme.  The step folds dt and the spacing into
+    c_d = dt / (2 dx^2) and c_hi, c_lo = mu_high, mu_low times dt / (2 dx),
+    and writes the interior only:
+    out[1:-1] = u[1:-1] + c_d * s + pick(c_hi * g, c_lo * g), with s the
+    second and g the doubled central difference of u, both from one first
+    difference, and pick the max (sup) or the min (inf).  That is 9 array
+    operations per step.
+    """
     mu_max = max(abs(m.mu_low), abs(m.mu_high))
-    hi_coef = m.mu_high if side == "sup" else m.mu_low
-    lo_coef = m.mu_low if side == "sup" else m.mu_high
+    pick = np.maximum if side == "sup" else np.minimum
 
     # The drift is differenced centrally: with unit diffusion the explicit
     # step is stable for dt <= dx^2 and mu^2 * dt <= 1, and the second bound
@@ -409,41 +407,28 @@ def _drift_scheme(m: MeanInterval, side: str) -> tuple:
         return dx * dx if peclet <= 1.0 else 1.0 / (mu_max * mu_max)
 
     def make_step(n, dx, dt):
-        dx2 = dx * dx
-        two_dx = 2.0 * dx
-        d2 = np.zeros(n)
-        # d1 and d2 stay 0 at both ends, so the end values stay at the
-        # terminal's.  A one-sided end difference would be downwind where
-        # the drift points out of the domain, and would push the end values
-        # past the terminal's range.
-        d1 = np.zeros(n)
-        d1_inner = d1[1:-1]
-        drift = np.empty(n)
-        down = np.empty(n)
-        rate = np.empty(n)
+        c_d = dt / (2.0 * dx * dx)
+        c_hi = m.mu_high * (dt / (2.0 * dx))
+        c_lo = m.mu_low * (dt / (2.0 * dx))
+        first = np.empty(n - 1)
+        second = np.empty(n - 2)
+        central = np.empty(n - 2)
+        drift = np.empty(n - 2)
 
+        # The end values are never written, so they stay at the terminal's.
+        # A one-sided end difference would be downwind where the drift
+        # points out of the domain, and would push the end values past the
+        # terminal's range.
         def step(u, out):
-            # out = u + dt * (0.5 * d2 + (hi * max(d1, 0) + lo * min(d1, 0)))
-            #
-            # Not the cheaper max(mu_high * d1, mu_low * d1) (min for inf):
-            # the sign of a zero drift can differ.  At d1 = -0 with
-            # mu = [-1, -1], np.maximum(d1, 0) and np.minimum(d1, 0) are +0,
-            # so this sum is -1 * +0 + -1 * +0 = -0, while both products
-            # -1 * -0 are +0 and any max or min of them is +0.  At d1 = +0
-            # with mu = [-1, 1] the products are +0 and -0, the sum is +0,
-            # and the max is whichever zero numpy's tie rule returns.
-            _second_difference_into(u, dx2, d2)
-            np.subtract(u[2:], u[:-2], out=d1_inner)
-            np.divide(d1_inner, two_dx, out=d1_inner)
-            np.maximum(d1, 0.0, out=drift)
-            np.multiply(drift, hi_coef, out=drift)
-            np.minimum(d1, 0.0, out=down)
-            np.multiply(down, lo_coef, out=down)
-            np.add(drift, down, out=drift)
-            np.multiply(d2, 0.5, out=rate)
-            np.add(rate, drift, out=rate)
-            np.multiply(rate, dt, out=rate)
-            np.add(u, rate, out=out)
+            np.subtract(u[1:], u[:-1], out=first)
+            np.subtract(first[1:], first[:-1], out=second)
+            np.add(first[1:], first[:-1], out=central)
+            np.multiply(central, c_hi, out=drift)
+            np.multiply(central, c_lo, out=central)
+            pick(drift, central, out=drift)
+            np.multiply(second, c_d, out=second)
+            np.add(second, drift, out=drift)
+            np.add(u[1:-1], drift, out=out[1:-1])
         return step
 
     return (lambda dx: dx * dx), dt_bound, make_step
@@ -499,9 +484,10 @@ def _marches(problem: HjbProblem, space_points: int,
     marches = []
     for grid, spacing, refine in ((x, dx, 4), (x[::2].copy(), 2.0 * dx, 1)):
         steps = refine * coarse_steps
-        step = make_step(len(grid), spacing, 1.0 / steps)
+        dt = 1.0 / steps
         marches.append(_March(grid, steps, *_march(
-            problem.terminal(grid), steps, refine * every, step)))
+            problem.terminal(grid), steps, refine * every,
+            make_step(len(grid), spacing, dt)), dt / dt_bound(spacing)))
     return tuple(marches)
 
 
@@ -521,7 +507,8 @@ def _solve(problem: HjbProblem, space_points: int,
     return ValueGrid(x=x, times=fine.times, values=values, u0=u0,
                      min_seen=min(fine.lo, float(values.min())),
                      max_seen=max(fine.hi, float(values.max())),
-                     steps=fine.steps, richardson_gap=u0 - fine_root)
+                     steps=fine.steps, richardson_gap=u0 - fine_root,
+                     dt_ratio=fine.dt_ratio)
 
 
 def solve_g_heat(v: VarianceInterval, terminal: TestFunction,

@@ -159,6 +159,43 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("numerical failure: |mu| * dx")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        # the extrapolation on a 4-point grid reaches 1.035
+        ["--mu-low", "-0.5", "--mu-high", "0.5", "--space-points", "4"],
+        # |mu| * 2 * dx = 21.6 on the coarse grid: not monotone, reaches 1.006
+        ["--mu-low", "0", "--mu-high", "100"],
+    ])
+    def test_solution_outside_the_terminal_range_warns(self, tmp_path, capsys,
+                                                        argv):
+        out = tmp_path / "solve.csv"
+        assert run("solve", "--problem", "g-expectation", *argv, "--side",
+                   "sup", "--terminal", "normal_cdf", "--out", str(out)) == 0
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("warning: the solution reaches [")
+        assert "increase space_points" in err
+        assert out.read_text().startswith("name,value\nu0,")
+
+    S_SHAPE = ["--terminal", "s-shape", "--s-phi1", "tanh", "--s-theta", "0.5",
+               "--s-center", "0.0", "--s-envelope", "phibar"]
+
+    @pytest.mark.parametrize("argv", [
+        ["g-heat", "--sigma-low", "1", "--sigma-high", "1", "--terminal", "gauss_half"],
+        ["g-heat", "--sigma-low", "1", "--sigma-high", "2", "--terminal", "abs"],
+        ["g-heat", "--sigma-low", "1", "--sigma-high", "2", "--terminal", "neg_abs"],
+        # its max_seen is 1 + 2.7e-15
+        ["g-expectation", "--mu-low", "0", "--mu-high", "0.5", "--side", "sup",
+         "--terminal", "normal_cdf"],
+        ["g-expectation", "--mu-low", "-0.5", "--mu-high", "0.5", "--side", "sup",
+         "--terminal", "gauss"],
+        ["g-heat", "--sigma-low", "1", "--sigma-high", "2", *S_SHAPE],
+    ], ids=["degenerate", "convex", "concave", "increasing",
+            "symmetric-decreasing", "s-shaped"])
+    def test_criterion_6_problems_do_not_warn(self, tmp_path, capsys, argv):
+        assert run("solve", "--problem", *argv,
+                   "--out", str(tmp_path / "solve.csv")) == 0
+        assert capsys.readouterr().err == ""
+
     def test_g_expectation_with_tree(self, tmp_path):
         out = tmp_path / "solve.csv"
         code = run("solve", "--problem", "g-expectation", "--mu-low", "0",
@@ -665,6 +702,12 @@ class TestConfigFuzz:
                 code = run(command, "--config", cfg_path)
         assert code in (0, 1, 2), cfg
         lines = err.getvalue().splitlines()
+        # a solve whose solution leaves the terminal's range (a tiny grid)
+        # still runs, and says so in one warning line
+        warned = lines[:1] if code == 0 and command == "solve" else []
+        assert all(line.startswith("warning: the solution reaches")
+                   for line in warned), (cfg, lines)
+        lines = lines[len(warned):]
         assert all(line.startswith(("config error:", "numerical failure:"))
                    for line in lines), (cfg, lines)
         assert (code == 0) == (not lines), (cfg, lines)
@@ -782,7 +825,7 @@ class TestCsvRowsAsPythonFloats:
         values = np.outer([1.0, -2.5e-310, 7.0], x)
         grid = ValueGrid(x=x, times=np.array([1.0, 0.5, 0.0]), values=values,
                          u0=0.0, min_seen=0.0, max_seen=0.0, steps=1,
-                         richardson_gap=0.0)
+                         richardson_gap=0.0, dt_ratio=0.0)
         frozen = [(t, xi, ui) for t, layer in zip(grid.times, grid.values)
                   for xi, ui in zip(grid.x, layer)]
         assert all(type(v) is float for row in grid.rows() for v in row)

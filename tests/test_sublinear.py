@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nlclt.densities import (
     DensityParams,
@@ -14,6 +16,7 @@ from nlclt.errors import InvalidParams, InvalidTheta, UnstableResolution
 from nlclt.measure_dp import SNAP_REFINE_CAP, RectangularModel, _dp_grid
 from nlclt.numerics import quad_integrate, std_normal_cdf_arr, std_normal_pdf
 from nlclt.sublinear import (
+    CFL_SAFETY,
     GMean,
     GVariance,
     HjbProblem,
@@ -134,7 +137,7 @@ class TestGHeat:
     @pytest.mark.parametrize("time_steps, layers", [
         (1000, 11),   # 10 divides the 250 coarse steps: the last is a stored one
         (1001, 12),   # otherwise (251) the last step adds a 12th layer
-        (None, 12),   # the default 695 coarse CFL steps of this grid
+        (None, 12),   # the default 174 coarse CFL steps of this grid
     ])
     def test_snapshot_layers(self, time_steps, layers):
         grid = solve_g_heat(VarianceInterval(1.0, 2.0),
@@ -347,6 +350,49 @@ class TestTwoGridExtrapolation:
         ends = tf(grid.x[[0, -1]])
         for layer in grid.values:
             assert np.array_equal(layer[[0, -1]], ends)
+
+
+class TestStepDiagnostics:
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_dt_ratio_stays_within_the_bound(self, data):
+        # past |mu| * dx = 1 the drift's bound is 1 / mu^2
+        draw = data.draw
+        space_points = draw(st.integers(5, 201))
+        steps = draw(st.one_of(st.none(), st.integers(1, 20000)))
+        terminal = named_test_function("normal_cdf")
+        try:
+            if draw(st.booleans()):
+                sigma_high = draw(st.floats(0.5, 2.5))
+                v = VarianceInterval(draw(st.floats(0.5, sigma_high)), sigma_high)
+                grid = solve_g_heat(v, terminal, space_points, steps)
+            else:
+                m = MeanInterval(*sorted(draw(st.floats(-10.0, 10.0))
+                                         for _ in range(2)))
+                side = draw(st.sampled_from(["sup", "inf"]))
+                grid = solve_g_expectation(m, terminal, side, space_points, steps)
+        except UnstableResolution:
+            return
+        assert 0.0 < grid.dt_ratio <= (CFL_SAFETY if steps is None else 1.0)
+
+    def test_default_dt_ratio_of_the_g_heat_march(self):
+        # 401 points on [-16, 16]: dx = 0.08, so the fine bound is
+        # dx^2 / 4 = 1.6e-3; the coarse march takes
+        # ceil(1 / (0.9 * 6.4e-3)) = 174 steps and the fine one 696
+        grid = solve_g_heat(VarianceInterval(1.0, 2.0),
+                            named_test_function("gauss"), space_points=401)
+        assert grid.steps == 696
+        assert grid.dt_ratio == pytest.approx(1.0 / (696 * 1.6e-3), rel=1e-12)
+
+    def test_smallest_accepted_count_nears_the_bound(self):
+        # 401 points on [-8, 8]: dt_max = 1.6e-3, accepted from 625 steps,
+        # of which the fine march takes 4 * ceil(625 / 4) = 628
+        grid = solve_g_heat(VarianceInterval(1.0, 1.0),
+                            named_test_function("gauss_half"), space_points=401,
+                            time_steps=625)
+        assert grid.dt_ratio == pytest.approx(1.0 / (628 * 1.6e-3), rel=1e-12)
+        assert grid.dt_ratio <= 1.0
 
 
 class TestTreeOracle:
