@@ -7,6 +7,7 @@ nothing on the condition side is sampled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,15 +190,50 @@ def laplace_exact(lp: LaplaceParams) -> float:
 
 
 def lyapunov_statistic(model: IidModel, n: int) -> float:
-    """Lyapunov ratio for n iid copies: E|X-mu|^{2+d} / (sigma^{2+d} n^{d/2})."""
+    """Lyapunov ratio for n iid copies: E|X-mu|^{2+d} / (sigma^{2+d} n^{d/2}).
+
+    Evaluated as written while the moment, the denominator and the ratio
+    are normal floats; otherwise (a large d or n, a tiny variance) summed
+    over the atoms in logs by _lyapunov_in_logs.
+    """
     if n < 1:
         raise InvalidParams("n must be a positive integer")
     sigma2 = model.law.variance()
     if sigma2 == 0:
         raise InvalidParams("law has zero variance")
     d = model.delta
-    m = model.law.abs_central_moment(2.0 + d)
-    return m / (sigma2 ** (1.0 + d / 2.0) * n ** (d / 2.0))
+    tiny = sys.float_info.min
+    try:
+        with np.errstate(over="raise", under="raise"):
+            m = model.law.abs_central_moment(2.0 + d)
+        scale = sigma2 ** (1.0 + d / 2.0) * n ** (d / 2.0)
+    except (FloatingPointError, OverflowError):
+        m = scale = 0.0
+    if m >= tiny and tiny <= scale < math.inf and tiny <= m / scale < math.inf:
+        return m / scale
+    return _lyapunov_in_logs(model.law, sigma2, d, n)
+
+
+def _lyapunov_in_logs(law: DiscreteLaw, sigma2: float, d: float, n: int) -> float:
+    """The Lyapunov ratio as the sum over atoms of
+    exp(log p + 2 log z + d (log z - log(n) / 2)), z = |x - mu| / sigma, so
+    that no factor over- or underflows on its own: 0.0 where the ratio
+    underflows, InvalidParams where it exceeds the largest float."""
+    mu = law.mean()
+    half_log_n = 0.5 * math.log(n)
+    exponents = []
+    for x, p in zip(law.values, law.probs):
+        if p > 0 and x != mu:
+            log_z = math.log(abs(x - mu)) - 0.5 * math.log(sigma2)
+            exponents.append(math.log(p) + 2.0 * log_z + d * (log_z - half_log_n))
+    log_ratio = float(np.logaddexp.reduce(exponents))
+    try:
+        if log_ratio < math.inf:
+            return math.exp(log_ratio)
+    except OverflowError:
+        pass
+    raise InvalidParams(f"the Lyapunov ratio at n = {n}, delta = {d:g} "
+                        f"exceeds the largest float")
 
 
 def lindeberg_statistic(model: IidModel, n: int, eps: float) -> float:

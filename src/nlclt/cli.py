@@ -70,7 +70,7 @@ from .measure_dp import (
     policy_simulate,
     sup_expectation_dp,
 )
-from .numerics import Grid1D, SeedSpec
+from .numerics import SIDES, Grid1D, SeedSpec
 from .sublinear import (
     DEFAULT_SPACE_POINTS,
     GMean,
@@ -88,6 +88,8 @@ from .sublinear import (
 NUMERICAL_ERRORS = (UnstableResolution, NonConvergence, GridTooCoarse,
                     PolicyMismatch)
 DEFAULT_SEED = 1234
+# the n values of check --chain classical without --ns
+CLASSICAL_NS = (100, 400, 1600)
 
 
 def parse_grid(text: str) -> Grid1D:
@@ -206,7 +208,7 @@ _S_SHAPE = (
     Option("s_center", _number, 0.0, "s-shape junction"),
     Option("s_envelope", _text, "phibar", "s-shape envelope", ("phi", "phibar")),
 )
-_SIDE = Option("side", _text, "sup", "upper or lower expectation", ("sup", "inf"))
+_SIDE = Option("side", _text, "sup", "upper or lower expectation", SIDES)
 _LAW = (
     Option("law", _text, "rademacher", "iid step law", ("rademacher", "bernoulli")),
     Option("p", _number, 0.5, "bernoulli success probability", check=_OPEN_UNIT),
@@ -445,13 +447,15 @@ def _run_checks(values: dict) -> list:
                        "simulate": "target"}.get(command))
     checks = []
     if command == "solve" and path == "g-expectation":
-        checks.append(lambda: check_mean_solve_inputs(
-            build_payoff(values, "terminal"), values["side"]))
+        checks.append(lambda: check_mean_solve_inputs(build_payoff(values, "terminal")))
     if command == "converge" or path == "policy":
         ns = values["schedule"] if command == "converge" else [_simulate_n(values)]
         checks += [functools.partial(_rect_model, values, n) for n in ns]
-        checks.append(lambda: check_dp_inputs(build_payoff(values, "phi"),
-                                              values["side"]))
+        checks.append(lambda: check_dp_inputs(build_payoff(values, "phi")))
+    if path == "classical":
+        model = IidModel(_law(values), values["delta"])
+        checks += [functools.partial(lyapunov_statistic, model, n)
+                   for n in _ns(values, CLASSICAL_NS)]
     if path == "lindeberg":
         checks += [functools.partial(_rect_model, values, n) for n in _ns(values)]
     if path == "martingale":
@@ -578,16 +582,14 @@ def cmd_figures(cfg: dict) -> int:
 def cmd_solve(cfg: dict) -> int:
     terminal = build_payoff(cfg, "terminal")
     if cfg["problem"] == "g-heat":
-        v = VarianceInterval(cfg["sigma_low"], cfg["sigma_high"])
-        grid = solve_g_heat(v, terminal, space_points=cfg["space_points"],
-                            time_steps=cfg["time_steps"])
-        generator = GVariance(v)
+        solve = solve_g_heat
+        generator = GVariance(VarianceInterval(cfg["sigma_low"], cfg["sigma_high"]),
+                              cfg["side"])
     else:
-        m = MeanInterval(cfg["mu_low"], cfg["mu_high"])
-        grid = solve_g_expectation(m, terminal, cfg["side"],
-                                   space_points=cfg["space_points"],
-                                   time_steps=cfg["time_steps"])
-        generator = GMean(m, side=cfg["side"])
+        solve = solve_g_expectation
+        generator = GMean(MeanInterval(cfg["mu_low"], cfg["mu_high"]), cfg["side"])
+    grid = solve(generator.interval, terminal, generator.side,
+                 space_points=cfg["space_points"], time_steps=cfg["time_steps"])
     at_end = terminal(grid.x)
     low, high = float(at_end.min()), float(at_end.max())
     slack = 1e-12 * max(1.0, high - low)
@@ -635,7 +637,7 @@ def _check_classical(cfg: dict):
     law = _law(cfg)
     model = IidModel(law, cfg["delta"])
     rows = []
-    for n in _ns(cfg, (100, 400, 1600)):
+    for n in _ns(cfg, CLASSICAL_NS):
         rows.append((n, "lyapunov", lyapunov_statistic(model, n)))
         rows.append((n, "lindeberg", lindeberg_statistic(model, n, cfg["eps"])))
         rows.append((n, "feller", feller_ratio([law.variance()] * n)))

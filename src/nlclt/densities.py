@@ -20,6 +20,7 @@ from .numerics import (
     SQRT2,
     erfcx_arr,
     quad_integrate,
+    side_extremum,
     std_normal_cdf_arr,
 )
 
@@ -76,6 +77,11 @@ class VarianceInterval:
             raise InvalidParams(
                 f"variance interval needs 0 < sigma_low <= sigma_high, got "
                 f"[{self.sigma_low}, {self.sigma_high}]")
+        # the G-heat coefficients and the Lindeberg masses square the bounds
+        if not math.isfinite(self.sigma_high * self.sigma_high):
+            raise InvalidParams(
+                f"variance interval needs a finite sigma_high^2, got "
+                f"sigma_high = {self.sigma_high}")
 
     @property
     def theta(self) -> float:
@@ -149,8 +155,7 @@ def select_mean_limit_params(m: MeanInterval, c: float, monotone_on_right: str,
     """
     if monotone_on_right not in ("increasing", "decreasing"):
         raise InvalidParams(f"unknown monotonicity {monotone_on_right!r}")
-    if side not in ("sup", "inf"):
-        raise InvalidParams(f"unknown side {side!r}")
+    side_extremum(side)
     half = m.half_width
     positive = (monotone_on_right == "increasing") == (side == "sup")
     return DensityParams(alpha=half if positive else -half,
@@ -176,8 +181,7 @@ def select_variance_limit_params(v: VarianceInterval, c: float,
     """
     if convexity_on_right not in ("concave", "convex"):
         raise InvalidParams(f"unknown convexity {convexity_on_right!r}")
-    if side not in ("sup", "inf"):
-        raise InvalidParams(f"unknown side {side!r}")
+    side_extremum(side)
     if envelope not in ("phi", "phibar"):
         raise InvalidParams(f"unknown envelope {envelope!r}")
     key = (convexity_on_right, side, envelope)

@@ -33,7 +33,7 @@ from .densities import (
     select_variance_limit_params,
 )
 from .errors import GridTooCoarse, InvalidParams, PolicyMismatch, UnsupportedCombination
-from .numerics import Categorical, SeedSpec, generator, quad_integrate
+from .numerics import Categorical, SeedSpec, generator, quad_integrate, side_extremum
 from .sublinear import (TestFunction, default_halfwidth, solve_g_expectation,
                         solve_g_heat)
 
@@ -329,7 +329,7 @@ def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
                                    for p, (m, m1, w) in zip(probs, terms)]))
     term = np.empty(points)
     upper = np.empty(points)
-    best = np.maximum if side == "sup" else np.minimum
+    best = side_extremum(side)
     policy = np.empty((steps, points), dtype=np.int8) if record_policy else None
     for step in range(steps - 1, -1, -1):
         padded[:pad] = values[0]
@@ -387,10 +387,8 @@ def _backward_induction(model: RectangularModel, phi: TestFunction, side: str,
     return root, x, h, policy
 
 
-def check_dp_inputs(phi: TestFunction, side: str) -> None:
-    """The adversarial DP's preconditions on its payoff and side."""
-    if side not in ("sup", "inf"):
-        raise InvalidParams(f"unknown side {side!r}")
+def check_dp_inputs(phi: TestFunction) -> None:
+    """The adversarial DP's precondition on its payoff (the kernel checks the side)."""
     if phi.growth != "bounded_with_limits":
         raise InvalidParams("the adversarial DP needs a bounded payoff")
 
@@ -399,7 +397,7 @@ def _dp_root(model: RectangularModel, phi: TestFunction, side: str,
              target_points: int, check_points: Optional[int],
              record_policy: bool):
     """Root value and, when record_policy, the AdversaryPolicy (else None)."""
-    check_dp_inputs(phi, side)
+    check_dp_inputs(phi)
     root, x, h, policy = _backward_induction(model, phi, side, target_points,
                                              record_policy)
     if check_points is not None:
@@ -459,7 +457,7 @@ def lindeberg_condition_value(model: RectangularModel, eps: float) -> float:
 def _explicit_limit(model: RectangularModel, phi: TestFunction,
                     side: str) -> float:
     """Limit value from the explicit density when the shape qualifies,
-    otherwise from the PDE solver (lower values via duality)."""
+    otherwise from the PDE solver of the side."""
     if model.kind == MEAN_KIND:
         shape = phi.shape
         if shape is not None and shape.symmetric and shape.monotone_right:
@@ -480,11 +478,7 @@ def _explicit_limit(model: RectangularModel, phi: TestFunction,
                 -math.inf, math.inf, abs_tol=1e-9).value
         except UnsupportedCombination:
             pass
-    if side == "sup":
-        return solve_g_heat(model.var_interval, phi).u0
-    negated = TestFunction(rule=lambda y: -phi.rule(y), growth=phi.growth,
-                           limits=None)
-    return -solve_g_heat(model.var_interval, negated).u0
+    return solve_g_heat(model.var_interval, phi, side).u0
 
 
 def convergence_experiment(model: RectangularModel, phi: TestFunction,

@@ -44,6 +44,19 @@ class Grid1D:
         return np.linspace(self.lo, self.hi, self.points)
 
 
+_EXTREMA = {"sup": np.maximum, "inf": np.minimum}
+SIDES = tuple(_EXTREMA)
+
+
+def side_extremum(side: str) -> np.ufunc:
+    """The pointwise extremum over the controls that every kernel of the
+    upper ("sup") or lower ("inf") expectation takes; InvalidParams for any
+    other side."""
+    if side in SIDES:
+        return _EXTREMA[side]
+    raise InvalidParams(f"unknown side {side!r}")
+
+
 @dataclass(frozen=True)
 class QuadResult:
     """Integral value with an absolute error estimate."""

@@ -1,7 +1,7 @@
 """Terminal-value solvers for the sublinear limit functionals.
 
-The G-heat equation gives the upper expectation of a payoff of a
-variance-uncertain limit; the semilinear drift equation gives the
+The G-heat equation gives the upper or the lower expectation of a payoff
+of a variance-uncertain limit; the semilinear drift equation gives the
 mean-uncertain value (the backward-equation value solved through its
 equivalent parabolic form).  Each solve marches its grid and every other
 point of it, and reports the two-grid Richardson extrapolation.  The
@@ -19,6 +19,7 @@ import numpy as np
 
 from .densities import MeanInterval, VarianceInterval
 from .errors import InvalidParams, InvalidTheta, UnstableResolution
+from .numerics import side_extremum
 
 # The coarse march's step is at most this fraction of its grid's stability
 # bound, and the fine march's is a quarter of it at half the spacing: on
@@ -210,8 +211,7 @@ class GVariance:
     side: str = "sup"
 
     def __post_init__(self):
-        if self.side not in ("sup", "inf"):
-            raise InvalidParams(f"unknown side {self.side!r}")
+        side_extremum(self.side)
 
 
 @dataclass(frozen=True)
@@ -220,8 +220,7 @@ class GMean:
     side: str = "sup"
 
     def __post_init__(self):
-        if self.side not in ("sup", "inf"):
-            raise InvalidParams(f"unknown side {self.side!r}")
+        side_extremum(self.side)
 
 
 @dataclass(frozen=True)
@@ -342,7 +341,7 @@ def _march(u0: np.ndarray, steps: int, every: int, step: Callable) -> tuple:
     return times, values, float(lo), float(hi)
 
 
-def _g_heat_scheme(v: VarianceInterval) -> tuple:
+def _g_heat_scheme(v: VarianceInterval, side: str) -> tuple:
     """(diffusion_bound, dt_bound, make_step) of the G-heat march.
 
     dt_bound(dx) is the largest stable time step and diffusion_bound(dx)
@@ -350,12 +349,13 @@ def _g_heat_scheme(v: VarianceInterval) -> tuple:
     make_step(n, dx, dt) returns the one-step update step(u, out) on n grid
     points.  The step folds dt / dx^2 into the control coefficients,
     c_pm = a_pm * dt / dx^2, and writes the interior only:
-    out[1:-1] = u[1:-1] + max(c_neg * s, c_pos * s), with s the second
-    difference of u.  That is 6 array operations per step.
+    out[1:-1] = u[1:-1] + pick(c_neg * s, c_pos * s), with pick the max (sup)
+    or min (inf) and s the second difference of u: 6 array operations per step.
     """
     sig_max2 = v.sigma_high ** 2
     a_pos = 0.5 * sig_max2
     a_neg = 0.5 * v.sigma_low ** 2
+    pick = side_extremum(side)
 
     def make_step(n, dx, dt):
         c_pos = a_pos * dt / (dx * dx)
@@ -365,12 +365,12 @@ def _g_heat_scheme(v: VarianceInterval) -> tuple:
         rate = np.empty(n - 2)
 
         def step(u, out):
-            # c_pos >= c_neg >= 0, so the max picks c_pos * s where s >= 0.
+            # c_pos >= c_neg >= 0: max takes c_pos * s where s >= 0, min where s <= 0
             np.subtract(u[1:], u[:-1], out=first)
             np.subtract(first[1:], first[:-1], out=second)
             np.multiply(second, c_neg, out=rate)
             np.multiply(second, c_pos, out=second)
-            np.maximum(rate, second, out=rate)
+            pick(rate, second, out=rate)
             np.add(u[1:-1], rate, out=out[1:-1])
         return step
 
@@ -391,7 +391,7 @@ def _drift_scheme(m: MeanInterval, side: str) -> tuple:
     operations per step.
     """
     mu_max = max(abs(m.mu_low), abs(m.mu_high))
-    pick = np.maximum if side == "sup" else np.minimum
+    pick = side_extremum(side)
 
     # The drift is differenced centrally: with unit diffusion the explicit
     # step is stable for dt <= dx^2 and mu^2 * dt <= 1, and the second bound
@@ -462,10 +462,8 @@ def _marches(problem: HjbProblem, space_points: int,
     if time_steps is not None and time_steps < 1:
         raise InvalidParams(f"time_steps must be >= 1, got {time_steps}")
     gen = problem.generator
-    if isinstance(gen, GVariance):
-        diffusion_bound, dt_bound, make_step = _g_heat_scheme(gen.interval)
-    else:
-        diffusion_bound, dt_bound, make_step = _drift_scheme(gen.interval, gen.side)
+    scheme = _g_heat_scheme if isinstance(gen, GVariance) else _drift_scheme
+    diffusion_bound, dt_bound, make_step = scheme(gen.interval, gen.side)
     L = problem.halfwidth()
     x = np.linspace(-L, L, space_points)
     dx = x[1] - x[0]
@@ -511,20 +509,18 @@ def _solve(problem: HjbProblem, space_points: int,
                      dt_ratio=fine.dt_ratio)
 
 
-def solve_g_heat(v: VarianceInterval, terminal: TestFunction,
+def solve_g_heat(v: VarianceInterval, terminal: TestFunction, side: str = "sup",
                  space_points: int = DEFAULT_SPACE_POINTS,
                  time_steps: Optional[int] = None,
                  domain_halfwidth: Optional[float] = None) -> ValueGrid:
-    """March the G-heat equation back from t = 1; u(0,0) is the upper
-    expectation of the terminal under the variance interval."""
-    return _solve(HjbProblem(GVariance(v), terminal, domain_halfwidth),
+    """March the G-heat equation back from t = 1; u(0,0) is the upper (sup) or
+    the lower (inf) expectation of the terminal under the variance interval."""
+    return _solve(HjbProblem(GVariance(v, side), terminal, domain_halfwidth),
                   space_points, time_steps)
 
 
-def check_mean_solve_inputs(terminal: TestFunction, side: str) -> None:
-    """solve_g_expectation's preconditions on its terminal and side."""
-    if side not in ("sup", "inf"):
-        raise InvalidParams(f"unknown side {side!r}")
+def check_mean_solve_inputs(terminal: TestFunction) -> None:
+    """solve_g_expectation's precondition on its terminal (GMean checks the side)."""
     if terminal.growth != "bounded_with_limits":
         raise InvalidParams("mean-uncertain solve needs a bounded terminal")
 
@@ -539,7 +535,7 @@ def solve_g_expectation(m: MeanInterval, terminal: TestFunction, side: str,
     Bounded terminals only; the drift term is max (sup) or min (inf) of
     mu * gradient over the mean interval.
     """
-    check_mean_solve_inputs(terminal, side)
+    check_mean_solve_inputs(terminal)
     return _solve(HjbProblem(GMean(m, side=side), terminal, domain_halfwidth),
                   space_points, time_steps)
 

@@ -7,6 +7,7 @@ from nlclt.classical import (
     DiscreteLaw,
     IidModel,
     LaplaceParams,
+    _lyapunov_in_logs,
     binomial_standardized_prob,
     feller_ratio,
     laplace_approx,
@@ -103,6 +104,16 @@ class TestConditionStatistics:
         sigma = math.sqrt(0.3 * 0.7)
         expected = BERN03_ABS3 / (sigma ** 3 * math.sqrt(400))
         assert lyapunov_statistic(model, 400) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("law,delta", [
+        (DiscreteLaw.bernoulli(0.3), 1.0), (DiscreteLaw.bernoulli(0.05), 2.5),
+        (DiscreteLaw((-3.0, 0.5, 2.0), (0.2, 0.5, 0.3)), 0.5)])
+    def test_lyapunov_in_logs_matches_the_direct_ratio(self, law, delta):
+        # the form past the float range, checked where both forms are exact
+        for n in (1, 100, 1600):
+            direct = lyapunov_statistic(IidModel(law, delta), n)
+            assert _lyapunov_in_logs(law, law.variance(), delta, n) == \
+                pytest.approx(direct, rel=1e-13)
 
     def test_lyapunov_rejects_degenerate(self):
         law = DiscreteLaw(values=(2.0,), probs=(1.0,))

@@ -28,6 +28,25 @@ def run(*argv):
     return main(list(argv))
 
 
+def assert_one_config_error(tmp_path, capsys, argv, problem):
+    """argv, run with numpy warnings as errors, exits 2 with the one line
+    `config error: problem` and writes nothing; validate reports the same
+    problem for the equivalent JSON config."""
+    out = tmp_path / "never.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(*argv, "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {problem}\n"
+    assert not out.exists()
+    cfg = merge_config(build_parser().parse_args(argv))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run("validate", "--config", str(cfg_path)) == 0
+    assert capsys.readouterr().out == \
+        f"validation report: 1 violation(s)\n  - {problem}\n"
+
+
 class TestDensityCommand:
     def test_alpha_zero_equals_standard_normal(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -195,6 +214,19 @@ class TestSolveCommand:
         assert run("solve", "--problem", *argv,
                    "--out", str(tmp_path / "solve.csv")) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("terminal,target", [
+        ("abs", math.sqrt(2.0 / math.pi)),            # sigma_low * sqrt(2/pi)
+        ("neg_abs", -2.0 * math.sqrt(2.0 / math.pi)),  # -sigma_high * sqrt(2/pi)
+    ])
+    def test_g_heat_lower_expectation(self, tmp_path, terminal, target):
+        out = tmp_path / "solve.csv"
+        assert run("solve", "--problem", "g-heat", "--sigma-low", "1",
+                   "--sigma-high", "2", "--terminal", terminal, "--side", "inf",
+                   "--tree-steps", "2000", "--out", str(out)) == 0
+        rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+        assert abs(float(rows["u0"]) - target) <= 1e-6
+        assert float(rows["abs_gap"]) <= 1e-3
 
     def test_g_expectation_with_tree(self, tmp_path):
         out = tmp_path / "solve.csv"
@@ -499,20 +531,7 @@ class TestNonFiniteNumbers:
          "etas entries must be finite numbers"),
     ])
     def test_one_config_error_and_no_output(self, tmp_path, capsys, argv, problem):
-        out = tmp_path / "never.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run(*argv, "--out", str(out))
-        assert code == 2
-        assert capsys.readouterr().err == f"config error: {problem}\n"
-        assert not out.exists()
-        # validate reports the same problem for the equivalent JSON config
-        cfg = merge_config(build_parser().parse_args(argv))
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        assert run("validate", "--config", str(cfg_path)) == 0
-        assert capsys.readouterr().out == \
-            f"validation report: 1 violation(s)\n  - {problem}\n"
+        assert_one_config_error(tmp_path, capsys, argv, problem)
 
 
 class TestExtremeScales:
@@ -545,6 +564,46 @@ class TestExtremeScales:
             warnings.simplefilter("error")
             code = run(*argv, "--out", str(tmp_path / "x.csv"))
         assert code == 0 and capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "g-heat", "--sigma-low", "1", "--sigma-high", "1e155",
+         "--terminal", "abs"],
+        ["converge", "--model", "variance", "--sigma-low", "1", "--sigma-high",
+         "1e155", "--phi", "gauss", "--schedule", "10"],
+        ["check", "--chain", "lindeberg", "--model", "variance", "--sigma-low", "1",
+         "--sigma-high", "1e155"],
+    ], ids=["solve", "converge", "lindeberg"])
+    def test_variance_bound_whose_square_overflows(self, tmp_path, capsys, argv):
+        assert_one_config_error(
+            tmp_path, capsys, argv,
+            "variance interval needs a finite sigma_high^2, got sigma_high = 1e+155")
+
+    @pytest.mark.parametrize("argv,want", [
+        # |X| = 1: the ratio is n^-1000, which underflows to 0.0
+        (["--delta", "2000"], lambda n: 0.0),
+        # the moment and sigma^3 underflow, the ratio is ~1e150 / sqrt(n)
+        (["--law", "bernoulli", "--p", "1e-300"],
+         lambda n: (1.0 - 2e-300) / math.sqrt(1e-300 * n)),
+    ], ids=["delta-2000", "p-1e-300"])
+    def test_lyapunov_ratio_past_the_float_range(self, tmp_path, capsys, argv, want):
+        out = tmp_path / "check.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("check", "--chain", "classical", *argv, "--out", str(out))
+        assert code == 0 and capsys.readouterr().err == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        values = {int(n): float(v) for n, name, v in rows if name == "lyapunov"}
+        assert sorted(values) == [100, 400, 1600]
+        for n, value in values.items():
+            assert value == pytest.approx(want(n), rel=1e-13, abs=0.0)
+
+    def test_lyapunov_ratio_past_the_largest_float(self, tmp_path, capsys):
+        # p (1/sqrt(p))^5 / n^1.5 = 1e450 / 1e3
+        assert_one_config_error(
+            tmp_path, capsys,
+            ["check", "--chain", "classical", "--law", "bernoulli", "--p", "1e-300",
+             "--delta", "3", "--ns", "100"],
+            "the Lyapunov ratio at n = 100, delta = 3 exceeds the largest float")
 
     def test_feedback_scale_whose_square_overflows(self, tmp_path, capsys):
         out = tmp_path / "never.csv"

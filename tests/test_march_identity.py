@@ -113,18 +113,19 @@ def ref_marches(problem, space_points, time_steps, dt_bound, update):
                                                  dt_bound)]
 
 
-def ref_g_heat(v, terminal, space_points, time_steps):
+def ref_g_heat(v, terminal, side, space_points, time_steps):
     """ref_marches of the G-heat problem."""
-    problem = HjbProblem(GVariance(v), terminal)
+    problem = HjbProblem(GVariance(v, side), terminal)
     a_pos = 0.5 * v.sigma_high ** 2
     a_neg = 0.5 * v.sigma_low ** 2
+    pick = np.maximum if side == "sup" else np.minimum
 
     def update(u, dx, dt):
         c_pos = a_pos * dt / (dx * dx)
         c_neg = a_neg * dt / (dx * dx)
         s = np.diff(u, 2)
         out = u.copy()
-        out[1:-1] = u[1:-1] + np.maximum(c_neg * s, c_pos * s)
+        out[1:-1] = u[1:-1] + pick(c_neg * s, c_pos * s)
         return out
 
     return ref_marches(problem, space_points, time_steps, heat_dt_bound(v), update)
@@ -149,15 +150,16 @@ def ref_g_expectation(m, terminal, side, space_points, time_steps):
     return ref_marches(problem, space_points, time_steps, mean_dt_bound(m), update)
 
 
-def legacy_g_heat(v, terminal, space_points, time_steps):
+def legacy_g_heat(v, terminal, side, space_points, time_steps):
     """ref_g_heat with the earlier step formulas."""
-    problem = HjbProblem(GVariance(v), terminal)
-    a_pos = 0.5 * v.sigma_high ** 2
-    a_neg = 0.5 * v.sigma_low ** 2
+    problem = HjbProblem(GVariance(v, side), terminal)
+    a_convex, a_concave = (0.5 * v.sigma_high ** 2, 0.5 * v.sigma_low ** 2)
+    if side == "inf":
+        a_convex, a_concave = a_concave, a_convex
 
     def update(u, dx, dt):
         d2 = legacy_second_difference(u, dx)
-        return u + dt * np.where(d2 >= 0, a_pos * d2, a_neg * d2)
+        return u + dt * np.where(d2 >= 0, a_convex * d2, a_concave * d2)
 
     return ref_marches(problem, space_points, time_steps, heat_dt_bound(v), update)
 
@@ -192,19 +194,19 @@ def ref_combination(fine, coarse):
 
 def solver_problem(kind, interval, terminal, side):
     if kind == "g_heat":
-        return HjbProblem(GVariance(interval), terminal)
+        return HjbProblem(GVariance(interval, side=side), terminal)
     return HjbProblem(GMean(interval, side=side), terminal)
 
 
 def reference(kind, interval, terminal, side, space_points, steps):
     if kind == "g_heat":
-        return ref_g_heat(interval, terminal, space_points, steps)
+        return ref_g_heat(interval, terminal, side, space_points, steps)
     return ref_g_expectation(interval, terminal, side, space_points, steps)
 
 
 def legacy(kind, interval, terminal, side, space_points, steps):
     if kind == "g_heat":
-        return legacy_g_heat(interval, terminal, space_points, steps)
+        return legacy_g_heat(interval, terminal, side, space_points, steps)
     return legacy_g_expectation(interval, terminal, side, space_points, steps)
 
 
@@ -266,15 +268,15 @@ def spacing(problem, space_points):
 @st.composite
 def problems(draw):
     space_points = draw(st.integers(5, 301))
+    side = draw(st.sampled_from(["sup", "inf"]))
     if draw(st.booleans()):
         sigma_low, sigma_high = draw(ordered_pair(0.5, 2.5))
         v = VarianceInterval(sigma_low, sigma_high)
         terminal = draw(terminals(bounded_only=False))
         dx = spacing(HjbProblem(GVariance(v), terminal), space_points)
         steps = draw(time_steps(heat_dt_bound(v)(dx)))
-        return ("g_heat", v, terminal, None, space_points, steps)
+        return ("g_heat", v, terminal, side, space_points, steps)
     m = MeanInterval(*draw(ordered_pair(-1.0, 1.0)))
-    side = draw(st.sampled_from(["sup", "inf"]))
     terminal = draw(terminals(bounded_only=True))
     problem = HjbProblem(GMean(m, side=side), terminal)
     steps = draw(time_steps(diffusion_bound(problem)(spacing(problem, space_points))))
@@ -293,10 +295,9 @@ def test_in_place_march_is_bit_identical(problem):
 @given(problems())
 def test_two_grid_combination_is_bit_identical(problem):
     kind, interval, terminal, side, space_points, steps = problem
-    if kind == "g_heat":
-        grid = solve_g_heat(interval, terminal, space_points, steps)
-    else:
-        grid = solve_g_expectation(interval, terminal, side, space_points, steps)
+    solve = solve_g_heat if kind == "g_heat" else solve_g_expectation
+    grid = solve(interval, terminal, side, space_points=space_points,
+                 time_steps=steps)
     fine, coarse = reference(kind, interval, terminal, side, space_points, steps)
     values, u0, lo, hi, gap = ref_combination(fine, coarse)
     assert grid.x.tobytes() == fine[0].tobytes()
@@ -392,9 +393,9 @@ def stable_points(problem, dt_max_of, steps, most=201):
     return 5
 
 
-def heat_case(sigma_low, sigma_high, name):
+def heat_case(sigma_low, sigma_high, name, side="sup"):
     return ("g_heat", VarianceInterval(sigma_low, sigma_high),
-            named_test_function(name), None)
+            named_test_function(name), side)
 
 
 def mean_case(mu_low, mu_high, name, side):
@@ -405,6 +406,7 @@ def mean_case(mu_low, mu_high, name, side):
 ZERO_PATH_CASES = {
     # -0.0 at the centre of -|x|
     "neg_abs": heat_case(1.0, 2.0, "neg_abs"),
+    "neg_abs_inf": heat_case(1.0, 2.0, "neg_abs", "inf"),
     # flat tails beyond |x| = 10, where d1 = d2 = 0 exactly
     "clip_linear_heat": heat_case(1.5, 2.0, "clip_linear"),
     "clip_linear_sup": mean_case(-2.0, 3.0, "clip_linear", "sup"),

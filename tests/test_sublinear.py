@@ -246,13 +246,16 @@ class TestGExpectation:
 class TestTwoGridExtrapolation:
     CASES = {
         "gauss_half": (lambda n: solve_g_heat(
-            VarianceInterval(1.0, 1.0), named_test_function("gauss_half"), n),
+            VarianceInterval(1.0, 1.0), named_test_function("gauss_half"), "sup", n),
             ONE_OVER_SQRT2, 12.0),
         "abs": (lambda n: solve_g_heat(
-            VarianceInterval(1.0, 2.0), named_test_function("abs"), n),
+            VarianceInterval(1.0, 2.0), named_test_function("abs"), "sup", n),
             TWO_SQRT_2_PI, 12.0),
+        "abs_inf": (lambda n: solve_g_heat(
+            VarianceInterval(1.0, 2.0), named_test_function("abs"), "inf", n),
+            SQRT_2_PI, 12.0),
         "neg_abs": (lambda n: solve_g_heat(
-            VarianceInterval(1.0, 2.0), named_test_function("neg_abs"), n),
+            VarianceInterval(1.0, 2.0), named_test_function("neg_abs"), "sup", n),
             -SQRT_2_PI, 12.0),
         "normal_cdf_sup": (lambda n: solve_g_expectation(
             MeanInterval(0.0, 0.5), named_test_function("normal_cdf"), "sup", n),
@@ -263,8 +266,8 @@ class TestTwoGridExtrapolation:
         # the S-shaped terminal's kink in the second derivative at its
         # junction leaves a slower term; measured 7.5x per halving
         "s_tanh": (lambda n: solve_g_heat(
-            VarianceInterval(1.0, 2.0), make_s_shaped(tanh_s_spec(), "phibar"), n),
-            0.0, 6.0),
+            VarianceInterval(1.0, 2.0), make_s_shaped(tanh_s_spec(), "phibar"), "sup",
+            n), 0.0, 6.0),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -342,7 +345,8 @@ class TestTwoGridExtrapolation:
         # fine march's end value
         if kind == "g_heat":
             tf = make_s_shaped(tanh_s_spec(), "phibar")
-            grid = solve_g_heat(VarianceInterval(1.0, 2.0), tf, space_points)
+            grid = solve_g_heat(VarianceInterval(1.0, 2.0), tf,
+                                space_points=space_points)
         else:
             tf = named_test_function("normal_cdf")
             grid = solve_g_expectation(MeanInterval(-0.5, 0.5), tf, "sup",
@@ -362,15 +366,15 @@ class TestStepDiagnostics:
         space_points = draw(st.integers(5, 201))
         steps = draw(st.one_of(st.none(), st.integers(1, 20000)))
         terminal = named_test_function("normal_cdf")
+        side = draw(st.sampled_from(["sup", "inf"]))
         try:
             if draw(st.booleans()):
                 sigma_high = draw(st.floats(0.5, 2.5))
                 v = VarianceInterval(draw(st.floats(0.5, sigma_high)), sigma_high)
-                grid = solve_g_heat(v, terminal, space_points, steps)
+                grid = solve_g_heat(v, terminal, side, space_points, steps)
             else:
                 m = MeanInterval(*sorted(draw(st.floats(-10.0, 10.0))
                                          for _ in range(2)))
-                side = draw(st.sampled_from(["sup", "inf"]))
                 grid = solve_g_expectation(m, terminal, side, space_points, steps)
         except UnstableResolution:
             return
