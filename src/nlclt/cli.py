@@ -38,18 +38,7 @@ from .densities import (
     VarianceInterval,
     emit_density_curve,
 )
-from .errors import (
-    ConfigError,
-    GridTooCoarse,
-    InvalidParams,
-    InvalidTheta,
-    NlcltError,
-    NonConvergence,
-    PolicyMismatch,
-    UnstableResolution,
-    UnsupportedCombination,
-    require_at_least,
-)
+from .errors import ConfigError, InvalidParams, NlcltError, require_at_least
 from .martingale import (
     BROWN_MIN_REPS,
     MCLEISH_MIN_REPS,
@@ -85,8 +74,6 @@ from .sublinear import (
     tree_value_oracle,
 )
 
-NUMERICAL_ERRORS = (UnstableResolution, NonConvergence, GridTooCoarse,
-                    PolicyMismatch)
 DEFAULT_SEED = 1234
 # the n values of check --chain classical without --ns
 CLASSICAL_NS = (100, 400, 1600)
@@ -344,7 +331,7 @@ def _settle(cfg: dict) -> tuple:
             continue
         try:
             values[name] = _coerce(opt, cfg.get(name, opt.default))
-        except ConfigError as exc:
+        except InvalidParams as exc:
             problems.append(str(exc))
     return values, problems + _domain_problems(values)
 
@@ -371,9 +358,10 @@ def _preflight(cfg: dict) -> tuple:
     for check in _run_checks(values):
         try:
             check()
-        except (InvalidParams, InvalidTheta, UnsupportedCombination,
-                ConfigError) as exc:
-            problems.append(str(exc))
+        except InvalidParams as exc:
+            # a rule that every n of a schedule breaks is one problem
+            if str(exc) not in problems:
+                problems.append(str(exc))
     return values, problems
 
 
@@ -405,7 +393,7 @@ def _domain_problems(values: dict) -> list:
             continue
         try:
             build(*args)
-        except (InvalidParams, InvalidTheta) as exc:
+        except InvalidParams as exc:
             problems.append(str(exc))
     alpha, beta = values.get("alpha"), values.get("beta")
     if (values.get("family") == "cez" and None not in (alpha, beta)
@@ -504,14 +492,11 @@ def build_payoff(cfg: dict, key: str):
     """The payoff named by cfg[key].  An s-shape reads its s_* options from
     cfg, or their table defaults where cfg leaves them unset."""
     name = cfg[key]
-    try:
-        if name != "s-shape":
-            return named_test_function(name)
-        s = {opt.name: _or(cfg.get(opt.name), opt.default) for opt in _S_SHAPE}
-        spec = _s_shape_spec(s["s_phi1"], s["s_center"], s["s_theta"])
-        return make_s_shaped(spec, s["s_envelope"])
-    except (InvalidParams, InvalidTheta) as exc:
-        raise ConfigError(str(exc))
+    if name != "s-shape":
+        return named_test_function(name)
+    s = {opt.name: _or(cfg.get(opt.name), opt.default) for opt in _S_SHAPE}
+    spec = _s_shape_spec(s["s_phi1"], s["s_center"], s["s_theta"])
+    return make_s_shaped(spec, s["s_envelope"])
 
 
 def write_table(path: str, header: str, rows) -> None:
@@ -807,13 +792,7 @@ def main(argv=None) -> int:
                 print(f"config error: {p}", file=sys.stderr)
             return 2
         return COMMANDS[cfg["command"]][0](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidParams, InvalidTheta, UnsupportedCombination) as exc:
+    except InvalidParams as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NlcltError as exc:

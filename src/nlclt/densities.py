@@ -51,6 +51,12 @@ class MeanInterval:
             raise InvalidParams(
                 f"mean interval needs mu_low <= mu_high, got "
                 f"[{self.mu_low}, {self.mu_high}]")
+        # the Lindeberg masses and the mean model's steps square the bounds
+        if not (math.isfinite(self.mu_low * self.mu_low)
+                and math.isfinite(self.mu_high * self.mu_high)):
+            raise InvalidParams(
+                f"mean interval needs finite squared bounds, got "
+                f"[{self.mu_low}, {self.mu_high}]")
 
     @property
     def half_width(self) -> float:

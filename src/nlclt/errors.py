@@ -6,7 +6,11 @@ class NlcltError(Exception):
 
 
 class InvalidParams(NlcltError, ValueError):
-    """Inputs violate a documented precondition or type invariant."""
+    """Inputs violate a documented precondition or type invariant.
+
+    The CLI reports this class and its subclasses as a config error (exit
+    2), and every other NlcltError as a numerical failure (exit 1).
+    """
 
 
 def require_at_least(name: str, value, least) -> None:
@@ -28,11 +32,11 @@ class NonConvergence(NlcltError):
         self.evaluations = evaluations
 
 
-class UnsupportedCombination(NlcltError, ValueError):
+class UnsupportedCombination(InvalidParams):
     """A (side, envelope, convexity) combination not covered by the limit theorems."""
 
 
-class InvalidTheta(NlcltError, ValueError):
+class InvalidTheta(InvalidParams):
     """S-shape ratio theta outside (0, 1]."""
 
 
@@ -48,5 +52,5 @@ class PolicyMismatch(NlcltError, ValueError):
     """An adversary policy does not match the model it is replayed against."""
 
 
-class ConfigError(NlcltError, ValueError):
+class ConfigError(InvalidParams):
     """CLI configuration is malformed or violates an operation precondition."""

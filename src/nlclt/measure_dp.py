@@ -9,17 +9,19 @@ the induction is exact-on-grid.
 
 The lattice section owns the one backward-induction kernel; the PDE
 module's lattice oracle calls it too.  The kernel works on two levels:
-each step forms one innovation expectation per distinct row of whole-cell
-innovation moves, and each control reads it at its own drift (a view at a
-whole cell, else interpolated between two); a control whose innovation
-moves are not whole cells sums its atoms' interpolated shifts itself.
+each step forms one expectation per group of weighted whole-cell moves,
+and each control reads its group at its own drift (a view at a whole
+cell, else interpolated between two).  A control whose innovation moves
+are whole cells groups its atoms' moves and reads them at its drift; any
+other control splits each atom's summed offset between two cells and
+reads its group at 0.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -88,6 +90,14 @@ class RectangularModel:
                 raise InvalidParams("mean_uncertain model needs a MeanInterval")
             if not 0.0 <= self.sigma < math.inf:
                 raise InvalidParams("sigma must be finite and >= 0")
+            # the Lindeberg masses square each step mu + sigma * eps
+            m = self.mean_interval
+            steps = [mu + self.sigma * e for mu in (m.mu_low, m.mu_high)
+                     for e in self.innovation.values]
+            if not all(math.isfinite(s * s) for s in steps):
+                raise InvalidParams(
+                    f"mean model needs a finite squared step mu + sigma * eps, "
+                    f"got sigma = {self.sigma} on [{m.mu_low}, {m.mu_high}]")
         else:
             if self.var_interval is None:
                 raise InvalidParams("variance_uncertain model needs a VarianceInterval")
@@ -171,12 +181,13 @@ def _dp_grid(model: RectangularModel, target_points: int,
     Returns (x, h, offsets[controls, atoms], drift[controls]): a step moves
     by a control's drift (mu/n, or 0 for a scale) plus its innovation move
     (k*eps or sigma*eps/sqrt(n)); offsets are the two summed, in cells,
-    rounded when every one is within 1e-9 of an integer, and drift is the
-    drift in cells.  The target spacing 2 * halfwidth / (target_points - 1)
-    is refined, where the ratios allow, so that every innovation move is a
-    whole number of cells; the mean model's small mu/n drift is then read
-    off each step's innovation expectation by interpolation, which stops
-    the fixed-weight interpolation bias from accumulating over n steps.
+    and drift is the drift in cells, neither rounded (the kernel's
+    _cell_split says which are whole cells).  The target spacing
+    2 * halfwidth / (target_points - 1) is refined, where the ratios allow,
+    so that every innovation move is a whole number of cells; the mean
+    model's small mu/n drift is then read off each step's innovation
+    expectation by interpolation, which stops the fixed-weight
+    interpolation bias from accumulating over n steps.
     """
     if target_points < 3:
         raise InvalidParams(f"grid_points must be >= 3, got {target_points}")
@@ -197,14 +208,7 @@ def _dp_grid(model: RectangularModel, target_points: int,
         h = 2.0 * halfwidth / (target_points - 1)
     half_cells = math.ceil(halfwidth / h)
     x = (np.arange(-half_cells, half_cells + 1)) * h
-    offsets = (drift[:, None] + moves) / h
-    if np.all(np.abs(offsets - np.round(offsets)) < 1e-9):
-        offsets = np.round(offsets)
-    return x, h, offsets, drift / h
-
-
-def _clamp(m: int, limit: int) -> int:
-    return max(-limit, min(limit, m))
+    return x, h, (drift[:, None] + moves) / h, drift / h
 
 
 def _cell_split(offset: float):
@@ -218,49 +222,42 @@ def _cell_split(offset: float):
     return m, offset - m
 
 
-class LatticeStencil(NamedTuple):
-    """How `_lattice_induction` forms each control's expectation.
+def _lattice_stencil(offsets: np.ndarray, drift: np.ndarray, probs,
+                     points: int) -> list:
+    """How `_lattice_induction` forms each control's expectation: one
+    (terms, reach, members) group per distinct set of weighted cell moves.
 
-    groups: one (moves, reach, members) per distinct row of whole-cell
-    innovation moves.  The group's expectation E = sum over atoms of
-    p * V[i + move] is formed once per step over `reach` cells past both
-    ends; each member (control, f, w) reads it at its drift in cells: the
-    view E[i + f] when w is None, else (1 - w) * E[i + f] + w * E[i + f + 1].
-    per_atom: (control, terms) for a control whose innovation moves are
-    not whole cells; terms holds (m, m + 1 or None, w) per atom of its
-    summed offsets, the drift folded in.
-    Every shift is clamped to the cells that can still reach the grid.
+    The group's expectation E = sum over its terms (m, q) of q * V[i + m]
+    is formed once per step over `reach` cells past both ends; each member
+    (control, f, w) reads it at its drift in cells: the view E[i + f] when
+    w is None, else (1 - w) * E[i + f] + w * E[i + f + 1].  A control whose
+    innovation moves are whole cells has the terms (move, p) of its atoms
+    and reads its group at its drift; any other control splits each atom's
+    summed offset between its two cells, (m, p * (1 - w)) and
+    (m + 1, p * w), and reads its terms at 0.  Every shift is clamped to
+    the cells that can still reach the grid.
     """
-
-    groups: list
-    per_atom: list
-
-
-def _lattice_stencil(offsets: np.ndarray, drift: np.ndarray,
-                     points: int) -> LatticeStencil:
-    """Split the controls into innovation groups and per-atom rows."""
     groups = {}
-    per_atom = []
     for c, (row, d) in enumerate(zip(offsets, drift)):
         moves = row - d
-        whole = np.round(moves)
-        if np.all(np.abs(moves - whole) < 1e-9):
-            groups.setdefault(tuple(int(m) for m in whole), []).append(
-                (c, *_cell_split(d)))
-            continue
+        if all(_cell_split(move)[1] is None for move in moves):
+            cells, read = moves, _cell_split(d)
+        else:
+            cells, read = row, (0, None)
         terms = []
-        for off in row:
+        for off, p in zip(cells, probs):
             m, w = _cell_split(off)
-            terms.append((_clamp(m, points - 1), None, None) if w is None
-                         else (_clamp(m, points - 1), _clamp(m + 1, points - 1), w))
-        per_atom.append((c, terms))
-    stencil_groups = []
-    for moves, members in groups.items():
+            terms += [(m, float(p))] if w is None else \
+                [(m, float(p * (1.0 - w))), (m + 1, float(p * w))]
+        groups.setdefault(tuple(terms), []).append((c, *read))
+    stencil = []
+    for terms, members in groups.items():
         reach = max(max(abs(f), 0 if w is None else abs(f + 1))
                     for _, f, w in members)
-        stencil_groups.append((tuple(_clamp(m, points - 1 + reach) for m in moves),
-                               reach, members))
-    return LatticeStencil(stencil_groups, per_atom)
+        limit = points - 1 + reach
+        stencil.append((tuple((max(-limit, min(limit, m)), q) for m, q in terms),
+                        reach, members))
+    return stencil
 
 
 def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
@@ -275,40 +272,32 @@ def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
     The values live in the middle of one buffer whose margins repeat the
     end values, so the clamped shift by m cells is a fixed view of that
     buffer.  Each step refreshes the margins and fills preallocated rows
-    with `out=` ufuncs, on two levels (see LatticeStencil).  Innovation
-    level: p * V once per distinct p over the whole buffer, and per group
-    E = 0.0 + sum over atoms of (p * V)[i + move], a sum of views.  Control
+    with `out=` ufuncs, on two levels (see _lattice_stencil).  Group level:
+    q * V once per distinct weight q over the whole buffer, and per group
+    E = sum over its terms of (q * V)[i + m], a sum of views.  Control
     level: a view of E at a whole-cell drift, else (1 - w) * E[i + f] +
-    w * E[i + f + 1].  A per-atom control sums 0.0 + p * ((1 - w) * A +
-    w * B), or p * A for an exact shift, over its atoms.
+    w * E[i + f + 1].
     """
     points = len(terminal)
-    stencil = _lattice_stencil(offsets, drift, points)
-    pad = max([reach + max(map(abs, moves)) for moves, reach, _ in stencil.groups]
-              + [abs(m) for _, terms in stencil.per_atom for t in terms
-                 for m in t[:2] if m is not None])
+    stencil = _lattice_stencil(offsets, drift, probs, points)
+    pad = max(reach + max(abs(m) for m, _ in terms) for terms, reach, _ in stencil)
     padded = np.empty(points + 2 * pad)
     values = padded[pad:pad + points]
-    # 0.0 + v, as each per-atom sum starts from 0.0: with no -0.0 in V (no
-    # row makes one, short of an underflow) a group sum that skips the 0.0
-    # has the same bits
+    # 0.0 + v: with no -0.0 in V (no row makes one, short of an underflow)
+    # each group sum has the bits of the same sum started from 0.0
     np.add(terminal, 0.0, out=values)
-
-    def view(m):
-        return padded[pad + m:pad + m + points]
-
     rows = [None] * len(offsets)
-    products = {}  # p -> p * padded
+    products = {}  # q -> q * padded
     sums = []      # per group: (E, its term views)
     drifted = []   # (row, E[i + f], E[i + f + 1], 1 - w, w)
-    for moves, reach, members in stencil.groups:
+    for terms, reach, members in stencil:
         width = points + 2 * reach
         expectation = np.empty(width)
-        terms = []
-        for p, m in zip(probs, moves):
-            product = products.setdefault(float(p), np.empty(len(padded)))
-            terms.append(product[pad - reach + m:pad - reach + m + width])
-        sums.append((expectation, terms))
+        views = []
+        for m, q in terms:
+            product = products.setdefault(q, np.empty(len(padded)))
+            views.append(product[pad - reach + m:pad - reach + m + width])
+        sums.append((expectation, views))
 
         def at(f):
             return expectation[reach + f:reach + f + points]
@@ -319,42 +308,22 @@ def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
             else:
                 rows[c] = np.empty(points)
                 drifted.append((rows[c], at(f), at(f + 1), 1.0 - w, w))
-    # per-atom control: (row, (p, A, B, 1 - w, w) per atom), B None for an
-    # exact shift
-    per_atom = []
-    for c, terms in stencil.per_atom:
-        rows[c] = np.empty(points)
-        per_atom.append((rows[c], [(p, view(m), None, None, None) if w is None
-                                   else (p, view(m), view(m1), 1.0 - w, w)
-                                   for p, (m, m1, w) in zip(probs, terms)]))
-    term = np.empty(points)
     upper = np.empty(points)
     best = side_extremum(side)
     policy = np.empty((steps, points), dtype=np.int8) if record_policy else None
     for step in range(steps - 1, -1, -1):
         padded[:pad] = values[0]
         padded[pad + points:] = values[-1]
-        for p, product in products.items():
-            np.multiply(padded, p, out=product)
-        for expectation, terms in sums:
-            np.add(terms[0], terms[1], out=expectation)
-            for t in terms[2:]:
-                np.add(expectation, t, out=expectation)
+        for q, product in products.items():
+            np.multiply(padded, q, out=product)
+        for expectation, views in sums:
+            np.add(views[0], views[1], out=expectation)
+            for view in views[2:]:
+                np.add(expectation, view, out=expectation)
         for row, lower, higher, w_lower, w in drifted:
             np.multiply(lower, w_lower, out=row)
             np.multiply(higher, w, out=upper)
             np.add(row, upper, out=row)
-        for acc, terms in per_atom:
-            acc.fill(0.0)
-            for p, lower, higher, w_lower, w in terms:
-                if higher is None:
-                    np.multiply(lower, p, out=term)
-                else:
-                    np.multiply(lower, w_lower, out=term)
-                    np.multiply(higher, w, out=upper)
-                    np.add(term, upper, out=term)
-                    np.multiply(term, p, out=term)
-                np.add(acc, term, out=acc)
         # pointwise best over the rows in control order, as np.max/np.min
         # over them stacked would reduce
         if len(rows) == 1:

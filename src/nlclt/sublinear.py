@@ -352,8 +352,7 @@ def _g_heat_scheme(v: VarianceInterval, side: str) -> tuple:
     out[1:-1] = u[1:-1] + pick(c_neg * s, c_pos * s), with pick the max (sup)
     or min (inf) and s the second difference of u: 6 array operations per step.
     """
-    sig_max2 = v.sigma_high ** 2
-    a_pos = 0.5 * sig_max2
+    a_pos = 0.5 * v.sigma_high ** 2
     a_neg = 0.5 * v.sigma_low ** 2
     pick = side_extremum(side)
 
@@ -375,7 +374,9 @@ def _g_heat_scheme(v: VarianceInterval, side: str) -> tuple:
         return step
 
     def dt_bound(dx):
-        return dx * dx / sig_max2
+        # (dx / sigma_high)^2: neither dx^2 nor sigma_high^2 need be a float
+        ratio = dx / v.sigma_high
+        return ratio * ratio
 
     return dt_bound, dt_bound, make_step
 
@@ -399,7 +400,7 @@ def _drift_scheme(m: MeanInterval, side: str) -> tuple:
     # go negative at any dt, so an upwind-style dx / |mu| bound buys
     # nothing, and it is too long for the central step.)
     def dt_bound(dx):
-        peclet = mu_max * float(dx)  # a Python float: inf, not a warning
+        peclet = mu_max * dx
         if peclet > MAX_DRIFT_PECLET:
             raise UnstableResolution(
                 f"|mu| * dx = {peclet:.3e} on the coarse grid (dx = {dx:.3e}) "
@@ -466,10 +467,16 @@ def _marches(problem: HjbProblem, space_points: int,
     diffusion_bound, dt_bound, make_step = scheme(gen.interval, gen.side)
     L = problem.halfwidth()
     x = np.linspace(-L, L, space_points)
-    dx = x[1] - x[0]
+    dx = float(x[1] - x[0])  # a Python float: its square may be inf, not a warning
+    # the step coefficients divide by the squared spacing of both grids
+    if not (0.0 < dx * dx and (2.0 * dx) * (2.0 * dx) < math.inf):
+        raise UnstableResolution(
+            f"the grid spacing dx = {dx:.3e} squares outside the float range; "
+            f"change space_points or rescale the problem")
     coarse_bound = dt_bound(2.0 * dx)
     if time_steps is None:
-        coarse_steps = math.ceil(1.0 / (CFL_SAFETY * coarse_bound))
+        # at least one step, also where the bound is past the float range
+        coarse_steps = max(1, math.ceil(1.0 / (CFL_SAFETY * coarse_bound)))
     else:
         dt_max = diffusion_bound(dx)
         if 1.0 / time_steps > dt_max:

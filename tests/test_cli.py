@@ -597,6 +597,58 @@ class TestExtremeScales:
         for n, value in values.items():
             assert value == pytest.approx(want(n), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("argv,problem", [
+        (["check", "--chain", "lindeberg", "--model", "mean", "--mu-low", "0",
+          "--mu-high", "1e200"],
+         "mean interval needs finite squared bounds, got [0.0, 1e+200]"),
+        (["converge", "--model", "mean", "--mu-low", "0", "--mu-high", "1e200",
+          "--phi", "gauss", "--schedule", "10"],
+         "mean interval needs finite squared bounds, got [0.0, 1e+200]"),
+        (["solve", "--problem", "g-expectation", "--mu-low", "0", "--mu-high",
+          "1e200", "--terminal", "gauss"],
+         "mean interval needs finite squared bounds, got [0.0, 1e+200]"),
+        (["check", "--chain", "lindeberg", "--model", "mean", "--mu-low", "0",
+          "--mu-high", "1", "--sigma", "1e200"],
+         "mean model needs a finite squared step mu + sigma * eps, "
+         "got sigma = 1e+200 on [0.0, 1.0]"),
+    ], ids=["lindeberg-mu", "converge-mu", "solve-mu", "lindeberg-sigma"])
+    def test_mean_step_whose_square_overflows(self, tmp_path, capsys, argv,
+                                              problem):
+        assert_one_config_error(tmp_path, capsys, argv, problem)
+
+    @pytest.mark.parametrize("sigma,points,dx", [("1e153", "3", "8.000e+153"),
+                                                 ("1e-170", "2001", "8.000e-173")])
+    def test_g_heat_spacing_whose_square_leaves_the_float_range(
+            self, tmp_path, capsys, sigma, points, dx):
+        out = tmp_path / "never.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("solve", "--problem", "g-heat", "--sigma-low", sigma,
+                       "--sigma-high", sigma, "--terminal", "gauss",
+                       "--space-points", points, "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"numerical failure: the grid spacing dx = {dx} squares outside "
+            f"the float range; change space_points or rescale the problem\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # sigma_high^2 underflows to 0.0; (dx / sigma_high)^2 = 64
+        ["--sigma-low", "1e-162", "--sigma-high", "1e-162", "--terminal", "gauss",
+         "--space-points", "3"],
+        # (dx / sigma_high)^2 is past the largest float: one step
+        ["--sigma-low", "1e-300", "--sigma-high", "1e-300", "--terminal",
+         "s-shape", "--s-center", "1e10"],
+    ], ids=["underflow", "one-step"])
+    def test_g_heat_step_bound_of_a_far_scale(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("solve", "--problem", "g-heat", *argv, "--out", str(out))
+        assert code == 0 and capsys.readouterr().err == ""
+        assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1,
+                                             usecols=1)))
+
     def test_lyapunov_ratio_past_the_largest_float(self, tmp_path, capsys):
         # p (1/sqrt(p))^5 / n^1.5 = 1e450 / 1e3
         assert_one_config_error(

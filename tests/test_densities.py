@@ -233,7 +233,9 @@ class TestCurves:
             VarianceInterval(lo, hi)
 
     @pytest.mark.parametrize("lo,hi", [(0.0, np.inf), (-np.inf, 0.0),
-                                       (-np.inf, np.inf), (np.nan, 0.0)])
+                                       (-np.inf, np.inf), (np.nan, 0.0),
+                                       # finite, but the squares overflow
+                                       (0.0, 1e160), (-1e160, 0.0)])
     def test_mean_interval_needs_finite_bounds(self, lo, hi):
         with pytest.raises(InvalidParams):
             MeanInterval(lo, hi)

@@ -1,16 +1,18 @@
 """Bit-identity guard for the adversarial DP backward induction.
 
 The kernel reads every clamped shift as a view of one padded buffer and
-accumulates into preallocated rows, on two levels: one innovation
-expectation per distinct row of whole-cell innovation moves, read by each
-control at its drift.  This file keeps a frozen allocating reference (a
-fresh displaced copy per shift) and requires the same root, grid and
-policy bytes on hypothesis-drawn problems: same IEEE operations, same
-order, same results.  The reference sums the two levels where the
-innovation moves are whole cells, E = 0.0 + sum of p * shift(V, f + m),
-then (1 - w) * E(f) + w * E(f + 1); every other control keeps the
-per-atom form.  That per-atom form, on every control, stays within 1e-12
-of the kernel's root.
+accumulates into preallocated rows, on two levels: one expectation per
+group of weighted whole-cell moves, read by each control at its drift.
+This file keeps a frozen allocating reference (a fresh displaced copy per
+shift) and requires the same root, grid and policy bytes on
+hypothesis-drawn problems: same IEEE operations, same order, same
+results.  Where the innovation moves are whole cells the reference sums
+E = 0.0 + sum of p * shift(V, f + m), then (1 - w) * E(f) + w * E(f + 1);
+every other control sums 0.0 + q * shift(V, m) over the weighted cells of
+its atoms' summed offsets, (m, p * (1 - w)) and (m + 1, p * w) per atom.
+The per-atom form, 0.0 + sum of p * ((1 - w) * shift(V, m) +
+w * shift(V, m + 1)) on every control, stays within 1e-12 of the
+kernel's root.
 """
 import math
 
@@ -62,6 +64,22 @@ def ref_expectation(v, probs, moves, f):
     return acc
 
 
+def ref_weighted_terms(row, probs):
+    """(m, q) per cell that the atoms' summed offsets reach: (m, p) at a
+    whole cell m, else (m, p * (1 - w)) and (m + 1, p * w) with m the floor
+    and w the rest."""
+    terms = []
+    for off, p in zip(row, probs):
+        m = math.floor(off + 0.5)
+        if abs(off - m) < 1e-9:
+            terms.append((m, p))
+            continue
+        m = math.floor(off)
+        w = off - m
+        terms += [(m, p * (1.0 - w)), (m + 1, p * w)]
+    return terms
+
+
 def ref_backward_induction(model, phi, side, target_points, record_policy,
                            controls=None, two_level=True):
     if controls is None:
@@ -90,8 +108,12 @@ def ref_backward_induction(model, phi, side, target_points, record_policy,
                     + w * ref_expectation(values, probs, moves, f + 1)
                 continue
             acc = np.zeros(len(x))
-            for aj, p in enumerate(probs):
-                acc += p * ref_shift(values, offsets[ci, aj])
+            if two_level:
+                for m, q in ref_weighted_terms(offsets[ci], probs):
+                    acc += q * ref_clamped_int_shift(values, m)
+            else:
+                for aj, p in enumerate(probs):
+                    acc += p * ref_shift(values, offsets[ci, aj])
             stacked[ci] = acc
         if record_policy:
             policy[step] = arg_best(stacked, axis=0)
@@ -215,11 +237,21 @@ def test_two_level_root_is_within_1e_12_of_the_per_atom_form(problem):
     assert abs(root - per_atom) <= 1e-12
 
 
+CRITERION_8_MEAN = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5),
+                                                   1.0, 2000)
+
+
 @pytest.mark.parametrize("side", ["sup", "inf"])
-@pytest.mark.parametrize("points", [4001, 2001])
+@pytest.mark.parametrize("model, points", [
+    (CRITERION_8_MEAN, 4001),
+    (CRITERION_8_MEAN, 2001),
+    # off-lattice scale pairs: weighted groups that split every atom's move
+    (RectangularModel.variance_uncertain(VarianceInterval(1.0, 1.37), 2000), 4001),
+    (RectangularModel.variance_uncertain(VarianceInterval(1.0, math.sqrt(2.0)),
+                                         2000), 4001),
+], ids=["4001", "2001", "variance-1.37-4001", "variance-sqrt2-4001"])
 def test_criterion_8_mean_roots_stay_within_1e_12_of_the_per_atom_form(
-        side, points):
-    model = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, 2000)
+        side, model, points):
     phi = named_test_function("gauss")
     root, _, _, _ = _backward_induction(model, phi, side, points, False)
     per_atom, _, _, _ = ref_backward_induction(model, phi, side, points, False,

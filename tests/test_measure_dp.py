@@ -139,38 +139,51 @@ class TestBruteForceEquivalence:
 
 
 class TestLatticeStencil:
-    """The two-level stencil each criterion-8 problem gets: the mean model's
-    5 controls share one innovation expectation, each variance scale is its
+    """The groups each criterion-8 problem gets: the mean model's 5
+    controls share one innovation expectation, each variance scale is its
     own group read at zero drift."""
 
     @staticmethod
     def stencil(model, points):
         x, _, offsets, drift = _dp_grid(model, points)
-        return _lattice_stencil(offsets, drift, len(x))
+        return _lattice_stencil(offsets, drift, model.innovation.probs, len(x))
 
     @pytest.mark.parametrize("points", [DEFAULT_GRID_POINTS, COARSE_GRID_POINTS])
     @pytest.mark.parametrize("n", [125, 250, 500, 1000, 2000])
     def test_criterion_8_problems(self, n, points):
         mean = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, n)
-        stencil = self.stencil(mean, points)
-        assert stencil.per_atom == [] and len(stencil.groups) == 1
-        assert [c for c, _, _ in stencil.groups[0][2]] == list(range(5))
+        groups = self.stencil(mean, points)
+        assert len(groups) == 1
+        terms, _, members = groups[0]
+        assert [q for _, q in terms] == [0.5, 0.5]
+        assert [c for c, _, _ in members] == list(range(5))
         var = RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), n)
-        stencil = self.stencil(var, points)
-        assert stencil.per_atom == []
-        assert [(reach, members) for _, reach, members in stencil.groups] == \
+        groups = self.stencil(var, points)
+        assert [(reach, members) for _, reach, members in groups] == \
             [(0, [(0, 0, None)]), (0, [(1, 0, None)])]
+        for terms, _, _ in groups:
+            assert [q for _, q in terms] == [0.5, 0.5]
 
-    def test_irrational_law_keeps_the_per_atom_stencil(self):
-        # (1 - p)/p = sqrt(2) - 1: no spacing makes both atoms whole cells
+    def test_irrational_law_makes_one_weighted_group_per_control(self):
+        # (1 - p)/p = sqrt(2) - 1: no spacing makes both atoms whole cells,
+        # so each control splits both atoms' offsets between two cells
         p = 1.0 / math.sqrt(2.0)
         s = math.sqrt(p * (1.0 - p))
         law = DiscreteLaw(values=(-p / s, (1.0 - p) / s), probs=(1.0 - p, p))
         model = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0,
                                                 125, innovation=law)
-        stencil = self.stencil(model, DEFAULT_GRID_POINTS)
-        assert stencil.groups == []
-        assert [c for c, _ in stencil.per_atom] == list(range(5))
+        x, _, offsets, _ = _dp_grid(model, DEFAULT_GRID_POINTS)
+        groups = self.stencil(model, DEFAULT_GRID_POINTS)
+        assert [(reach, members) for _, reach, members in groups] == \
+            [(0, [(c, 0, None)]) for c in range(5)]
+        for (terms, _, _), row in zip(groups, offsets):
+            assert len(terms) == 4
+            cells = [m for m, _ in terms]
+            lower = [math.floor(off) for off in row]
+            assert cells == [lower[0], lower[0] + 1, lower[1], lower[1] + 1]
+            # each atom's two weights sum to its probability
+            assert terms[0][1] + terms[1][1] == pytest.approx(law.probs[0], abs=1e-15)
+            assert terms[2][1] + terms[3][1] == pytest.approx(law.probs[1], abs=1e-15)
 
 
 @st.composite
