@@ -36,6 +36,7 @@ from .densities import (
     DensityParams,
     MeanInterval,
     VarianceInterval,
+    check_curve_scale,
     emit_density_curve,
 )
 from .errors import ConfigError, InvalidParams, NlcltError, require_at_least
@@ -399,7 +400,27 @@ def _domain_problems(values: dict) -> list:
     if (values.get("family") == "cez" and None not in (alpha, beta)
             and not (alpha > 0 and beta > 0)):
         problems.append("cez needs alpha > 0 and beta > 0")
+    for family, params in _density_curves(values):
+        try:
+            check_curve_scale(family, params, values["grid"])
+        except InvalidParams as exc:
+            if str(exc) not in problems:
+                problems.append(str(exc))
     return problems
+
+
+def _density_curves(values: dict) -> list:
+    """(family, params) of every curve that the density or the figures run
+    of the settled values emits on values["grid"]."""
+    if values.get("grid") is None:
+        return []
+    if values["command"] == "figures":
+        return [item if family == "mixed" else (family, item)
+                for _, family, items in PAPER_FIGURES for item in items]
+    params = [values.get(key) for key in ("alpha", "beta", "c")]
+    if values.get("family") is None or None in params:
+        return []
+    return [(DENSITY_FAMILIES[values["family"]], DensityParams(*params))]
 
 
 # the interval keys each model, and each PDE problem, reads
@@ -512,8 +533,12 @@ def write_table(path: str, header: str, rows) -> None:
 # command implementations: each reads its table's options, coerced, from cfg
 # ---------------------------------------------------------------------------
 
+# the density family of each --family choice
+DENSITY_FAMILIES = {"chen-epstein": "chen_epstein", "cez": "cez"}
+
+
 def cmd_density(cfg: dict) -> int:
-    family = {"chen-epstein": "chen_epstein", "cez": "cez"}[cfg["family"]]
+    family = DENSITY_FAMILIES[cfg["family"]]
     params = DensityParams(cfg["alpha"], cfg["beta"], cfg["c"])
     ys, ds = emit_density_curve(params, family, cfg["grid"]).T.tolist()
     write_table(_out(cfg), "y,density", zip(ys, ds))
@@ -578,10 +603,11 @@ def cmd_solve(cfg: dict) -> int:
     at_end = terminal(grid.x)
     low, high = float(at_end.min()), float(at_end.max())
     slack = 1e-12 * max(1.0, high - low)
-    if grid.min_seen < low - slack or grid.max_seen > high + slack:
+    excess = max(low - grid.min_seen, grid.max_seen - high)
+    if excess > slack:
         # a grid too coarse for the extrapolation, or a drift past Peclet 1
         print(f"warning: the solution reaches [{grid.min_seen:.6g}, "
-              f"{grid.max_seen:.6g}], outside the terminal's range "
+              f"{grid.max_seen:.6g}], {excess:.3g} outside the terminal's range "
               f"[{low:.6g}, {high:.6g}] on the grid; increase space_points",
               file=sys.stderr)
     rows = [("u0", grid.u0)]
@@ -760,14 +786,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fuse_grid_flag(argv):
-    """Rewrite `--grid -4:4:801` to `--grid=-4:4:801` so grid specs with a
-    negative lower bound survive argparse's option detection."""
+# every flag of a table row
+_FLAGS = {"--" + opt.name.replace("_", "-") for rows in OPTIONS.values() for opt in rows}
+
+
+def _fuse_flag_values(argv):
+    """Rewrite `--key value` to `--key=value` for every flag of a table row,
+    so that argparse does not read a value such as `-1e-3` or `-4:4:801`
+    as an option.  A value that is itself such a flag, or -h/--help, is
+    left apart, so that `--out --seed 1` still lacks its value."""
     out = []
     i = 0
     while i < len(argv):
-        if argv[i] == "--grid" and i + 1 < len(argv):
-            out.append(f"--grid={argv[i + 1]}")
+        if (argv[i] in _FLAGS and i + 1 < len(argv)
+                and argv[i + 1] not in _FLAGS | {"-h", "--help"}):
+            out.append(f"{argv[i]}={argv[i + 1]}")
             i += 2
         else:
             out.append(argv[i])
@@ -780,7 +813,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_fuse_grid_flag(list(argv)))
+        args = parser.parse_args(_fuse_flag_values(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -209,9 +209,27 @@ def density_pdf(family: str, p: DensityParams):
     raise InvalidParams(f"unknown density family {family!r}")
 
 
+def check_curve_scale(family: str, p: DensityParams, grid: Grid1D) -> None:
+    """Refuse a chen_epstein curve whose squares leave the float range.
+
+    With S = |alpha| + |beta| + 2|c| + max(|lo|, |hi|), every square and
+    product that chen_epstein_pdf forms on the grid is at most 2 S^2 in
+    size, and both of its exponents are <= 0; so a finite (2 S)^2 keeps
+    the curve finite.
+    """
+    if family != MEAN_FAMILY:
+        return
+    s = abs(p.alpha) + abs(p.beta) + 2.0 * abs(p.c) + max(abs(grid.lo), abs(grid.hi))
+    if not math.isfinite((2.0 * s) * (2.0 * s)):
+        raise InvalidParams(
+            f"chen-epstein curve needs a finite (2 S)^2, S = |alpha| + |beta| "
+            f"+ 2|c| + max(|lo|, |hi|), got S = {s:.3e}")
+
+
 def emit_density_curve(p: DensityParams, family: str, grid: Grid1D) -> np.ndarray:
     """Table of (y, density) rows over the grid, one row per grid point."""
     pdf = density_pdf(family, p)
+    check_curve_scale(family, p, grid)
     y = grid.values()
     return np.column_stack([y, pdf(y)])
 

@@ -8,6 +8,7 @@ vanish identically.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .classical import DiscreteLaw
-from .errors import InvalidParams, require_at_least
+from .errors import InvalidParams, NlcltError, require_at_least
 from .numerics import SeedSpec, generator, ks_one_sample, std_normal_cdf_arr
 
 IID_RADEMACHER = "iid_rademacher"
@@ -147,8 +148,9 @@ def mcleish_product_mean(model: MdsModel, t: float, reps: int, spec: SeedSpec):
     """Monte Carlo estimate of E[prod_i (1 + i t X_{n,i})] for the array
     with k_n = model.n columns scaled by 1/sqrt(k_n).
 
-    Returns (complex estimate, scalar standard error).  At t = 0 the
-    product is identically 1 with zero variance.
+    Returns (complex estimate, scalar standard error), or raises
+    NlcltError when either is not finite.  At t = 0 the product is
+    identically 1 with zero variance.
     """
     require_at_least("reps", reps, MCLEISH_MIN_REPS)
     if not math.isfinite(t):
@@ -158,9 +160,15 @@ def mcleish_product_mean(model: MdsModel, t: float, reps: int, spec: SeedSpec):
     k_n = model.n
     sig, signs = model.simulate_scales(reps, generator(spec))
     x = sig * signs / math.sqrt(k_n)
-    prod = np.prod(1.0 + 1j * t * x, axis=1)
-    est = complex(prod.mean())
-    se = math.sqrt((prod.real.var(ddof=1) + prod.imag.var(ddof=1)) / reps)
+    # a product past the float range is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = np.prod(1.0 + 1j * t * x, axis=1)
+        est = complex(prod.mean())
+        se = math.sqrt((prod.real.var(ddof=1) + prod.imag.var(ddof=1)) / reps)
+    if not (cmath.isfinite(est) and math.isfinite(se)):
+        raise NlcltError(
+            f"the McLeish product at n = {k_n}, t = {t:g} leaves the float "
+            f"range: its mean is {est} with standard error {se}")
     return est, se
 
 

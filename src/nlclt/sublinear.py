@@ -1,13 +1,14 @@
 """Terminal-value solvers for the sublinear limit functionals.
 
-The G-heat equation gives the upper or the lower expectation of a payoff
-of a variance-uncertain limit; the semilinear drift equation gives the
-mean-uncertain value (the backward-equation value solved through its
-equivalent parabolic form).  Each solve marches its grid and every other
-point of it, and reports the two-grid Richardson extrapolation.  The
-lattice oracle checks both solvers against the adversarial DP: it is a
-call of measure_dp's backward induction with +-1 innovations on the
-problem's domain, and owns no lattice code.
+Both limits solve u_t + G(u_x, u_xx) = 0, with G(p, a) = pick over mu of
+mu * p + pick over sigma of sigma^2 * a / 2 on a rectangle of means and
+volatilities.  The G-heat equation, its variance face (mu = 0), gives the
+upper or the lower expectation of a variance-uncertain limit; the drift
+equation, its mean face (sigma = 1), the mean-uncertain value.  One explicit
+scheme marches either face on its grid and every other point of it, and a
+solve reports the two-grid Richardson extrapolation.  The lattice oracle
+checks both faces against the adversarial DP: a call of measure_dp's
+backward induction with +-1 innovations on the problem's domain.
 """
 from __future__ import annotations
 
@@ -22,12 +23,13 @@ from .errors import InvalidParams, InvalidTheta, UnstableResolution
 from .numerics import side_extremum
 
 # The coarse march's step is at most this fraction of its grid's stability
-# bound, and the fine march's is a quarter of it at half the spacing: on
-# both, the G-heat coefficient c_pos = a_pos * dt / dx^2 is at most
-# 0.45 <= 0.5 and, while the drift's bound is dx^2 (|mu| * 2 * dx <= 1 on
-# the coarse grid), the drift step's centre weight 1 - 2 * c_d
-# (c_d = dt / (2 dx^2)) is at least 0.1 > 0, so the scheme stays monotone.
-# Past that the drift's bound is 1 / mu^2: stable, but not monotone.
+# bound, and the fine march's is a quarter of it at half the spacing.  On
+# either face of the one scheme the diffusion coefficient
+# c = sigma^2 / 2 * dt / dx^2 is then at most 0.45 <= 0.5, and while the
+# drift's bound is dx^2 (|mu| * 2 * dx <= 1 on the coarse grid) the centre
+# weight 1 - 2 * c of a drift step (sigma = 1) is at least 0.1 > 0, so the
+# scheme stays monotone.  Past that the drift's bound is 1 / mu^2: stable,
+# but not monotone.
 CFL_SAFETY = 0.9
 # Largest |mu| * 2 * dx (the cell Peclet number of the coarse grid) a drift
 # solve accepts.  Past 1 the step is bound by 1 / mu^2, so the march takes
@@ -205,6 +207,9 @@ def make_s_shaped(spec: SShapeSpec, envelope: str) -> TestFunction:
 # generators and problems
 # ---------------------------------------------------------------------------
 
+# Each generator is a face of the rectangle of G: ((sigma, sigma'), (mu, mu')),
+# each pair in the order the step picks between its two products.
+
 @dataclass(frozen=True)
 class GVariance:
     interval: VarianceInterval
@@ -212,6 +217,10 @@ class GVariance:
 
     def __post_init__(self):
         side_extremum(self.side)
+
+    @property
+    def face(self) -> tuple:  # sigma over the interval, mu = 0
+        return (self.interval.sigma_low, self.interval.sigma_high), (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -221,6 +230,10 @@ class GMean:
 
     def __post_init__(self):
         side_extremum(self.side)
+
+    @property
+    def face(self) -> tuple:  # mu over the interval, sigma = 1
+        return (1.0, 1.0), (self.interval.mu_high, self.interval.mu_low)
 
 
 @dataclass(frozen=True)
@@ -341,98 +354,71 @@ def _march(u0: np.ndarray, steps: int, every: int, step: Callable) -> tuple:
     return times, values, float(lo), float(hi)
 
 
-def _g_heat_scheme(v: VarianceInterval, side: str) -> tuple:
-    """(diffusion_bound, dt_bound, make_step) of the G-heat march.
+def _scheme(gen) -> tuple:
+    """(diffusion_bound, dt_bound, make_step) of the march of the generator's face.
 
     dt_bound(dx) is the largest stable time step and diffusion_bound(dx)
-    the largest the diffusion term alone allows (here the same), and
-    make_step(n, dx, dt) returns the one-step update step(u, out) on n grid
-    points.  The step folds dt / dx^2 into the control coefficients,
-    c_pm = a_pm * dt / dx^2, and writes the interior only:
-    out[1:-1] = u[1:-1] + pick(c_neg * s, c_pos * s), with pick the max (sup)
-    or min (inf) and s the second difference of u: 6 array operations per step.
+    the largest the diffusion term alone allows, and make_step(n, dx, dt)
+    returns the one-step update step(u, out) on n grid points.  The step
+    folds dt and the spacing into c = sigma^2 / 2 * dt / dx^2 and
+    b = mu * dt / (2 dx) and writes the interior only:
+    out[1:-1] = u[1:-1] + pick(c_lo * s, c_hi * s) + pick(b_hi * g, b_lo * g),
+    with s the second and g the doubled central difference of u and pick
+    the max (sup) or the min (inf).  A pick of two equal coefficients is one
+    product and a zero drift adds no term: 6 array operations per G-heat
+    step (4 when sigma_low = sigma_high) and 9 per drift step.
     """
-    a_pos = 0.5 * v.sigma_high ** 2
-    a_neg = 0.5 * v.sigma_low ** 2
-    pick = side_extremum(side)
+    (sigma_lo, sigma_hi), (mu_hi, mu_lo) = gen.face
+    mu_max = max(abs(mu_lo), abs(mu_hi))
+    pick = side_extremum(gen.side)
 
-    def make_step(n, dx, dt):
-        c_pos = a_pos * dt / (dx * dx)
-        c_neg = a_neg * dt / (dx * dx)
-        first = np.empty(n - 1)
-        second = np.empty(n - 2)
-        rate = np.empty(n - 2)
-
-        def step(u, out):
-            # c_pos >= c_neg >= 0: max takes c_pos * s where s >= 0, min where s <= 0
-            np.subtract(u[1:], u[:-1], out=first)
-            np.subtract(first[1:], first[:-1], out=second)
-            np.multiply(second, c_neg, out=rate)
-            np.multiply(second, c_pos, out=second)
-            pick(rate, second, out=rate)
-            np.add(u[1:-1], rate, out=out[1:-1])
-        return step
-
-    def dt_bound(dx):
-        # (dx / sigma_high)^2: neither dx^2 nor sigma_high^2 need be a float
-        ratio = dx / v.sigma_high
+    def diffusion_bound(dx):
+        ratio = dx / sigma_hi  # neither dx^2 nor sigma_high^2 need be a float
         return ratio * ratio
 
-    return dt_bound, dt_bound, make_step
-
-
-def _drift_scheme(m: MeanInterval, side: str) -> tuple:
-    """(diffusion_bound, dt_bound, make_step) of the drift march, as
-    _g_heat_scheme.  The step folds dt and the spacing into
-    c_d = dt / (2 dx^2) and c_hi, c_lo = mu_high, mu_low times dt / (2 dx),
-    and writes the interior only:
-    out[1:-1] = u[1:-1] + c_d * s + pick(c_hi * g, c_lo * g), with s the
-    second and g the doubled central difference of u, both from one first
-    difference, and pick the max (sup) or the min (inf).  That is 9 array
-    operations per step.
-    """
-    mu_max = max(abs(m.mu_low), abs(m.mu_high))
-    pick = side_extremum(side)
-
     # The drift is differenced centrally: with unit diffusion the explicit
-    # step is stable for dt <= dx^2 and mu^2 * dt <= 1, and the second bound
-    # is the smaller one where |mu| * dx > 1.  (There the neighbour weights
-    # go negative at any dt, so an upwind-style dx / |mu| bound buys
-    # nothing, and it is too long for the central step.)
+    # step is stable for dt <= dx^2 and mu^2 * dt <= 1, the smaller bound
+    # where |mu| * dx > 1.  (There the neighbour weights go negative at any
+    # dt, so an upwind-style dx / |mu| bound buys nothing, and it is too
+    # long for the central step.)  The variance face has mu = 0.
     def dt_bound(dx):
         peclet = mu_max * dx
         if peclet > MAX_DRIFT_PECLET:
             raise UnstableResolution(
                 f"|mu| * dx = {peclet:.3e} on the coarse grid (dx = {dx:.3e}) "
                 f"exceeds {MAX_DRIFT_PECLET:g}; increase space_points")
-        return dx * dx if peclet <= 1.0 else 1.0 / (mu_max * mu_max)
+        return diffusion_bound(dx) if peclet <= 1.0 else 1.0 / (mu_max * mu_max)
 
     def make_step(n, dx, dt):
-        c_d = dt / (2.0 * dx * dx)
-        c_hi = m.mu_high * (dt / (2.0 * dx))
-        c_lo = m.mu_low * (dt / (2.0 * dx))
-        first = np.empty(n - 1)
-        second = np.empty(n - 2)
-        central = np.empty(n - 2)
-        drift = np.empty(n - 2)
+        c_lo, c_hi = (0.5 * sigma ** 2 * dt / (dx * dx) for sigma in (sigma_lo, sigma_hi))
+        b_hi, b_lo = (mu * (dt / (2.0 * dx)) for mu in (mu_hi, mu_lo))
+        two_scales, two_drifts = c_lo != c_hi, b_hi != b_lo
+        drifts = b_hi != 0.0 or b_lo != 0.0
+        first, second, rate, drift = (np.empty(k) for k in (n - 1, n - 2, n - 2, n - 2))
+        right, left = first[1:], first[:-1]
 
-        # The end values are never written, so they stay at the terminal's.
-        # A one-sided end difference would be downwind where the drift
-        # points out of the domain, and would push the end values past the
-        # terminal's range.
+        # The end values are never written, so they stay at the terminal's: a
+        # one-sided end difference would be downwind where the drift points
+        # out of the domain, and push the end values past the terminal's range.
         def step(u, out):
             np.subtract(u[1:], u[:-1], out=first)
-            np.subtract(first[1:], first[:-1], out=second)
-            np.add(first[1:], first[:-1], out=central)
-            np.multiply(central, c_hi, out=drift)
-            np.multiply(central, c_lo, out=central)
-            pick(drift, central, out=drift)
-            np.multiply(second, c_d, out=second)
-            np.add(second, drift, out=drift)
-            np.add(u[1:-1], drift, out=out[1:-1])
+            np.subtract(right, left, out=second)
+            np.multiply(second, c_lo, out=rate)
+            if two_scales:
+                # c_hi > c_lo >= 0: max takes c_hi * s where s >= 0, min where s <= 0
+                np.multiply(second, c_hi, out=second)
+                pick(rate, second, out=rate)
+            if drifts:
+                np.add(right, left, out=second)
+                np.multiply(second, b_hi, out=drift)
+                if two_drifts:
+                    np.multiply(second, b_lo, out=second)
+                    pick(drift, second, out=drift)
+                np.add(rate, drift, out=rate)
+            np.add(u[1:-1], rate, out=out[1:-1])
         return step
 
-    return (lambda dx: dx * dx), dt_bound, make_step
+    return diffusion_bound, dt_bound, make_step
 
 
 def _root(x: np.ndarray, layer: np.ndarray) -> float:
@@ -444,7 +430,8 @@ def _root(x: np.ndarray, layer: np.ndarray) -> float:
 
 def _marches(problem: HjbProblem, space_points: int,
              time_steps: Optional[int]) -> tuple:
-    """The fine and the coarse march of the problem, as two _March records.
+    """The fine and the coarse march of _scheme's step on the problem's
+    generator, whichever face it is, as two _March records.
 
     The fine grid is x = linspace(-L, L, space_points) with spacing dx, the
     coarse grid x[::2] with spacing 2 * dx; it ends at L only when
@@ -453,18 +440,16 @@ def _marches(problem: HjbProblem, space_points: int,
     ceil(1 / (CFL_SAFETY * dt_bound(2 * dx))) steps, or ceil(time_steps / 4)
     for an explicit count, which must keep the diffusion's bound on x
     (raised to the coarse grid's stability bound, which only the drift's
-    1 / mu^2 limit can reach), and the fine march
-    exactly 4 times as many, so dt/dx^2 is the same on both.  Both store
-    their layers at the coarse march's every
-    (coarse steps // (MAX_VALUE_SNAPSHOTS - 1))-th step and its last.
+    1 / mu^2 limit can reach), and the fine march exactly 4 times as many,
+    so dt/dx^2 is the same on both.  Both store their layers at the coarse
+    march's every (coarse steps // (MAX_VALUE_SNAPSHOTS - 1))-th step and
+    its last.
     """
     if space_points < 3:
         raise InvalidParams(f"space_points must be >= 3, got {space_points}")
     if time_steps is not None and time_steps < 1:
         raise InvalidParams(f"time_steps must be >= 1, got {time_steps}")
-    gen = problem.generator
-    scheme = _g_heat_scheme if isinstance(gen, GVariance) else _drift_scheme
-    diffusion_bound, dt_bound, make_step = scheme(gen.interval, gen.side)
+    diffusion_bound, dt_bound, make_step = _scheme(problem.generator)
     L = problem.halfwidth()
     x = np.linspace(-L, L, space_points)
     dx = float(x[1] - x[0])  # a Python float: its square may be inf, not a warning

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 
@@ -194,6 +195,19 @@ class TestSolveCommand:
         assert err.startswith("warning: the solution reaches [")
         assert "increase space_points" in err
         assert out.read_text().startswith("name,value\nu0,")
+
+    def test_range_warning_names_the_excess(self, tmp_path, capsys):
+        # max_seen is 1 + 5e-6 against a terminal maximum of 1 - 2.5e-14:
+        # both print as 1
+        assert run("solve", "--problem", "g-heat", "--sigma-low", "1",
+                   "--sigma-high", "2", "--terminal", "s-shape", "--s-theta",
+                   "1e-300", "--space-points", "11",
+                   "--out", str(tmp_path / "solve.csv")) == 0
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("warning: the solution reaches [")
+        excess = re.search(r"\], (\S+) outside the terminal's range", err)
+        assert excess and float(excess.group(1)) > 0.0
 
     S_SHAPE = ["--terminal", "s-shape", "--s-phi1", "tanh", "--s-theta", "0.5",
                "--s-center", "0.0", "--s-envelope", "phibar"]
@@ -549,6 +563,35 @@ class TestExtremeScales:
         assert code == 0 and capsys.readouterr().err == ""
         assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
 
+    @pytest.mark.parametrize("argv,scale", [
+        (["--alpha", "1e300", "--beta", "0", "--grid=-1e300:1e300:5"], "2.000e+300"),
+        (["--alpha", "1e300", "--grid=-4:4:5"], "1.000e+300"),
+        (["--alpha", "1", "--grid=-1e160:1e160:5"], "1.000e+160"),
+    ], ids=["both", "alpha", "grid"])
+    def test_chen_epstein_curve_whose_squares_overflow(self, tmp_path, capsys,
+                                                       argv, scale):
+        assert_one_config_error(
+            tmp_path, capsys, ["density", "--family", "chen-epstein", *argv],
+            "chen-epstein curve needs a finite (2 S)^2, S = |alpha| + |beta| "
+            f"+ 2|c| + max(|lo|, |hi|), got S = {scale}")
+
+    @pytest.mark.parametrize("argv,t", [
+        (["--t", "1e200"], "1e+200"),
+        (["--mds", "var-feedback", "--sigma-plus", "1e150"], "1"),
+    ], ids=["t", "sigma-plus"])
+    def test_mcleish_product_past_the_float_range(self, tmp_path, capsys, argv, t):
+        out = tmp_path / "never.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("check", "--chain", "martingale", *argv, "--ns", "100",
+                       "--reps", "1000", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"numerical failure: the McLeish product at n = 100, "
+                              f"t = {t} leaves the float range")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["converge", "--model", "variance", "--sigma-low", "1",
          "--sigma-high", "18446744073709551616", "--phi", "gauss",
@@ -667,6 +710,29 @@ class TestExtremeScales:
         assert len(err.splitlines()) == 1
         assert err.startswith("config error: n times a squared scale")
         assert not out.exists()
+
+
+# every (command, flag) whose value may be a negative number
+NUMBER_FLAGS = [(command, "--" + opt.name.replace("_", "-"))
+                for command, options in OPTIONS.items() for opt in options
+                if opt.kind in (cli._number, cli._floats, cli._grid)]
+
+
+class TestNegativeValues:
+    @pytest.mark.parametrize("command,flag", NUMBER_FLAGS)
+    def test_a_negative_number_may_follow_its_flag(self, capsys, command, flag):
+        # argparse alone reads -1e-3 as an option, and the flag as lacking
+        # its value
+        codes, errs = [], []
+        for argv in ([command, flag, "-1e-3"], [command, f"{flag}=-1e-3"]):
+            codes.append(run(*argv))
+            errs.append(capsys.readouterr().err)
+        assert codes[0] == codes[1] and errs[0] == errs[1]
+        assert "expected one argument" not in errs[0]
+
+    def test_a_flag_is_not_taken_as_a_value(self, capsys):
+        assert run("density", "--out", "--seed", "1") == 2
+        assert "argument --out: expected one argument" in capsys.readouterr().err
 
 
 class TestMissingKeys:

@@ -15,6 +15,7 @@ from nlclt.densities import (
 from nlclt.errors import InvalidParams, InvalidTheta, UnstableResolution
 from nlclt.measure_dp import SNAP_REFINE_CAP, RectangularModel, _dp_grid
 from nlclt.numerics import quad_integrate, std_normal_cdf_arr, std_normal_pdf
+from nlclt import sublinear
 from nlclt.sublinear import (
     CFL_SAFETY,
     GMean,
@@ -23,6 +24,7 @@ from nlclt.sublinear import (
     Shape,
     SShapeSpec,
     TestFunction,
+    _scheme,
     make_s_shaped,
     named_test_function,
     solve_g_expectation,
@@ -397,6 +399,63 @@ class TestStepDiagnostics:
                             time_steps=625)
         assert grid.dt_ratio == pytest.approx(1.0 / (628 * 1.6e-3), rel=1e-12)
         assert grid.dt_ratio <= 1.0
+
+
+class CountingNumpy:
+    """numpy, with a count of the calls of its ufuncs."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not isinstance(attr, np.ufunc):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+class TestOneScheme:
+    """The G-heat and the drift march are the two faces of one scheme."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(["gauss", "normal_cdf", "tanh"]),
+           st.sampled_from(["sup", "inf"]), st.integers(5, 201))
+    def test_unit_heat_is_the_zero_drift(self, name, side, space_points):
+        # the corner sigma = 1, mu = 0 of both faces: the same march
+        terminal = named_test_function(name)
+        heat = solve_g_heat(VarianceInterval(1.0, 1.0), terminal, side, space_points)
+        drift = solve_g_expectation(MeanInterval(0.0, 0.0), terminal, side,
+                                    space_points)
+        assert np.array_equal(heat.x, drift.x)
+        assert np.array_equal(heat.times, drift.times)
+        assert np.array_equal(heat.values, drift.values)
+        assert (heat.u0, heat.min_seen, heat.max_seen) == \
+            (drift.u0, drift.min_seen, drift.max_seen)
+        assert (heat.richardson_gap, heat.dt_ratio, heat.steps) == \
+            (drift.richardson_gap, drift.dt_ratio, drift.steps)
+
+    @pytest.mark.parametrize("gen,ops", [
+        (GVariance(VarianceInterval(1.0, 2.0)), 6),
+        (GVariance(VarianceInterval(1.3, 1.3), side="inf"), 4),
+        (GMean(MeanInterval(-0.5, 0.5)), 9),
+        (GMean(MeanInterval(0.25, 0.25), side="inf"), 7),
+        (GMean(MeanInterval(0.0, 0.0)), 4),
+    ], ids=["g-heat", "degenerate", "drift", "one-drift", "zero-drift"])
+    def test_array_operations_per_step(self, monkeypatch, gen, ops):
+        counter = CountingNumpy()
+        monkeypatch.setattr(sublinear, "np", counter)
+        monkeypatch.setattr(sublinear, "side_extremum", lambda side: getattr(
+            counter, "maximum" if side == "sup" else "minimum"))
+        step = _scheme(gen)[2](11, 0.1, 1e-3)
+        u, out = np.linspace(0.0, 1.0, 11) ** 2, np.zeros(11)
+        counter.calls = 0
+        step(u, out)
+        assert counter.calls == ops
 
 
 class TestTreeOracle:
