@@ -769,14 +769,15 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command and one flag per row of its table.  Flags
-    keep the default None, so that merge_config sees only the flags given."""
+    keep the default None, so that merge_config sees only the flags given,
+    and take only their full names, which _fuse_flag_values knows."""
     parser = argparse.ArgumentParser(
-        prog="nlclt",
+        prog="nlclt", allow_abbrev=False,
         description="Numerical laboratory for classical, martingale and "
                     "nonlinear central limit theorems")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, summary) in COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
         for opt in OPTIONS[command]:
             text = opt.help if opt.default is None else \
                 f"{opt.help} (default: {opt.default})"

@@ -2,10 +2,11 @@
 
 Computes sup/inf expectations of the scaled statistics at finite n by
 backward induction on a statistic grid, with the adversary choosing the
-conditional mean (from a small control grid) or the conditional scale
-(bang-bang) at every step.  For rationally related scales the grid is
-snapped so that every innovation shift lands exactly on grid points and
-the induction is exact-on-grid.
+conditional mean (from its exact control set on the lattice, see
+RectangularModel.controls) or the conditional scale (bang-bang) at every
+step.  For rationally related scales the grid is snapped so that every
+innovation shift lands exactly on grid points and the induction is
+exact-on-grid.
 
 The lattice section owns the one backward-induction kernel; the PDE
 module's lattice oracle calls it too.  The kernel works on two levels:
@@ -41,7 +42,6 @@ from .sublinear import (TestFunction, default_halfwidth, solve_g_expectation,
 
 MEAN_KIND = "mean_uncertain"
 VARIANCE_KIND = "variance_uncertain"
-MEAN_CONTROL_POINTS = 5
 DEFAULT_GRID_POINTS = 4001
 COARSE_GRID_POINTS = 2001
 INTERP_TOLERANCE = 1e-3
@@ -117,13 +117,29 @@ class RectangularModel:
         return default_halfwidth(self.var_interval if self.kind == VARIANCE_KIND
                                  else self.mean_interval)
 
-    def controls(self) -> np.ndarray:
-        """Adversary control grid: bang-bang scales, or 5 mean points."""
+    def controls(self, h: Optional[float] = None) -> np.ndarray:
+        """The adversary's control set: the two scales (bang-bang), or, on
+        a lattice of spacing h, the mean bounds and every mu between them
+        at which some atom's move (mu/n + k*eps)/h is a whole number of
+        cells (k = mean_step_scale()).  The kernel interpolates each move
+        between two cells, so a row is linear in mu between these points
+        and its max and min over [mu_low, mu_high] sit at one of them.  On
+        a snapped lattice every k*eps is whole, and the inner points are
+        the whole-cell drifts.
+        """
         if self.kind == VARIANCE_KIND:
             return np.array([self.var_interval.sigma_low,
                              self.var_interval.sigma_high])
-        m = self.mean_interval
-        return np.linspace(m.mu_low, m.mu_high, MEAN_CONTROL_POINTS)
+        lo, hi = self.mean_interval.mu_low, self.mean_interval.mu_high
+        cell = self.n * h  # the mu that drifts one cell
+        mus = [[lo, hi]]
+        for move in self.mean_step_scale() * np.asarray(self.innovation.values) / h:
+            # mu/(n h) + move is whole where mu/(n h) + w is
+            w = _cell_split(float(move))[1] or 0.0
+            j = np.arange(math.floor(lo / cell + w), math.ceil(hi / cell + w) + 1)
+            mus.append((j - w) * cell)
+        mus = np.concatenate(mus)
+        return np.unique(mus[(mus >= lo) & (mus <= hi)])
 
     def mean_step_scale(self) -> float:
         """Coefficient of one innovation in the folded scalar statistic."""
@@ -140,36 +156,37 @@ class AdversaryPolicy:
     x0: float
     h: float
     control_values: tuple
-    controls: np.ndarray  # int8, shape (n, points)
+    controls: np.ndarray  # shape (n, points): int8 up to 128 controls, else wider
 
 
 # ---------------------------------------------------------------------------
 # lattice backward induction (also run by sublinear.tree_value_oracle)
 # ---------------------------------------------------------------------------
 
-def _snapped_spacing(shifts: np.ndarray, halfwidth: float,
-                     target_points: int) -> Optional[float]:
-    """Grid spacing making every |shift| an exact integer multiple, or None.
+def _lattice_spacing(shifts: np.ndarray, halfwidth: float,
+                     target_points: int) -> float:
+    """The target spacing 2 * halfwidth / (target_points - 1), refined so
+    that every |shift| is an exact integer multiple where that can be done.
 
-    Requires the pairwise shift ratios to be rational with denominator at
+    That needs the pairwise shift ratios to be rational with denominator at
     most SNAP_DENOMINATOR_CAP (covers every rationally related scale pair),
     and the spacing to be at least the target's over SNAP_REFINE_CAP.
     """
+    h_target = 2.0 * halfwidth / (target_points - 1)
     mags = np.unique(np.abs(shifts[shifts != 0.0]))
     if len(mags) == 0:
-        return None
+        return h_target
     unit = float(mags[0])
     denominators = []
     for d in mags:
         frac = Fraction(float(d) / unit).limit_denominator(SNAP_DENOMINATOR_CAP)
         if abs(float(d) / unit - frac) > SNAP_REL_TOL:
-            return None
+            return h_target
         denominators.append(frac.denominator)
     base = math.lcm(*denominators)
-    h_target = 2.0 * halfwidth / (target_points - 1)
     mult = max(1, math.ceil(unit / (base * h_target)))
     h = unit / (base * mult)
-    return h if h * SNAP_REFINE_CAP >= h_target else None
+    return h if h * SNAP_REFINE_CAP >= h_target else h_target
 
 
 def _dp_grid(model: RectangularModel, target_points: int,
@@ -178,8 +195,9 @@ def _dp_grid(model: RectangularModel, target_points: int,
     """Statistic grid through 0 covering [-halfwidth, halfwidth] (by default
     the model's), and cell offsets.
 
-    Returns (x, h, offsets[controls, atoms], drift[controls]): a step moves
-    by a control's drift (mu/n, or 0 for a scale) plus its innovation move
+    Returns (x, h, offsets[controls, atoms], drift[controls]), by default
+    for the model's control set at h: a step moves by a control's drift
+    (mu/n, or 0 for a scale) plus its innovation move
     (k*eps or sigma*eps/sqrt(n)); offsets are the two summed, in cells,
     and drift is the drift in cells, neither rounded (the kernel's
     _cell_split says which are whole cells).  The target spacing
@@ -191,21 +209,24 @@ def _dp_grid(model: RectangularModel, target_points: int,
     """
     if target_points < 3:
         raise InvalidParams(f"grid_points must be >= 3, got {target_points}")
-    if controls is None:
-        controls = model.controls()
     if halfwidth is None:
         halfwidth = model.halfwidth()
     atoms = np.asarray(model.innovation.values, dtype=float)
     if model.kind == VARIANCE_KIND:
-        drift = np.zeros(len(controls))
+        if controls is None:
+            controls = model.controls()
         moves = np.array([[sig * v / math.sqrt(model.n) for v in atoms]
                           for sig in controls])
+        h = _lattice_spacing(moves, halfwidth, target_points)
+        drift = np.zeros(len(controls))
     else:
+        # every mean control moves the atoms alike, so h comes first
+        moves = model.mean_step_scale() * atoms
+        h = _lattice_spacing(moves, halfwidth, target_points)
+        if controls is None:
+            controls = model.controls(h)
         drift = np.asarray(controls, dtype=float) / model.n
-        moves = np.tile(model.mean_step_scale() * atoms, (len(controls), 1))
-    h = _snapped_spacing(moves, halfwidth, target_points)
-    if h is None:
-        h = 2.0 * halfwidth / (target_points - 1)
+        moves = np.tile(moves, (len(controls), 1))
     half_cells = math.ceil(halfwidth / h)
     x = (np.arange(-half_cells, half_cells + 1)) * h
     return x, h, (drift[:, None] + moves) / h, drift / h
@@ -263,7 +284,7 @@ def _lattice_stencil(offsets: np.ndarray, drift: np.ndarray, probs,
 def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
                        drift: np.ndarray, probs, steps: int, side: str,
                        record_policy: bool):
-    """Middle-point value and (optionally) the int8 policy table after
+    """Middle-point value and (optionally) the policy table after
     `steps` adversarial steps back from the terminal values on a grid: per
     point, the control c (moving offsets[c, a] cells on atom a, drift[c]
     cells of that its drift) with the best expectation over the atoms
@@ -310,7 +331,9 @@ def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
                 drifted.append((rows[c], at(f), at(f + 1), 1.0 - w, w))
     upper = np.empty(points)
     best = side_extremum(side)
-    policy = np.empty((steps, points), dtype=np.int8) if record_policy else None
+    # int8 while it holds every control index
+    policy = np.empty((steps, points), dtype=np.min_scalar_type(-len(rows))) \
+        if record_policy else None
     for step in range(steps - 1, -1, -1):
         padded[:pad] = values[0]
         padded[pad + points:] = values[-1]
@@ -347,8 +370,8 @@ def _backward_induction(model: RectangularModel, phi: TestFunction, side: str,
                         target_points: int, record_policy: bool,
                         controls: Optional[np.ndarray] = None,
                         halfwidth: Optional[float] = None):
-    """Root value, grid, spacing and (optionally) the int8 policy table,
-    from the lattice kernel on the model's grid and shifts."""
+    """Root value, grid, spacing and (optionally) the policy table, from
+    the lattice kernel on the model's grid, shifts and control set."""
     x, h, offsets, drift = _dp_grid(model, target_points, controls, halfwidth)
     probs = np.asarray(model.innovation.probs, dtype=float)
     root, policy = _lattice_induction(phi(x), offsets, drift, probs, model.n,
@@ -381,7 +404,7 @@ def _dp_root(model: RectangularModel, phi: TestFunction, side: str,
         return root, None
     return root, AdversaryPolicy(kind=model.kind, side=side, n=model.n,
                                  x0=float(x[0]), h=h,
-                                 control_values=tuple(model.controls()),
+                                 control_values=tuple(model.controls(h)),
                                  controls=policy)
 
 
@@ -390,7 +413,8 @@ def sup_expectation_dp(model: RectangularModel, phi: TestFunction, side: str,
                        check_points: Optional[int] = COARSE_GRID_POINTS):
     """Adversarial value of E[phi(statistic)] and the achieving policy.
 
-    The policy table (int8, n x grid points) is recorded only on this path;
+    The policy table (n x grid points, int8 up to 128 controls) is
+    recorded only on this path;
     convergence_experiment, which needs only values, skips it.  The
     interpolation error is estimated by re-solving on a coarser grid
     (Richardson comparison); GridTooCoarse is raised above 1e-3.  Pass
@@ -401,25 +425,43 @@ def sup_expectation_dp(model: RectangularModel, phi: TestFunction, side: str,
 
 
 def lindeberg_condition_value(model: RectangularModel, eps: float) -> float:
-    """(1/n) sum_i sup over controls of E[|X_i|^2 1{|X_i| > sqrt(n eps)}]
-    at n = model.n.
+    """(1/n) sum_i sup over controls of E[|X_i|^2 1{|X_i| > t}], with
+    t = sqrt(n eps), at n = model.n.
 
-    Exact over the innovation support and control grid; identical across
-    steps, so the average equals the per-step worst case.
+    Exact over the innovation support and the whole control range, and
+    identical across steps, so the average equals the per-step worst case.
+    Every |X| grows with the scale, so a scale model's worst is sigma_high.
+    A mean model's atom X = mu + sigma*eps adds X^2 on the open set of mu
+    where |X| > t, so the mass is convex in mu between the cuts where some
+    atom's |X| reaches t, and can peak inside the interval.  Its sup is
+    the largest of the bounds' values and the one-sided limits at the
+    bounds and those cuts: each atom counts where it is on from that side.
     """
     if not eps > 0:
         raise InvalidParams("eps must be > 0")
     threshold = math.sqrt(model.n * eps)
     atoms = np.asarray(model.innovation.values, dtype=float)
     probs = np.asarray(model.innovation.probs, dtype=float)
-    worst = 0.0
-    for control in model.controls():
-        if model.kind == VARIANCE_KIND:
-            xs = control * atoms
-        else:
-            xs = control + model.sigma * atoms
-        mass = float(np.dot(probs, np.where(np.abs(xs) > threshold, xs * xs, 0.0)))
-        worst = max(worst, mass)
+    if model.kind == VARIANCE_KIND:
+        lo = hi = 0.0
+        moves = model.var_interval.sigma_high * atoms
+    else:
+        lo, hi = model.mean_interval.mu_low, model.mean_interval.mu_high
+        moves = model.sigma * atoms
+
+    def mass(mu, on):
+        xs = mu + moves
+        return float(np.dot(probs, np.where(on, xs * xs, 0.0)))
+
+    worst = max(mass(mu, np.abs(mu + moves) > threshold) for mu in (lo, hi))
+    # atom a is on for mu past its cuts: mu > up[a] or mu < down[a]
+    up, down = threshold - moves, -threshold - moves
+    cuts = np.concatenate([up, down])
+    for mu in np.concatenate([[lo], cuts[(cuts > lo) & (cuts < hi)], [hi]]):
+        if mu < hi:  # from the right
+            worst = max(worst, mass(mu, (mu >= up) | (mu < down)))
+        if mu > lo:  # from the left
+            worst = max(worst, mass(mu, (mu > up) | (mu <= down)))
     return worst
 
 
@@ -483,7 +525,9 @@ def policy_simulate(model: RectangularModel, policy: AdversaryPolicy,
             f"match model kind={model.kind!r} n={model.n}")
     if policy.controls.shape[0] != policy.n:
         raise PolicyMismatch("policy control table does not cover every step")
-    if not np.allclose(policy.control_values, model.controls()):
+    expected = model.controls(policy.h)
+    if len(policy.control_values) != len(expected) or \
+            not np.allclose(policy.control_values, expected):
         raise PolicyMismatch("policy control set differs from the model's")
     gen = generator(spec)
     innovations = Categorical(model.innovation.probs, reps)

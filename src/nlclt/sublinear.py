@@ -543,21 +543,19 @@ def tree_value_oracle(problem: HjbProblem, steps: int,
 
     A variance generator runs the DP's variance model (bang-bang scales);
     a mean generator runs its mean model at sigma = 0, a +-1/sqrt(steps)
-    walk drifted by mu_low/steps or mu_high/steps.  grid_points is a target
-    the DP's snapping may refine; values past the ends are held at the end
-    values.
+    walk drifted by mu/steps, with mu from the model's exact control set
+    on the lattice (the bounds and every whole-cell drift between them).
+    grid_points is a target the DP's snapping may refine; values past the
+    ends are held at the end values.
     """
     from .measure_dp import RectangularModel, _backward_induction
 
     gen = problem.generator
-    controls = None
     if isinstance(gen, GVariance):
         model = RectangularModel.variance_uncertain(gen.interval, steps)
     else:
         model = RectangularModel.mean_uncertain(gen.interval, 0.0, steps)
-        controls = np.array([gen.interval.mu_low, gen.interval.mu_high])
     root, _, _, _ = _backward_induction(model, problem.terminal, gen.side,
                                         grid_points, record_policy=False,
-                                        controls=controls,
                                         halfwidth=problem.halfwidth())
     return root

@@ -1,11 +1,23 @@
-"""Independent oracles for the adversarial DP tests.
+"""Independent oracles for the adversarial DP tests, and the innovation
+law they draw besides Rademacher.
 
-Everything here works on exact integer state lattices or explicit policy
-enumeration and shares no code with the production backward induction.
+The oracles work on exact integer state lattices or explicit policy
+enumeration and share no code with the production backward induction.
 """
 import math
 
 import numpy as np
+
+from nlclt.classical import DiscreteLaw
+
+
+def standardized_bernoulli(p):
+    """Bernoulli(p) shifted and scaled to zero mean and unit variance."""
+    law = DiscreteLaw.bernoulli(p)
+    s = math.sqrt(p * (1.0 - p))
+    return DiscreteLaw(values=tuple((v - p) / s for v in law.values),
+                       probs=law.probs)
+
 
 
 def lattice_tree_value(n, phi, side="sup", units=(1, 2)):

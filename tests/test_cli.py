@@ -332,6 +332,17 @@ class TestCheckAndSimulate:
         gap = abs(float(rows["dp_value"]) - float(rows["policy_estimate"]))
         assert gap <= 3 * float(rows["policy_stderr"])
 
+    def test_simulate_policy_of_one_step(self, tmp_path):
+        # n = 1 drifts +-111.25 cells: 225 controls, past an int8 table
+        out = tmp_path / "sim.csv"
+        code = run("simulate", "--target", "policy", "--model", "mean",
+                   "--mu-low", "-0.5", "--mu-high", "0.5", "--phi", "gauss",
+                   "--n", "1", "--out", str(out))
+        assert code == 0
+        rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+        gap = abs(float(rows["dp_value"]) - float(rows["policy_estimate"]))
+        assert gap <= 3 * float(rows["policy_stderr"])
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
@@ -733,6 +744,16 @@ class TestNegativeValues:
     def test_a_flag_is_not_taken_as_a_value(self, capsys):
         assert run("density", "--out", "--seed", "1") == 2
         assert "argument --out: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1e-3", "0"])
+    def test_a_flag_is_only_its_full_name(self, capsys, value):
+        # argparse would take --mu-l for --mu-low, but only full names are
+        # fused with a negative value
+        assert run("check", "--chain", "lindeberg", "--model", "mean",
+                   "--mu-l", value, "--mu-high", "1") == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"unrecognized arguments: --mu-l {value}" in err
 
 
 class TestMissingKeys:

@@ -15,12 +15,14 @@ w * shift(V, m + 1)) on every control, stays within 1e-12 of the
 kernel's root.
 """
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers_dp import standardized_bernoulli
 from nlclt.classical import DiscreteLaw
 from nlclt.densities import MeanInterval, VarianceInterval
 from nlclt.measure_dp import RectangularModel, _backward_induction, _dp_grid
@@ -82,18 +84,18 @@ def ref_weighted_terms(row, probs):
 
 def ref_backward_induction(model, phi, side, target_points, record_policy,
                            controls=None, two_level=True):
-    if controls is None:
-        controls = model.controls()
     x, h, offsets, drift = _dp_grid(model, target_points, controls)
     probs = np.asarray(model.innovation.probs, dtype=float)
     n = model.n
     values = phi(x)
     take_best = np.max if side == "sup" else np.min
     arg_best = np.argmax if side == "sup" else np.argmin
-    policy = np.empty((n, len(x)), dtype=np.int8) if record_policy else None
+    count = len(offsets)
+    dtype = np.int8 if count <= 128 else np.int16
+    policy = np.empty((n, len(x)), dtype=dtype) if record_policy else None
     for step in range(n - 1, -1, -1):
-        stacked = np.empty((len(controls), len(x)))
-        for ci in range(len(controls)):
+        stacked = np.empty((count, len(x)))
+        for ci in range(count):
             d = drift[ci]
             moves = offsets[ci] - d
             if two_level and np.all(np.abs(moves - np.round(moves)) < 1e-9):
@@ -125,14 +127,6 @@ def ref_backward_induction(model, phi, side, target_points, record_policy,
 # ---------------------------------------------------------------------------
 # drawn problems
 # ---------------------------------------------------------------------------
-
-def standardized_bernoulli(p):
-    """Bernoulli(p) shifted and scaled to zero mean and unit variance."""
-    law = DiscreteLaw.bernoulli(p)
-    s = math.sqrt(p * (1.0 - p))
-    return DiscreteLaw(values=tuple((v - p) / s for v in law.values),
-                       probs=law.probs)
-
 
 def ordered_pair(lo, hi):
     """(a, b) with a <= b, equal about a third of the time."""
@@ -185,7 +179,8 @@ def problems(draw):
     model = draw(models())
     controls = None
     if draw(st.booleans()):
-        lo, hi = model.controls()[0], model.controls()[-1]
+        # a hand-picked grid over the bounds instead of the model's set
+        lo, hi = astuple(model.var_interval or model.mean_interval)
         controls = np.linspace(lo, hi, draw(st.integers(1, 7)))
     return (model, draw(payoffs()), draw(st.sampled_from(["sup", "inf"])),
             draw(st.integers(3, 401)), draw(st.booleans()), controls)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers_dp import (
@@ -13,6 +13,7 @@ from helpers_dp import (
     lattice_tree_value,
     lattice_tree_value_split,
     lattice_tree_value_two_layer,
+    standardized_bernoulli,
 )
 from nlclt import measure_dp
 from nlclt.classical import DiscreteLaw
@@ -22,6 +23,7 @@ from nlclt.measure_dp import (
     COARSE_GRID_POINTS,
     DEFAULT_GRID_POINTS,
     RectangularModel,
+    _backward_induction,
     _dp_grid,
     _lattice_induction,
     _lattice_stencil,
@@ -139,9 +141,10 @@ class TestBruteForceEquivalence:
 
 
 class TestLatticeStencil:
-    """The groups each criterion-8 problem gets: the mean model's 5
-    controls share one innovation expectation, each variance scale is its
-    own group read at zero drift."""
+    """The groups each criterion-8 problem gets: the mean model's 3
+    controls (its bounds and the zero drift, the one whole-cell drift
+    between them) share one innovation expectation, each variance scale
+    is its own group read at zero drift."""
 
     @staticmethod
     def stencil(model, points):
@@ -152,11 +155,14 @@ class TestLatticeStencil:
     @pytest.mark.parametrize("n", [125, 250, 500, 1000, 2000])
     def test_criterion_8_problems(self, n, points):
         mean = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, n)
+        _, h, _, _ = _dp_grid(mean, points)
+        assert mean.controls(h).tolist() == [-0.5, 0.0, 0.5]
         groups = self.stencil(mean, points)
         assert len(groups) == 1
         terms, _, members = groups[0]
         assert [q for _, q in terms] == [0.5, 0.5]
-        assert [c for c, _, _ in members] == list(range(5))
+        assert [c for c, _, _ in members] == [0, 1, 2]
+        assert members[1] == (1, 0, None)
         var = RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), n)
         groups = self.stencil(var, points)
         assert [(reach, members) for _, reach, members in groups] == \
@@ -166,24 +172,32 @@ class TestLatticeStencil:
 
     def test_irrational_law_makes_one_weighted_group_per_control(self):
         # (1 - p)/p = sqrt(2) - 1: no spacing makes both atoms whole cells,
-        # so each control splits both atoms' offsets between two cells
+        # so the bounds split both atoms' offsets between two cells, and
+        # each inner control of the exact set puts one atom on a whole cell
+        # and splits the other
         p = 1.0 / math.sqrt(2.0)
         s = math.sqrt(p * (1.0 - p))
         law = DiscreteLaw(values=(-p / s, (1.0 - p) / s), probs=(1.0 - p, p))
         model = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0,
                                                 125, innovation=law)
-        x, _, offsets, _ = _dp_grid(model, DEFAULT_GRID_POINTS)
+        x, h, offsets, _ = _dp_grid(model, DEFAULT_GRID_POINTS)
+        assert len(model.controls(h)) == len(offsets) == 5
         groups = self.stencil(model, DEFAULT_GRID_POINTS)
         assert [(reach, members) for _, reach, members in groups] == \
             [(0, [(c, 0, None)]) for c in range(5)]
+        wholes = []
         for (terms, _, _), row in zip(groups, offsets):
-            assert len(terms) == 4
-            cells = [m for m, _ in terms]
-            lower = [math.floor(off) for off in row]
-            assert cells == [lower[0], lower[0] + 1, lower[1], lower[1] + 1]
-            # each atom's two weights sum to its probability
-            assert terms[0][1] + terms[1][1] == pytest.approx(law.probs[0], abs=1e-15)
-            assert terms[2][1] + terms[3][1] == pytest.approx(law.probs[1], abs=1e-15)
+            whole = [abs(off - round(off)) < 1e-9 for off in row]
+            wholes.append(sum(whole))
+            per_atom = [[round(off)] if w else [math.floor(off), math.floor(off) + 1]
+                        for off, w in zip(row, whole)]
+            assert [m for m, _ in terms] == per_atom[0] + per_atom[1]
+            # each atom's weights sum to its probability
+            weights = [q for _, q in terms]
+            first = len(per_atom[0])
+            assert sum(weights[:first]) == pytest.approx(law.probs[0], abs=1e-15)
+            assert sum(weights[first:]) == pytest.approx(law.probs[1], abs=1e-15)
+        assert wholes == [0, 1, 1, 1, 0]
 
 
 @st.composite
@@ -242,14 +256,70 @@ class TestRectangularityAudit:
         assert abs(dp - enumerated) <= 1e-12
 
 
+@st.composite
+def mean_games(draw):
+    """(model, payoff, side, points): a mean model on a Rademacher lattice,
+    whose inner controls are whole-cell drifts, or on a standardized
+    bernoulli whose two moves no spacing makes whole (the split path)."""
+    lo, hi = sorted(draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))))
+    law = draw(st.one_of(st.just(DiscreteLaw.rademacher()),
+                         st.floats(0.05, 0.95).map(standardized_bernoulli)))
+    model = RectangularModel.mean_uncertain(
+        MeanInterval(lo, hi), draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+        draw(st.integers(1, 40)), innovation=law)
+    return (model, named_test_function(draw(st.sampled_from(["gauss", "normal_cdf",
+                                                             "tanh"]))),
+            draw(st.sampled_from(["sup", "inf"])), draw(st.integers(3, 201)))
+
+
+class TestExactControlSet:
+    """The kernel's row is linear in mu between the points of the model's
+    control set, so no mu of the interval beats the set."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(mean_games(), st.integers(2, 60))
+    def test_brute_force_never_beats_the_exact_set(self, game, dense):
+        model, phi, side, points = game
+        _, h, _, _ = _dp_grid(model, points)
+        exact = model.controls(h)
+        m = model.mean_interval
+        brute = np.union1d(exact, np.linspace(m.mu_low, m.mu_high, dense))
+        root, _, _, _ = _backward_induction(model, phi, side, points, False)
+        wide, _, _, _ = _backward_induction(model, phi, side, points, False,
+                                            controls=brute)
+        assert abs(wide - root) <= 1e-12
+
+    def test_inner_points_are_the_whole_cell_drifts(self):
+        # n = 25: the bounds drift 4.5 cells, so the set is the bounds and
+        # the drifts -4 .. 4 cells
+        model = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, 25)
+        _, h, _, drift = _dp_grid(model, DEFAULT_GRID_POINTS)
+        assert drift.tolist() == pytest.approx([-4.5] + list(range(-4, 5)) + [4.5],
+                                               abs=1e-9)
+        assert len(model.controls(h)) == 11
+
+    def test_degenerate_interval_is_one_control(self):
+        model = RectangularModel.mean_uncertain(MeanInterval(0.3, 0.3), 1.0, 1)
+        assert model.controls(1e-3).tolist() == [0.3]
+
+    @pytest.mark.parametrize("n,dtype", [(1, np.int16), (200, np.int8)])
+    def test_policy_table_widens_past_int8(self, n, dtype):
+        # n = 1 drifts +-111.25 cells: 225 controls, past int8's 127
+        model = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, n)
+        phi = named_test_function("gauss")
+        value, policy = sup_expectation_dp(model, phi, "sup", check_points=None)
+        assert policy.controls.dtype == dtype
+        est, se = policy_simulate(model, policy, phi, 20_000, SeedSpec(3, 0))
+        assert abs(est - value) <= 3 * se
+
+
 class TestBangBangAdequacy:
     # extreme controls are provably optimal exactly for the (envelope, side)
     # pairings the explicit limit covers; the unmatched pairings admit
     # interior optima of order 1e-5 at finite n
     @pytest.mark.parametrize("envelope,side", [("phibar", "sup"), ("phi", "inf")])
     def test_enriched_control_grid_changes_nothing(self, envelope, side):
-        from nlclt.measure_dp import _backward_induction
-
         phi = s_shaped(envelope)
         model = RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), 100)
         two, _, _, _ = _backward_induction(model, phi, side, 4001, False)
@@ -272,6 +342,39 @@ class TestLindebergValue:
         model = RectangularModel.mean_uncertain(MeanInterval(-1.0, 1.0), 1.0, 100)
         # |mu| + 1 <= 2 < sqrt(100 * 0.05)
         assert lindeberg_condition_value(model, 0.05) == 0.0
+
+    def test_mean_sup_inside_the_interval(self):
+        # t = 0.95: both atoms are on for mu in (-0.05, 0.05), where the
+        # mass is 1 + mu^2, so the sup 1.0025 is a limit at mu -> +-0.05;
+        # the bounds give 0.605 and 0.72
+        model = RectangularModel.mean_uncertain(MeanInterval(-0.1, 0.2), 1.0, 1)
+        assert lindeberg_condition_value(model, 0.9025) == pytest.approx(1.0025,
+                                                                         abs=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([DiscreteLaw.rademacher(), standardized_bernoulli(0.3)]),
+           st.floats(0.5, 2.0), st.floats(0.4, 1.2), st.integers(1, 5),
+           st.integers(0, 1), st.sampled_from([-1.0, 1.0]),
+           st.floats(0.0, 0.5), st.floats(0.0, 0.5))
+    def test_a_dense_grid_approaches_it_from_below(self, law, sigma, ratio, n,
+                                                    atom, sign, below, above):
+        # an interval about a cut, where an atom's |X| reaches t = ratio *
+        # sigma: the mass jumps there and often peaks
+        t = ratio * sigma
+        cut = sign * t - sigma * law.values[atom]
+        lo, hi = cut - below, cut + above
+        model = RectangularModel.mean_uncertain(MeanInterval(lo, hi), sigma, n,
+                                                innovation=law)
+        eps = t * t / n
+        worst = lindeberg_condition_value(model, eps)
+        xs = np.linspace(lo, hi, 2001)[:, None] + sigma * np.array(law.values)
+        dense = np.where(np.abs(xs) > math.sqrt(n * eps), xs * xs, 0.0) \
+            @ np.array(law.probs)
+        assert dense.max() <= worst + 1e-12
+        # within one grid step of every one-sided limit, as X^2 moves at
+        # most 2|X| per unit of mu
+        step = (hi - lo) / 2000
+        assert worst <= dense.max() + 2 * np.abs(xs).max() * step + 1e-12
 
     def test_mean_uncertain_hand_value(self):
         model = RectangularModel.mean_uncertain(MeanInterval(-1.0, 1.0), 1.0, 1)
@@ -356,6 +459,15 @@ class TestPolicySimulate:
             policy_simulate(model_b, policy, phi, 10, SeedSpec(1, 0))
         with pytest.raises(PolicyMismatch):
             policy_simulate(model_c, policy, phi, 10, SeedSpec(1, 0))
+
+    def test_control_sets_of_another_length_mismatch(self):
+        # [-0.5, 0.5] at n = 10 has 25 controls, [-0.2, 0.2] has 11
+        phi = named_test_function("gauss")
+        wide = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, 10)
+        narrow = RectangularModel.mean_uncertain(MeanInterval(-0.2, 0.2), 1.0, 10)
+        _, policy = sup_expectation_dp(wide, phi, "sup", check_points=None)
+        with pytest.raises(PolicyMismatch):
+            policy_simulate(narrow, policy, phi, 10, SeedSpec(1, 0))
 
 
 class TestModelValidation:

@@ -1,8 +1,9 @@
 """Properties of the lattice oracle on the mean generator.
 
 `tree_value_oracle` is a call of the adversarial DP: its mean problems run
-the DP's mean model at sigma = 0 with the two extreme drifts as controls,
-on the problem's half-width.  On hypothesis-drawn problems the root stays
+the DP's mean model at sigma = 0 with the model's own control set (the two
+bounds and every whole-cell drift between them), on the problem's
+half-width.  On hypothesis-drawn problems the root stays
 in the terminal's range and sup reads at least inf; a degenerate interval
 gives both sides one induction.
 """

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers_dp import standardized_bernoulli
 from nlclt.classical import DiscreteLaw
 from nlclt.densities import MeanInterval, VarianceInterval
 from nlclt.errors import InvalidParams
@@ -150,14 +151,6 @@ def ref_policy_simulate(model, policy, phi, reps, spec):
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return est, se
-
-
-def standardized_bernoulli(p):
-    """Bernoulli(p) shifted and scaled to zero mean and unit variance."""
-    law = DiscreteLaw.bernoulli(p)
-    s = math.sqrt(p * (1.0 - p))
-    return DiscreteLaw(values=tuple((v - p) / s for v in law.values),
-                       probs=law.probs)
 
 
 @st.composite
