@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -520,13 +519,18 @@ def build_payoff(cfg: dict, key: str):
     return make_s_shaped(spec, s["s_envelope"])
 
 
-def write_table(path: str, header: str, rows) -> None:
+def write_table(path: str, header: str, blocks) -> None:
     """csvio.write_csv_atomic, reporting a path it cannot write (a
     directory, or a path under a regular file) as a ConfigError."""
     try:
-        csvio.write_csv_atomic(path, header, rows)
+        csvio.write_csv_atomic(path, header, blocks)
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
+def _rows_block(rows) -> list:
+    """The blocks of a table of a few rows: one, its columns as tuples."""
+    return [tuple(zip(*rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +544,8 @@ DENSITY_FAMILIES = {"chen-epstein": "chen_epstein", "cez": "cez"}
 def cmd_density(cfg: dict) -> int:
     family = DENSITY_FAMILIES[cfg["family"]]
     params = DensityParams(cfg["alpha"], cfg["beta"], cfg["c"])
-    ys, ds = emit_density_curve(params, family, cfg["grid"]).T.tolist()
-    write_table(_out(cfg), "y,density", zip(ys, ds))
+    curve = emit_density_curve(params, family, cfg["grid"])
+    write_table(_out(cfg), "y,density", [(curve[:, 0], curve[:, 1])])
     return 0
 
 
@@ -574,19 +578,19 @@ def _figure_curves(entry, grid: Grid1D):
     return name, curves
 
 
-def _figure_rows(curves):
-    """(y, label, density) rows, made one curve at a time as they are written."""
-    for label, curve in curves:
-        ys, ds = curve.T.tolist()
-        yield from zip(ys, itertools.repeat(label), ds)
-
-
 def cmd_figures(cfg: dict) -> int:
     out_dir = _out(cfg)
     tables = [_figure_curves(e, cfg["grid"]) for e in PAPER_FIGURES]
     for name, curves in tables:  # compute everything before writing anything
-        write_table(os.path.join(out_dir, name), "y,curve,density", _figure_rows(curves))
+        write_table(os.path.join(out_dir, name), "y,curve,density",
+                    [(curve[:, 0], label, curve[:, 1]) for label, curve in curves])
     return 0
+
+
+def _grid_blocks(grid) -> list:
+    """The t,x,u table of a ValueGrid: one block per stored layer."""
+    return [(csvio.format_value(t), grid.x, layer)
+            for t, layer in zip(grid.times.tolist(), grid.values)]
 
 
 def cmd_solve(cfg: dict) -> int:
@@ -616,8 +620,8 @@ def cmd_solve(cfg: dict) -> int:
         rows.append(("tree_value", tree))
         rows.append(("abs_gap", abs(grid.u0 - tree)))
     if cfg["grid_out"]:
-        write_table(cfg["grid_out"], "t,x,u", grid.rows())
-    write_table(_out(cfg), "name,value", rows)
+        write_table(cfg["grid_out"], "t,x,u", _grid_blocks(grid))
+    write_table(_out(cfg), "name,value", _rows_block(rows))
     return 0
 
 
@@ -634,7 +638,7 @@ def cmd_converge(cfg: dict) -> int:
     model = _rect_model(cfg, schedule[0])
     phi = build_payoff(cfg, "phi")
     rows = convergence_experiment(model, phi, schedule, cfg["side"])
-    write_table(_out(cfg), "n,dp_value,limit_value,gap", rows)
+    write_table(_out(cfg), "n,dp_value,limit_value,gap", _rows_block(rows))
     return 0
 
 
@@ -697,7 +701,7 @@ def cmd_check(cfg: dict) -> int:
     chains = {"classical": _check_classical, "martingale": _check_martingale,
               "lindeberg": _check_lindeberg}
     header, rows = chains[cfg["chain"]](cfg)
-    write_table(_out(cfg), header, rows)
+    write_table(_out(cfg), header, _rows_block(rows))
     return 0
 
 
@@ -727,7 +731,7 @@ def cmd_simulate(cfg: dict) -> int:
         rows.append(("dp_value", value))
         rows.append(("policy_estimate", est))
         rows.append(("policy_stderr", se))
-    write_table(_out(cfg), "name,value", rows)
+    write_table(_out(cfg), "name,value", _rows_block(rows))
     return 0
 
 

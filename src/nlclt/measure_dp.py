@@ -474,9 +474,19 @@ def _explicit_limit(model: RectangularModel, phi: TestFunction,
         if shape is not None and shape.symmetric and shape.monotone_right:
             params = select_mean_limit_params(model.mean_interval, shape.center,
                                               shape.monotone_right, side)
-            return quad_integrate(
-                lambda y: phi(y) * chen_epstein_pdf(params, y),
-                -math.inf, math.inf, abs_tol=1e-9).value
+            def integrand(y):
+                return phi(y) * chen_epstein_pdf(params, y)
+            a = max(1.0, abs(params.alpha), abs(params.beta))
+            if a <= 1.0:
+                return quad_integrate(integrand, -math.inf, math.inf,
+                                      abs_tol=1e-9).value
+            # a spike about 1/a wide at c sits on unit-wide pieces; panels
+            # spanning both scales miss the spike, so the line is cut at c
+            # and at c -+ 20/a, past which the spike is below e^-40
+            w = 20.0 / a
+            edges = (-math.inf, params.c - w, params.c, params.c + w, math.inf)
+            return math.fsum(quad_integrate(integrand, lo, hi, abs_tol=2.5e-10).value
+                             for lo, hi in zip(edges, edges[1:]) if lo < hi)
         return solve_g_expectation(model.mean_interval, phi, side).u0
     meta = phi.s_shape
     if meta is not None and meta.phi1_convexity is not None:

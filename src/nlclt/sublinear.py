@@ -277,6 +277,8 @@ class ValueGrid:
     both grids.  Each stored layer is the fine layer plus a third of its
     difference from the coarse layer, interpolated linearly onto x
     (Richardson extrapolation: the dx^2 and dt error terms cancel).
+    `solve --grid-out` writes each stored layer as one CSV block: its time,
+    x and the layer as columns.
     """
 
     x: np.ndarray
@@ -290,12 +292,6 @@ class ValueGrid:
     steps: int                 # steps of the fine march
     richardson_gap: float      # u0 minus the fine march's u(0, 0)
     dt_ratio: float            # the fine march's dt over its dt_bound(dx)
-
-    def rows(self):
-        x = self.x.tolist()
-        for t, layer in zip(self.times.tolist(), self.values):
-            for xi, ui in zip(x, layer.tolist()):
-                yield t, xi, ui
 
 
 class _March(NamedTuple):

@@ -266,6 +266,16 @@ class TestConvergeCommand:
         limit = float(row.split(",")[2])
         assert abs(limit - 0.5 * math.erfc(-0.25)) <= 1e-8
 
+    def test_explicit_limit_of_a_wide_mean_interval(self, tmp_path):
+        # the limit density is 1e-6 wide about c; its peak must not be missed
+        out = tmp_path / "converge.csv"
+        assert run("converge", "--model", "mean", "--mu-low", "-1e6",
+                   "--mu-high", "1e6", "--schedule", "1", "--phi", "gauss",
+                   "--out", str(out)) == 0
+        header, row = out.read_text().splitlines()
+        assert header == "n,dp_value,limit_value,gap"
+        assert abs(float(row.split(",")[2]) - 1.0) <= 1e-6
+
     def test_zero_sigma_is_a_config_error(self, tmp_path, capsys):
         # the mean model accepts sigma = 0 (the lattice oracle runs it); the
         # command keeps its own sigma > 0 check
@@ -964,6 +974,30 @@ def ref_render_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def block_rows(block):
+    """The rows of one block, each str column repeated on every row."""
+    length = max(len(c) for c in block if not isinstance(c, str))
+    cells = [[c] * length if isinstance(c, str) else list(c) for c in block]
+    return list(zip(*cells))
+
+
+def assert_same_text(got, want):
+    """got == want, reporting only the first line that differs (a diff of
+    two long texts would take minutes)."""
+    got, want = got.split("\n"), want.split("\n")
+    bad = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+               None)
+    assert bad is None, f"line {bad}: {got[bad]!r} != {want[bad]!r}"
+    assert len(got) == len(want)
+
+
+def assert_blocks_render(blocks):
+    rows = [row for block in blocks for row in block_rows(block)]
+    want = ref_render_csv("h", rows)
+    assert_same_text(csvio.render_csv("h", blocks), want)
+    assert_same_text(csvio.render_csv("h", iter(blocks)), want)
+
+
 CELLS = st.one_of(
     st.floats(),
     st.floats().map(np.float64),
@@ -977,48 +1011,111 @@ CELLS = st.one_of(
     st.floats(width=32).map(np.float32),
 )
 
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.5e-310,
+           1e300, -1e300, 1.7976931348623157e308, 0.1, 1 / 3, math.inf,
+           -math.inf, math.nan]
+
 
 class TestRenderCsvBytes:
+    """Each drawn row is one block of one-cell columns."""
+
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.lists(st.lists(CELLS, max_size=5), max_size=12))
+    @given(st.lists(st.lists(CELLS, min_size=1, max_size=5), max_size=12))
     def test_mixed_rows_match_the_per_cell_renderer(self, rows):
-        assert csvio.render_csv("h", rows) == ref_render_csv("h", rows)
-        tuples = [tuple(r) for r in rows]
-        assert csvio.render_csv("h", iter(tuples)) == ref_render_csv("h", tuples)
+        assert_blocks_render([tuple((v,) for v in row) for row in rows])
+        assert_blocks_render([tuple([v] for v in row) for row in rows])
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.lists(st.floats(), min_size=1, max_size=30),
            st.lists(CELLS, min_size=1, max_size=3))
     def test_type_changes_between_rows(self, floats, tail):
-        # runs of equal row types, then a change: the template must follow
-        rows = [(v, "x", v) for v in floats] + [tuple(tail)] + [(v,) for v in floats]
-        assert csvio.render_csv("h", rows) == ref_render_csv("h", rows)
+        # a column of floats, a str column, then a row of other cell types
+        column = np.array(floats)
+        assert_blocks_render([(column, "x", column[::-1]),
+                              tuple((v,) for v in tail), (column,)])
+
+
+class TestRenderCsvBlocks:
+    """Blocks of many rows: the one-% template per BLOCK_ROWS rows."""
+
+    @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193])
+    def test_row_counts_about_the_block_size(self, rows):
+        assert csvio.BLOCK_ROWS == 4096
+        values = np.random.default_rng(rows).standard_normal(rows) * 1e3
+        ints = list(range(rows))
+        assert_blocks_render([(values, "c", ints, values[::-1])])
+        assert_blocks_render([(values, ints), ("tail", values[:3])])
+
+    def test_special_floats(self):
+        values = np.array(SPECIAL * 600)   # past one block of rows
+        assert_blocks_render([(values, values[::-1])])
+        assert_blocks_render([(values.tolist(),)])
+
+    def test_strided_views(self):
+        table = np.random.default_rng(3).standard_normal((5000, 3))
+        table[::7, 1] = -0.0
+        assert not table[:, 0].flags.contiguous
+        assert_blocks_render([(table[:, 0], table[:, 2]),
+                              (table[::-3, 1], table[1::3, 0])])
+
+    @pytest.mark.parametrize("label", ["%", "%s", "%.15g", ",", "a,b%%",
+                                       "%(x)s", "", "cez(1,2,0)"])
+    def test_constant_str_columns(self, label):
+        values = np.linspace(-1.0, 1.0, 5000)
+        assert_blocks_render([(label, values), (values, label, label, values)])
+
+    def test_other_cell_types(self):
+        cells = [3, -2**70, True, False, np.int64(-7), np.float32(0.1),
+                 np.float64(0.1), 0.1, "%s", None]
+        assert_blocks_render([(cells, cells[::-1])])
+        ints = np.arange(-5000, 5000, dtype=np.int64)
+        bools = ints % 3 == 0
+        assert_blocks_render([(ints, bools, ints.astype(float))])
+
+    def test_float32_array_is_not_a_float64_column(self):
+        # "%.15g" of np.float32(0.1).tolist() would be 0.100000001490116
+        values = np.array([0.1, 1 / 3, -0.0, np.inf, np.nan], dtype=np.float32)
+        assert csvio.render_csv("v", [(values,)]) == \
+            "v\n0.1\n0.33333334\n-0.0\ninf\nnan\n"
+        assert_blocks_render([(np.tile(values, 1000), "f")])
+
+    @pytest.mark.parametrize("block", [
+        (), ("only", "text"), ([1.0, 2.0], [1.0]),
+        (np.zeros(3), "a", np.zeros(4)),
+    ])
+    def test_a_block_needs_equal_columns(self, block):
+        with pytest.raises(ValueError):
+            csvio.render_csv("h", [block])
+
+    def test_empty_table_is_the_header(self):
+        assert csvio.render_csv("h", []) == "h\n"
+        assert csvio.render_csv("h", [(np.zeros(0),)]) == "h\n"
 
 
 class TestCsvRowsAsPythonFloats:
-    """The commands hand render_csv Python floats (ndarray.tolist()), not
-    np.float64; the bytes must match the rendering of np.float64 rows."""
-
-    SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300,
-               -1e300, 1.7976931348623157e308, 0.1, 1 / 3, math.inf, -math.inf,
-               math.nan]
+    """A float64 column renders "%.15g" over its tolist(), Python floats;
+    the bytes must match the per-cell rendering of np.float64 cells."""
 
     @staticmethod
     def assert_same_bytes(values):
         table = np.array(values, dtype=float).reshape(-1, 1)
         table = np.column_stack([table, table[::-1]])
-        frozen = csvio.render_csv("a,b", map(tuple, table))   # np.float64 cells
-        assert csvio.render_csv("a,b", table.tolist()) == frozen
+        frozen = ref_render_csv("a,b", map(tuple, table))   # np.float64 cells
+        assert_same_text(csvio.render_csv("a,b", [(table[:, 0], table[:, 1])]), frozen)
 
     def test_special_values(self):
-        self.assert_same_bytes(self.SPECIAL)
+        self.assert_same_bytes(SPECIAL)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_drawn_doubles(self, values):
         self.assert_same_bytes(values)
 
-    def test_value_grid_rows(self):
+
+class TestGridOutBlocks:
+    """solve --grid-out writes one block per stored layer: t, x, u."""
+
+    def test_special_values(self):
         x = np.array([-1e300, -0.0, 5e-324, 0.1, 1 / 3])
         values = np.outer([1.0, -2.5e-310, 7.0], x)
         grid = ValueGrid(x=x, times=np.array([1.0, 0.5, 0.0]), values=values,
@@ -1026,5 +1123,23 @@ class TestCsvRowsAsPythonFloats:
                          richardson_gap=0.0, dt_ratio=0.0)
         frozen = [(t, xi, ui) for t, layer in zip(grid.times, grid.values)
                   for xi, ui in zip(grid.x, layer)]
-        assert all(type(v) is float for row in grid.rows() for v in row)
-        assert csvio.render_csv("t,x,u", grid.rows()) == csvio.render_csv("t,x,u", frozen)
+        blocks = cli._grid_blocks(grid)
+        assert len(blocks) == len(grid.times)
+        assert_same_text(csvio.render_csv("t,x,u", blocks),
+                         ref_render_csv("t,x,u", frozen))
+
+    def test_every_layer_in_time_order(self, tmp_path):
+        gout = tmp_path / "grid.csv"
+        assert run("solve", "--problem", "g-heat", "--sigma-low", "1",
+                   "--sigma-high", "1", "--terminal", "gauss",
+                   "--space-points", "101", "--out", str(tmp_path / "s.csv"),
+                   "--grid-out", str(gout)) == 0
+        lines = gout.read_text().splitlines()
+        assert lines[0] == "t,x,u"
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        times = table[::101, 0]
+        assert len(table) == len(times) * 101
+        assert times[0] == 1.0
+        assert times[-1] == 0.0
+        assert np.all(np.diff(times) < 0)
+        assert np.all(table.reshape(len(times), 101, 3)[:, :, 0] == times[:, None])

@@ -394,6 +394,26 @@ class TestConvergenceExperiment:
         assert g2 < g1
         assert g1 == abs(v1 - l1)
 
+    @pytest.mark.parametrize("side", ["sup", "inf"])
+    @pytest.mark.parametrize("intervals", [
+        [(-w, w) for w in (0.5, 1.0, 2.0, 5.0, 30.0, 100.0, 1e3, 1e4, 1e6)],
+        [(0.2, h) for h in (0.3, 1.0, 5.0, 50.0, 500.0, 5e3)],
+        [(-h, 0.2) for h in (0.3, 1.0, 5.0, 50.0, 500.0, 5e3)],
+    ])
+    def test_explicit_mean_limit_is_monotone_in_the_interval(self, side,
+                                                            intervals):
+        # a wider interval gives the adversary more controls: the sup
+        # cannot fall and the inf cannot rise (up to the quadrature's 1e-9)
+        phi = named_test_function("gauss")
+        values = [measure_dp._explicit_limit(
+            RectangularModel.mean_uncertain(MeanInterval(lo, hi), 1.0, 1),
+            phi, side) for lo, hi in intervals]
+        sign = 1.0 if side == "sup" else -1.0
+        assert all(sign * (b - a) >= -2e-9 for a, b in zip(values, values[1:]))
+        if side == "sup" and intervals[0][0] == -intervals[0][1]:
+            # mu = -x is in reach: the sup tends to phi's maximum, 1
+            assert values[-1] == pytest.approx(1.0, abs=1e-9)
+
     def test_degenerate_variance_uses_pde_limit(self):
         model = RectangularModel.variance_uncertain(VarianceInterval(1.0, 1.0), 1)
         rows = convergence_experiment(model, named_test_function("gauss"),

@@ -160,15 +160,6 @@ class TestGHeat:
             solve_g_heat(VarianceInterval(1.0, 2.0),
                          named_test_function("gauss"), **kwargs)
 
-    def test_value_grid_rows(self):
-        grid = solve_g_heat(VarianceInterval(1.0, 1.0),
-                            named_test_function("gauss"), space_points=101,
-                            domain_halfwidth=4.0)
-        rows = list(grid.rows())
-        assert len(rows) == len(grid.times) * 101
-        assert rows[0][0] == 1.0
-        assert rows[-1][0] == 0.0
-
 
 class TestGExpectation:
     def test_degenerate_interval_is_classical(self):
