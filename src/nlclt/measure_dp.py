@@ -292,12 +292,13 @@ def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
 
     The values live in the middle of one buffer whose margins repeat the
     end values, so the clamped shift by m cells is a fixed view of that
-    buffer.  Each step refreshes the margins and fills preallocated rows
-    with `out=` ufuncs, on two levels (see _lattice_stencil).  Group level:
-    q * V once per distinct weight q over the whole buffer, and per group
-    E = sum over its terms of (q * V)[i + m], a sum of views.  Control
-    level: a view of E at a whole-cell drift, else (1 - w) * E[i + f] +
-    w * E[i + f + 1].
+    buffer.  Every view and every weight (a 0-d array) is bound once per
+    induction, so a step only refreshes the margins and fills preallocated
+    rows with ufunc calls, on two levels (see _lattice_stencil).  Group
+    level: q * V once per distinct weight q over the whole buffer, and per
+    group E = sum over its terms of (q * V)[i + m], a sum of views.
+    Control level: a view of E at a whole-cell drift, else (1 - w) *
+    E[i + f] + w * E[i + f + 1].
     """
     points = len(terminal)
     stencil = _lattice_stencil(offsets, drift, probs, points)
@@ -307,8 +308,10 @@ def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
     # 0.0 + v: with no -0.0 in V (no row makes one, short of an underflow)
     # each group sum has the bits of the same sum started from 0.0
     np.add(terminal, 0.0, out=values)
+    head, tail = padded[:pad], padded[pad + points:]
+    first, last = values[:1], values[-1:]
     rows = [None] * len(offsets)
-    products = {}  # q -> q * padded
+    products = {}  # q -> (q as a 0-d array, q * padded)
     sums = []      # per group: (E, its term views)
     drifted = []   # (row, E[i + f], E[i + f + 1], 1 - w, w)
     for terms, reach, members in stencil:
@@ -316,7 +319,7 @@ def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
         expectation = np.empty(width)
         views = []
         for m, q in terms:
-            product = products.setdefault(q, np.empty(len(padded)))
+            _, product = products.setdefault(q, (np.array(q), np.empty(len(padded))))
             views.append(product[pad - reach + m:pad - reach + m + width])
         sums.append((expectation, views))
 
@@ -328,29 +331,31 @@ def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
                 rows[c] = at(f)
             else:
                 rows[c] = np.empty(points)
-                drifted.append((rows[c], at(f), at(f + 1), 1.0 - w, w))
+                drifted.append((rows[c], at(f), at(f + 1), np.array(1.0 - w),
+                                np.array(w)))
     upper = np.empty(points)
     best = side_extremum(side)
     # int8 while it holds every control index
     policy = np.empty((steps, points), dtype=np.min_scalar_type(-len(rows))) \
         if record_policy else None
+    copyto, multiply, add = np.copyto, np.multiply, np.add
     for step in range(steps - 1, -1, -1):
-        padded[:pad] = values[0]
-        padded[pad + points:] = values[-1]
-        for q, product in products.items():
-            np.multiply(padded, q, out=product)
+        copyto(head, first)
+        copyto(tail, last)
+        for q, product in products.values():
+            multiply(padded, q, product)
         for expectation, views in sums:
-            np.add(views[0], views[1], out=expectation)
+            add(views[0], views[1], expectation)
             for view in views[2:]:
-                np.add(expectation, view, out=expectation)
+                add(expectation, view, expectation)
         for row, lower, higher, w_lower, w in drifted:
-            np.multiply(lower, w_lower, out=row)
-            np.multiply(higher, w, out=upper)
-            np.add(row, upper, out=row)
+            multiply(lower, w_lower, row)
+            multiply(higher, w, upper)
+            add(row, upper, row)
         # pointwise best over the rows in control order, as np.max/np.min
         # over them stacked would reduce
         if len(rows) == 1:
-            np.copyto(values, rows[0])
+            copyto(values, rows[0])
         else:
             best(rows[0], rows[1], out=values)
             for row in rows[2:]:
@@ -415,10 +420,11 @@ def sup_expectation_dp(model: RectangularModel, phi: TestFunction, side: str,
 
     The policy table (n x grid points, int8 up to 128 controls) is
     recorded only on this path;
-    convergence_experiment, which needs only values, skips it.  The
-    interpolation error is estimated by re-solving on a coarser grid
-    (Richardson comparison); GridTooCoarse is raised above 1e-3.  Pass
-    check_points=None to skip the comparison run.
+    convergence_experiment, which needs only values, skips it.  A
+    refinement check re-solves on the coarser check_points grid and raises
+    GridTooCoarse when the two roots differ by more than 1e-3; the coarse
+    root only gates, it is not extrapolated with the fine one, and is then
+    discarded.  Pass check_points=None to skip the check.
     """
     return _dp_root(model, phi, side, target_points, check_points,
                     record_policy=True)

@@ -308,17 +308,18 @@ class _March(NamedTuple):
     dt_ratio: float
 
 
-def _march(u0: np.ndarray, steps: int, every: int, step: Callable) -> tuple:
+def _march(u0: np.ndarray, steps: int, every: int, bind: Callable) -> tuple:
     """Explicit backward march from t = 1 to t = 0 through `steps` calls of
-    `step(u, out)`, each of which writes the interior of the state one step
-    on from u into out (a different row).
+    steps bound by `bind(u, out)`: each call writes the interior of the
+    state one step on from u into out (a different row).
 
     The steps fill the rows of a block of at most MARCH_BLOCK_STEPS rows
     after the row they start from, and the block's least and greatest values
-    are reduced once per block, not once per step.  Stores the terminal
-    layer, every `every`-th layer and the last layer.  Returns the layer
-    times (1.0 down to 0.0), the layers, and the least and greatest value
-    over every marched step.
+    are reduced once per block, not once per step.  Each pair of adjacent
+    rows is bound once per march, so a step only calls its ufuncs.  Stores
+    the terminal layer, every `every`-th layer and the last layer.  Returns
+    the layer times (1.0 down to 0.0), the layers, and the least and
+    greatest value over every marched step.
     """
     ends = list(range(every, steps + 1, every))
     if ends[-1] != steps:
@@ -327,7 +328,7 @@ def _march(u0: np.ndarray, steps: int, every: int, step: Callable) -> tuple:
     # so the end values stay the terminal's.
     block = np.empty((min(MARCH_BLOCK_STEPS, steps) + 1, len(u0)))
     block[:] = u0
-    rows = list(block)
+    bound = [bind(u, out) for u, out in zip(block, block[1:])]
     times = np.empty(len(ends) + 1)
     values = np.empty((len(ends) + 1, len(u0)))
     times[0] = 1.0
@@ -337,9 +338,9 @@ def _march(u0: np.ndarray, steps: int, every: int, step: Callable) -> tuple:
     done = 0
     for layer, end in enumerate(ends, start=1):
         while done < end:
-            count = min(len(rows) - 1, end - done)
-            for k in range(count):
-                step(rows[k], rows[k + 1])
+            count = min(len(bound), end - done)
+            for step in bound[:count]:
+                step()
             marched = block[1:count + 1]
             lo = min(lo, marched.min())
             hi = max(hi, marched.max())
@@ -355,9 +356,12 @@ def _scheme(gen) -> tuple:
 
     dt_bound(dx) is the largest stable time step and diffusion_bound(dx)
     the largest the diffusion term alone allows, and make_step(n, dx, dt)
-    returns the one-step update step(u, out) on n grid points.  The step
-    folds dt and the spacing into c = sigma^2 / 2 * dt / dx^2 and
-    b = mu * dt / (2 dx) and writes the interior only:
+    returns bind(u, out): it binds the views of u and out a step reads and
+    writes on n grid points, and returns the step from u into out as a
+    call of no arguments.  make_step folds dt and the spacing into 0-d
+    coefficients c = sigma^2 / 2 * dt / dx^2 and b = mu * dt / (2 dx), so
+    a step makes only ufunc calls on bound arrays and writes the interior
+    only:
     out[1:-1] = u[1:-1] + pick(c_lo * s, c_hi * s) + pick(b_hi * g, b_lo * g),
     with s the second and g the doubled central difference of u and pick
     the max (sup) or the min (inf).  A pick of two equal coefficients is one
@@ -390,29 +394,38 @@ def _scheme(gen) -> tuple:
         b_hi, b_lo = (mu * (dt / (2.0 * dx)) for mu in (mu_hi, mu_lo))
         two_scales, two_drifts = c_lo != c_hi, b_hi != b_lo
         drifts = b_hi != 0.0 or b_lo != 0.0
+        # 0-d arrays: numpy converts a Python float afresh on every call
+        c_lo, c_hi, b_hi, b_lo = (np.array(v) for v in (c_lo, c_hi, b_hi, b_lo))
+        subtract, multiply, add = np.subtract, np.multiply, np.add
         first, second, rate, drift = (np.empty(k) for k in (n - 1, n - 2, n - 2, n - 2))
         right, left = first[1:], first[:-1]
 
         # The end values are never written, so they stay at the terminal's: a
         # one-sided end difference would be downwind where the drift points
         # out of the domain, and push the end values past the terminal's range.
-        def step(u, out):
-            np.subtract(u[1:], u[:-1], out=first)
-            np.subtract(right, left, out=second)
-            np.multiply(second, c_lo, out=rate)
-            if two_scales:
-                # c_hi > c_lo >= 0: max takes c_hi * s where s >= 0, min where s <= 0
-                np.multiply(second, c_hi, out=second)
-                pick(rate, second, out=rate)
-            if drifts:
-                np.add(right, left, out=second)
-                np.multiply(second, b_hi, out=drift)
-                if two_drifts:
-                    np.multiply(second, b_lo, out=second)
-                    pick(drift, second, out=drift)
-                np.add(rate, drift, out=rate)
-            np.add(u[1:-1], rate, out=out[1:-1])
-        return step
+        def bind(u, out):
+            after, before, inner, interior = u[1:], u[:-1], u[1:-1], out[1:-1]
+
+            # out as the third positional argument, but pick's out as a
+            # keyword: numpy deprecates a third positional to maximum/minimum
+            def step():
+                subtract(after, before, first)
+                subtract(right, left, second)
+                multiply(second, c_lo, rate)
+                if two_scales:
+                    # c_hi > c_lo >= 0: max takes c_hi * s where s >= 0, min where s <= 0
+                    multiply(second, c_hi, second)
+                    pick(rate, second, out=rate)
+                if drifts:
+                    add(right, left, second)
+                    multiply(second, b_hi, drift)
+                    if two_drifts:
+                        multiply(second, b_lo, second)
+                        pick(drift, second, out=drift)
+                    add(rate, drift, rate)
+                add(inner, rate, interior)
+            return step
+        return bind
 
     return diffusion_bound, dt_bound, make_step
 

@@ -15,6 +15,7 @@ from helpers_dp import (
     lattice_tree_value_two_layer,
     standardized_bernoulli,
 )
+from helpers_numpy import CountingNumpy
 from nlclt import measure_dp
 from nlclt.classical import DiscreteLaw
 from nlclt.densities import DensityParams, MeanInterval, VarianceInterval, chen_epstein_pdf
@@ -140,6 +141,14 @@ class TestBruteForceEquivalence:
         assert abs(dp - lattice_tree_value(12, phi, "sup")) <= 1e-12
 
 
+def irrational_law():
+    """A two-atom law whose moves no spacing makes whole cells:
+    (1 - p)/p = sqrt(2) - 1."""
+    p = 1.0 / math.sqrt(2.0)
+    s = math.sqrt(p * (1.0 - p))
+    return DiscreteLaw(values=(-p / s, (1.0 - p) / s), probs=(1.0 - p, p))
+
+
 class TestLatticeStencil:
     """The groups each criterion-8 problem gets: the mean model's 3
     controls (its bounds and the zero drift, the one whole-cell drift
@@ -175,9 +184,7 @@ class TestLatticeStencil:
         # so the bounds split both atoms' offsets between two cells, and
         # each inner control of the exact set puts one atom on a whole cell
         # and splits the other
-        p = 1.0 / math.sqrt(2.0)
-        s = math.sqrt(p * (1.0 - p))
-        law = DiscreteLaw(values=(-p / s, (1.0 - p) / s), probs=(1.0 - p, p))
+        law = irrational_law()
         model = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0,
                                                 125, innovation=law)
         x, h, offsets, _ = _dp_grid(model, DEFAULT_GRID_POINTS)
@@ -198,6 +205,42 @@ class TestLatticeStencil:
             assert sum(weights[:first]) == pytest.approx(law.probs[0], abs=1e-15)
             assert sum(weights[first:]) == pytest.approx(law.probs[1], abs=1e-15)
         assert wholes == [0, 1, 1, 1, 0]
+
+
+class TestKernelOperationsPerStep:
+    """A step of the kernel makes only the ufunc calls its stencil asks for:
+    2 margin refreshes, 1 product per distinct weight q, the term adds
+    (terms - 1 per group), 3 per interpolated control, and controls - 1
+    picks (or 1 copy of a lone control's row)."""
+
+    @pytest.mark.parametrize("model,ops", [
+        # two groups of weights (0.5, 0.5): 2 + 1 + 2 + 0 + 1
+        (RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), 125), 6),
+        # one group (0.5, 0.5) read at the bounds' drifts, interpolated, and
+        # at zero drift: 2 + 1 + 1 + 2 * 3 + 2
+        (RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, 125), 12),
+        # one control splitting both atoms between two cells, 4 distinct
+        # weights: 2 + 4 + 3 + 0 + 1 copy
+        (RectangularModel.mean_uncertain(MeanInterval(0.3, 0.3), 1.0, 125,
+                                         innovation=irrational_law()), 10),
+    ], ids=["variance", "criterion-8-mean", "split-path"])
+    def test_ufunc_calls_per_step(self, monkeypatch, model, ops):
+        x, _, offsets, drift = _dp_grid(model, 201)
+        probs = model.innovation.probs
+        terminal = named_test_function("gauss")(x)
+        counter = CountingNumpy()
+        monkeypatch.setattr(measure_dp, "np", counter)
+        monkeypatch.setattr(measure_dp, "side_extremum", lambda side: getattr(
+            counter, "maximum" if side == "sup" else "minimum"))
+        calls = []
+        for steps in (1, 2, 3):
+            counter.calls = 0
+            _lattice_induction(terminal, offsets, drift, probs, steps, "sup",
+                               record_policy=False)
+            calls.append(counter.calls)
+        # the set-up is the same whatever the step count, and each step
+        # repeats the same calls
+        assert calls[1] - calls[0] == calls[2] - calls[1] == ops
 
 
 @st.composite

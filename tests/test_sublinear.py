@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers_numpy import CountingNumpy
 from nlclt.densities import (
     DensityParams,
     MeanInterval,
@@ -392,23 +393,6 @@ class TestStepDiagnostics:
         assert grid.dt_ratio <= 1.0
 
 
-class CountingNumpy:
-    """numpy, with a count of the calls of its ufuncs."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __getattr__(self, name):
-        attr = getattr(np, name)
-        if not isinstance(attr, np.ufunc):
-            return attr
-
-        def counted(*args, **kwargs):
-            self.calls += 1
-            return attr(*args, **kwargs)
-        return counted
-
-
 class TestOneScheme:
     """The G-heat and the drift march are the two faces of one scheme."""
 
@@ -442,11 +426,15 @@ class TestOneScheme:
         monkeypatch.setattr(sublinear, "np", counter)
         monkeypatch.setattr(sublinear, "side_extremum", lambda side: getattr(
             counter, "maximum" if side == "sup" else "minimum"))
-        step = _scheme(gen)[2](11, 0.1, 1e-3)
+        bind = _scheme(gen)[2](11, 0.1, 1e-3)
         u, out = np.linspace(0.0, 1.0, 11) ** 2, np.zeros(11)
+        step = bind(u, out)
         counter.calls = 0
-        step(u, out)
+        step()
         assert counter.calls == ops
+        # the views and coefficients are bound: a second call sets up nothing
+        step()
+        assert counter.calls == 2 * ops
 
 
 class TestTreeOracle:
