@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -123,6 +124,13 @@ def chen_epstein_pdf(p: DensityParams, y):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_cez_scales(p: DensityParams) -> None:
+    if not (p.alpha > 0 and p.beta > 0):
+        raise InvalidParams(
+            f"cez density needs alpha > 0 and beta > 0, got "
+            f"({p.alpha}, {p.beta})")
+
+
 def cez_pdf(p: DensityParams, y):
     """Variance-uncertainty limit density q^{alpha,beta,c}, vectorized in y.
 
@@ -131,10 +139,7 @@ def cez_pdf(p: DensityParams, y):
     indicator.  Degenerates to the N(0, sigma^2) density when
     alpha = beta = sigma.
     """
-    if not (p.alpha > 0 and p.beta > 0):
-        raise InvalidParams(
-            f"cez density needs alpha > 0 and beta > 0, got "
-            f"({p.alpha}, {p.beta})")
+    _check_cez_scales(p)
     y = np.asarray(y, dtype=float)
     alpha, beta, c = p.alpha, p.beta, p.c
     right = y >= c
@@ -205,6 +210,7 @@ def density_pdf(family: str, p: DensityParams):
     if family == MEAN_FAMILY:
         return lambda y: chen_epstein_pdf(p, y)
     if family == VARIANCE_FAMILY:
+        _check_cez_scales(p)
         return lambda y: cez_pdf(p, y)
     raise InvalidParams(f"unknown density family {family!r}")
 
@@ -234,15 +240,74 @@ def emit_density_curve(p: DensityParams, family: str, grid: Grid1D) -> np.ndarra
     return np.column_stack([y, pdf(y)])
 
 
+# Past this many widths from its centre a Gaussian piece of either density
+# is below e^-200 of its peak: negligible even against a payoff of linear
+# growth.
+CUT_WIDTHS = 20.0
+
+
+def _pieces(family: str, p: DensityParams) -> list:
+    """(centre, width) of each Gaussian piece of the density.
+
+    chen_epstein: a spike at c about 1/|alpha| wide, and unit-wide pieces
+    centred at c -+ |a + alpha|, c -+ |alpha - a| and c -+ a, a = |c - beta|.
+    cez: scale alpha right of c and beta left of c, each centred at c and at
+    c - sigma * c / sigma_0, where the exponent of exp(-u^2/2) vanishes.
+    """
+    alpha, beta, c = p.alpha, p.beta, p.c
+    if family == MEAN_FAMILY:
+        a = abs(c - beta)
+        return [(c, 1.0 / max(1.0, abs(alpha)))] + [
+            (c + sign * m, 1.0)
+            for m in (abs(a + alpha), abs(alpha - a), a) for sign in (-1.0, 1.0)]
+    sig_0 = alpha if 0.0 >= c else beta
+    return [(centre, sigma) for sigma in (alpha, beta)
+            for centre in (c, c - sigma * c / sig_0)]
+
+
+def density_integral(family: str, p: DensityParams,
+                     weight: Optional[Callable] = None,
+                     abs_tol: float = 1e-9) -> float:
+    """Integral of weight(y) * density(y) over the real line (of the density
+    alone without a weight).
+
+    Each Gaussian piece of the density (see _pieces) spans CUT_WIDTHS
+    widths either side of its centre; a weight adds a unit-wide piece at c
+    for the payoff's own features.  Overlapping spans of one width merge,
+    and the line is cut at each centre (c among them) and at the ends of
+    each span, so that no panel spans two scales.  Each piece between two cuts is
+    integrated with adaptive quadrature at an equal share of abs_tol; past
+    the outer cuts the integrand is negligible.
+    """
+    pdf = density_pdf(family, p)
+    pieces = _pieces(family, p)
+    if weight is not None:
+        pieces.append((p.c, 1.0))
+
+        def integrand(y):
+            return weight(y) * pdf(y)
+    else:
+        integrand = pdf
+    cuts = {m for m, _ in pieces}
+    spans = sorted((w, m - CUT_WIDTHS * w, m + CUT_WIDTHS * w) for m, w in pieces)
+    width, lo, hi = spans[0]
+    for w, a, b in spans[1:]:
+        if w == width and a <= hi:
+            hi = max(hi, b)
+        else:
+            cuts.update((lo, hi))
+            width, lo, hi = w, a, b
+    cuts.update((lo, hi))
+    cuts = sorted(cuts)
+    share = abs_tol / (len(cuts) - 1)
+    return math.fsum(quad_integrate(integrand, lo, hi, abs_tol=share).value
+                     for lo, hi in zip(cuts, cuts[1:]))
+
+
 def density_normalization(family: str, p: DensityParams,
                           abs_tol: float = 1e-9) -> float:
-    """Integral of the density over the real line (adaptive quadrature)."""
-    pdf = density_pdf(family, p)
-    center = p.c
-    spread = 8.0 * (1.0 + abs(p.alpha) + abs(p.beta) + abs(p.c))
-    left = quad_integrate(pdf, center - spread, center, abs_tol=abs_tol / 2)
-    right = quad_integrate(pdf, center, center + spread, abs_tol=abs_tol / 2)
-    return left.value + right.value
+    """Integral of the density over the real line (see density_integral)."""
+    return density_integral(family, p, abs_tol=abs_tol)
 
 
 def count_local_maxima(curve: np.ndarray) -> int:

@@ -28,15 +28,16 @@ import numpy as np
 
 from .classical import DiscreteLaw
 from .densities import (
+    MEAN_FAMILY,
+    VARIANCE_FAMILY,
     MeanInterval,
     VarianceInterval,
-    cez_pdf,
-    chen_epstein_pdf,
+    density_integral,
     select_mean_limit_params,
     select_variance_limit_params,
 )
 from .errors import GridTooCoarse, InvalidParams, PolicyMismatch, UnsupportedCombination
-from .numerics import Categorical, SeedSpec, generator, quad_integrate, side_extremum
+from .numerics import Categorical, SeedSpec, generator, side_extremum
 from .sublinear import (TestFunction, default_halfwidth, solve_g_expectation,
                         solve_g_heat)
 
@@ -473,36 +474,26 @@ def lindeberg_condition_value(model: RectangularModel, eps: float) -> float:
 
 def _explicit_limit(model: RectangularModel, phi: TestFunction,
                     side: str) -> float:
-    """Limit value from the explicit density when the shape qualifies,
-    otherwise from the PDE solver of the side."""
+    """Limit value from the explicit density when the payoff meets the
+    theorem's hypotheses, otherwise from the PDE solver of the side.
+
+    A variance model's S-shaped payoff qualifies only when its theta is the
+    interval's sigma_low / sigma_high."""
+    shape = phi.shape
     if model.kind == MEAN_KIND:
-        shape = phi.shape
         if shape is not None and shape.symmetric and shape.monotone_right:
             params = select_mean_limit_params(model.mean_interval, shape.center,
                                               shape.monotone_right, side)
-            def integrand(y):
-                return phi(y) * chen_epstein_pdf(params, y)
-            a = max(1.0, abs(params.alpha), abs(params.beta))
-            if a <= 1.0:
-                return quad_integrate(integrand, -math.inf, math.inf,
-                                      abs_tol=1e-9).value
-            # a spike about 1/a wide at c sits on unit-wide pieces; panels
-            # spanning both scales miss the spike, so the line is cut at c
-            # and at c -+ 20/a, past which the spike is below e^-40
-            w = 20.0 / a
-            edges = (-math.inf, params.c - w, params.c, params.c + w, math.inf)
-            return math.fsum(quad_integrate(integrand, lo, hi, abs_tol=2.5e-10).value
-                             for lo, hi in zip(edges, edges[1:]) if lo < hi)
+            return density_integral(MEAN_FAMILY, params, phi)
         return solve_g_expectation(model.mean_interval, phi, side).u0
     meta = phi.s_shape
-    if meta is not None and meta.phi1_convexity is not None:
+    if (meta is not None and meta.theta == model.var_interval.theta
+            and shape.convexity_right is not None):
         try:
             params = select_variance_limit_params(
-                model.var_interval, meta.center, meta.phi1_convexity, side,
+                model.var_interval, shape.center, shape.convexity_right, side,
                 meta.envelope)
-            return quad_integrate(
-                lambda y: phi(y) * cez_pdf(params, y),
-                -math.inf, math.inf, abs_tol=1e-9).value
+            return density_integral(VARIANCE_FAMILY, params, phi)
         except UnsupportedCombination:
             pass
     return solve_g_heat(model.var_interval, phi, side).u0

@@ -70,8 +70,6 @@ class SShapeMeta:
 
     envelope: str           # "phi" | "phibar"
     theta: float
-    center: float
-    phi1_convexity: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -191,15 +189,13 @@ def make_s_shaped(spec: SShapeSpec, envelope: str) -> TestFunction:
     if phi1.limits is not None:
         right_lim = phi1.limits[1]
         limits = (-ratio * right_lim + (1.0 + ratio) * phi1_c, right_lim)
-    convexity = phi1.shape.convexity_right if phi1.shape else None
     return TestFunction(
         rule=rule, growth="bounded_with_limits",
         shape=Shape(center=c, symmetric=(theta == 1.0 and envelope == "phi"),
                     monotone_right=phi1.shape.monotone_right if phi1.shape else None,
-                    convexity_right=convexity),
+                    convexity_right=phi1.shape.convexity_right if phi1.shape else None),
         limits=limits,
-        s_shape=SShapeMeta(envelope=envelope, theta=theta, center=c,
-                           phi1_convexity=convexity),
+        s_shape=SShapeMeta(envelope=envelope, theta=theta),
         name=f"s_{envelope}_{phi1.name}")
 
 
@@ -431,10 +427,9 @@ def _scheme(gen) -> tuple:
 
 
 def _root(x: np.ndarray, layer: np.ndarray) -> float:
-    """The layer's value at x = 0: its middle point when that is 0, else
-    linear interpolation."""
-    mid = len(x) // 2
-    return float(layer[mid]) if x[mid] == 0.0 else float(np.interp(0.0, x, layer))
+    """The layer's value at x = 0, interpolated linearly (at a node, its
+    value)."""
+    return float(np.interp(0.0, x, layer))
 
 
 def _marches(problem: HjbProblem, space_points: int,

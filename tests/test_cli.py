@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 from nlclt import cli, csvio
 from nlclt.cli import (OPTIONS, build_parser, main, merge_config, parse_grid,
                        validate_config)
+from nlclt.densities import VarianceInterval
 from nlclt.errors import ConfigError
 from nlclt.numerics import std_normal_pdf
-from nlclt.sublinear import DEFAULT_SPACE_POINTS, ValueGrid
+from nlclt.sublinear import (DEFAULT_SPACE_POINTS, SShapeSpec, ValueGrid,
+                             make_s_shaped, named_test_function, solve_g_heat)
 
 
 def read(path):
@@ -275,6 +277,31 @@ class TestConvergeCommand:
         header, row = out.read_text().splitlines()
         assert header == "n,dp_value,limit_value,gap"
         assert abs(float(row.split(",")[2]) - 1.0) <= 1e-6
+
+    def test_s_shape_with_another_theta_takes_the_pde_limit(self, tmp_path):
+        # theta 0.25 is not sigma_low / sigma_high = 0.5, so the theorem's
+        # density does not apply: the limit is the G-heat solve's root
+        out = tmp_path / "converge.csv"
+        assert run("converge", "--model", "variance", "--sigma-low", "1",
+                   "--sigma-high", "2", "--phi", "s-shape", "--s-theta", "0.25",
+                   "--schedule", "125,2000", "--out", str(out)) == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in out.read_text().splitlines()[1:]]
+        phi = make_s_shaped(SShapeSpec(named_test_function("tanh"), 0.0, 0.25),
+                            "phibar")
+        u0 = solve_g_heat(VarianceInterval(1.0, 2.0), phi, "sup").u0
+        assert all(abs(row[2] - u0) <= 1e-12 for row in rows)
+        assert rows[1][3] < rows[0][3]
+
+    def test_explicit_limit_of_a_narrow_variance_interval(self, tmp_path):
+        # q is 1e-4 wide right of c and unit-wide left of it; the S-shape's
+        # limit is tanh(0) = 0
+        out = tmp_path / "converge.csv"
+        assert run("converge", "--model", "variance", "--sigma-low", "1e-4",
+                   "--sigma-high", "1", "--phi", "s-shape", "--s-theta", "1e-4",
+                   "--schedule", "125,2000", "--out", str(out)) == 0
+        for line in out.read_text().splitlines()[1:]:
+            assert abs(float(line.split(",")[2])) <= 1e-12
 
     def test_zero_sigma_is_a_config_error(self, tmp_path, capsys):
         # the mean model accepts sigma = 0 (the lattice oracle runs it); the

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from nlclt.densities import (
     cez_pdf,
     chen_epstein_pdf,
     count_local_maxima,
+    density_integral,
     density_normalization,
     emit_density_curve,
     select_mean_limit_params,
@@ -277,3 +280,59 @@ def test_chen_epstein_direct_term_only_where_used(alpha, beta, c, ys):
             got, ref = chen_epstein_pdf(p, v), ref_chen_epstein_pdf(p, v)
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one density integral: the line is cut where each piece of the density lives
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family,params", [
+    ("chen_epstein", (50.0, 0.0, 0.0)),
+    ("chen_epstein", (-50.0, 0.0, 0.0)),
+    ("chen_epstein", (-200.0, 0.0, 0.0)),
+    ("chen_epstein", (249.9, 250.1, 0.0)),
+    ("chen_epstein", (-249.9, 250.1, 0.0)),
+    ("chen_epstein", (-2.0, 30.0, 0.0)),
+    ("cez", (1e-3, 1.0, 0.0)),
+    ("cez", (1.0, 1e-4, 0.0)),
+    ("cez", (1e3, 1.0, 0.0)),
+    ("cez", (3.0, 0.01, -4.0)),
+])
+def test_normalizes_when_scales_are_far_apart(family, params):
+    assert abs(density_normalization(family, DensityParams(*params)) - 1.0) <= 1e-9
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+MEAN_ALPHA = st.just(0.0) | st.builds(lambda sign, size: sign * size,
+                                      st.sampled_from([-1.0, 1.0]),
+                                      log_uniform(1e-2, 1e3))
+LOCATION = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(MEAN_ALPHA, LOCATION, LOCATION)
+def test_chen_epstein_normalizes(alpha, beta, c):
+    total = density_normalization("chen_epstein", DensityParams(alpha, beta, c))
+    assert abs(total - 1.0) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(log_uniform(1e-4, 1e4), log_uniform(1e-4, 1e4), LOCATION)
+def test_cez_normalizes(alpha, beta, c):
+    assert abs(density_normalization("cez", DensityParams(alpha, beta, c)) - 1.0) <= 1e-9
+
+
+def test_weighted_integral_is_a_moment():
+    # q^{alpha,beta,0} has half-normal halves of masses beta / (alpha + beta)
+    # right and alpha / (alpha + beta) left, so E[Y^2] = alpha * beta
+    alpha, beta = 0.01, 3.0
+    got = density_integral("cez", DensityParams(alpha, beta, 0.0), lambda y: y * y)
+    assert got == pytest.approx(alpha * beta, abs=1e-9)
+
+
+def test_integral_refuses_nonpositive_cez_scales():
+    with pytest.raises(InvalidParams):
+        density_integral("cez", DensityParams(0.0, 1.0, 0.0))
