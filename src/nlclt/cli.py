@@ -95,9 +95,19 @@ def parse_grid(text: str) -> Grid1D:
 
 # option kinds: (key, config value) -> coerced value, or ConfigError
 
+def _exact(convert, value):
+    """convert(value), int or float, for a value that it reads as it is: a
+    bool would read as 0 or 1, and int would cut a number's fraction off,
+    so both raise TypeError."""
+    if isinstance(value, bool) or (convert is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise TypeError(f"{value!r} is not {'an integer' if convert is int else 'a number'}")
+    return convert(value)
+
+
 def _number(key: str, value) -> float:
     try:
-        number = float(value)
+        number = _exact(float, value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number") from None
     if not math.isfinite(number):
@@ -107,7 +117,7 @@ def _number(key: str, value) -> float:
 
 def _integer(key: str, value) -> int:
     try:
-        return int(value)
+        return _exact(int, value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be an integer") from None
 
@@ -123,10 +133,11 @@ def _grid(key: str, value) -> Grid1D:
 
 
 def _list_of(convert, key: str, value) -> list:
-    """The entries of a JSON list, or of a comma-separated string."""
+    """The entries of a JSON list, or of a comma-separated string, each
+    read by convert (int or float) as _exact reads it."""
     items = value if isinstance(value, (list, tuple)) else str(value).split(",")
     try:
-        return [convert(v) for v in items if v != ""]
+        return [_exact(convert, v) for v in items if v != ""]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed {key} list {value!r}: {exc}") from None
 
@@ -374,11 +385,19 @@ def _known_payoff(name: str) -> None:
         named_test_function(name)
 
 
+# the interval that each model and each PDE problem reads: its class and
+# the two keys that build it
+_INTERVAL_OF = {
+    "variance": (VarianceInterval, ("sigma_low", "sigma_high")),
+    "g-heat": (VarianceInterval, ("sigma_low", "sigma_high")),
+    "mean": (MeanInterval, ("mu_low", "mu_high")),
+    "g-expectation": (MeanInterval, ("mu_low", "mu_high")),
+}
+
 # rules over several keys, held by the domain objects: (build, keys)
 _DOMAIN_RULES = (
     (SeedSpec, ("seed", "stream")),
-    (VarianceInterval, ("sigma_low", "sigma_high")),
-    (MeanInterval, ("mu_low", "mu_high")),
+    *dict.fromkeys(_INTERVAL_OF.values()),
     (_s_shape_spec, ("s_phi1", "s_center", "s_theta")),
     (_known_payoff, ("terminal",)),
     (_known_payoff, ("phi",)),
@@ -422,12 +441,6 @@ def _density_curves(values: dict) -> list:
     return [(DENSITY_FAMILIES[values["family"]], DensityParams(*params))]
 
 
-# the interval keys each model, and each PDE problem, reads
-_MODEL_KEYS = {"mean": ["mu_low", "mu_high"], "variance": ["sigma_low", "sigma_high"]}
-_PROBLEM_KEYS = {"g-heat": ["sigma_low", "sigma_high"],
-                 "g-expectation": ["mu_low", "mu_high"]}
-
-
 def _required_keys(values: dict) -> list:
     """The keys that the run of the settled values reads and that have no
     default, on the path (problem, model, chain or target) they pick."""
@@ -435,14 +448,13 @@ def _required_keys(values: dict) -> list:
     keys = {"density": ["family"], "solve": ["problem", "terminal"],
             "converge": ["model", "phi"], "check": ["chain"],
             "simulate": ["target"]}.get(command, [])
-    if command == "solve":
-        keys += _PROBLEM_KEYS.get(values.get("problem"), [])
     if command == "check" and values.get("chain") == "lindeberg":
         keys += ["model"]
     if command == "simulate" and values.get("target") == "policy":
         keys += ["model", "phi"]
-    if "model" in keys:
-        keys += _MODEL_KEYS.get(values.get("model"), [])
+    if command == "solve" or "model" in keys:
+        name = values.get("problem" if command == "solve" else "model")
+        keys += _INTERVAL_OF.get(name, (None, ()))[1]
     return keys
 
 
@@ -595,13 +607,12 @@ def _grid_blocks(grid) -> list:
 
 def cmd_solve(cfg: dict) -> int:
     terminal = build_payoff(cfg, "terminal")
+    build, keys = _INTERVAL_OF[cfg["problem"]]
+    interval = build(*(cfg[key] for key in keys))
     if cfg["problem"] == "g-heat":
-        solve = solve_g_heat
-        generator = GVariance(VarianceInterval(cfg["sigma_low"], cfg["sigma_high"]),
-                              cfg["side"])
+        solve, generator = solve_g_heat, GVariance(interval, cfg["side"])
     else:
-        solve = solve_g_expectation
-        generator = GMean(MeanInterval(cfg["mu_low"], cfg["mu_high"]), cfg["side"])
+        solve, generator = solve_g_expectation, GMean(interval, cfg["side"])
     grid = solve(generator.interval, terminal, generator.side,
                  space_points=cfg["space_points"], time_steps=cfg["time_steps"])
     at_end = terminal(grid.x)
@@ -626,11 +637,11 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def _rect_model(cfg: dict, n: int) -> RectangularModel:
+    build, keys = _INTERVAL_OF[cfg["model"]]
+    interval = build(*(cfg[key] for key in keys))
     if cfg["model"] == "mean":
-        m = MeanInterval(cfg["mu_low"], cfg["mu_high"])
-        return RectangularModel.mean_uncertain(m, cfg["sigma"], n)
-    v = VarianceInterval(cfg["sigma_low"], cfg["sigma_high"])
-    return RectangularModel.variance_uncertain(v, n)
+        return RectangularModel.mean_uncertain(interval, cfg["sigma"], n)
+    return RectangularModel.variance_uncertain(interval, n)
 
 
 def cmd_converge(cfg: dict) -> int:

@@ -11,11 +11,12 @@ exact-on-grid.
 The lattice section owns the one backward-induction kernel; the PDE
 module's lattice oracle calls it too.  The kernel works on two levels:
 each step forms one expectation per group of weighted whole-cell moves,
-and each control reads its group at its own drift (a view at a whole
-cell, else interpolated between two).  A control whose innovation moves
-are whole cells groups its atoms' moves and reads them at its drift; any
-other control splits each atom's summed offset between two cells and
-reads its group at 0.
+and each control reads its group at its whole-cell drift f.  A control
+whose innovation moves are whole cells groups its atoms' moves and reads
+them at its drift (a view at f, else interpolated between f and f + 1);
+any other control splits each atom's summed offset between two cells,
+takes f out of those cells and reads them at f.  Controls whose terms
+then agree share one expectation.
 """
 from __future__ import annotations
 
@@ -252,26 +253,33 @@ def _lattice_stencil(offsets: np.ndarray, drift: np.ndarray, probs,
     The group's expectation E = sum over its terms (m, q) of q * V[i + m]
     is formed once per step over `reach` cells past both ends; each member
     (control, f, w) reads it at its drift in cells: the view E[i + f] when
-    w is None, else (1 - w) * E[i + f] + w * E[i + f + 1].  A control whose
-    innovation moves are whole cells has the terms (move, p) of its atoms
-    and reads its group at its drift; any other control splits each atom's
-    summed offset between its two cells, (m, p * (1 - w)) and
-    (m + 1, p * w), and reads its terms at 0.  Every shift is clamped to
-    the cells that can still reach the grid.
+    w is None, else (1 - w) * E[i + f] + w * E[i + f + 1].  Every control
+    reads at its whole-cell drift f = _cell_split(drift)[0].  A control
+    whose innovation moves are whole cells has the terms (move, p) of its
+    atoms and reads them at (f, w) for its drift's weight w; any other
+    control splits each atom's summed offset between its two cells,
+    (m, p * (1 - v)) and (m + 1, p * v), moves each cell back by f and
+    reads its terms at (f, None).  Splitting the summed offset, not the
+    offset less f, keeps every weight's bits.  Controls whose terms agree
+    share one group.  Every shift is clamped to the cells that can still
+    reach the grid.
     """
     groups = {}
     for c, (row, d) in enumerate(zip(offsets, drift)):
         moves = row - d
+        f, w = _cell_split(d)
         if all(_cell_split(move)[1] is None for move in moves):
-            cells, read = moves, _cell_split(d)
+            cells, back = moves, 0
         else:
-            cells, read = row, (0, None)
+            # the full offsets, so that each split weight keeps its bits
+            cells, back, w = row, f, None
         terms = []
         for off, p in zip(cells, probs):
-            m, w = _cell_split(off)
-            terms += [(m, float(p))] if w is None else \
-                [(m, float(p * (1.0 - w))), (m + 1, float(p * w))]
-        groups.setdefault(tuple(terms), []).append((c, *read))
+            m, v = _cell_split(off)
+            m -= back
+            terms += [(m, float(p))] if v is None else \
+                [(m, float(p * (1.0 - v))), (m + 1, float(p * v))]
+        groups.setdefault(tuple(terms), []).append((c, f, w))
     stencil = []
     for terms, members in groups.items():
         reach = max(max(abs(f), 0 if w is None else abs(f + 1))

@@ -37,6 +37,9 @@ class Grid1D:
             raise InvalidParams("grid endpoints must be finite")
         if not self.lo < self.hi:
             raise InvalidParams(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise InvalidParams(f"grid needs a finite span hi - lo, "
+                                f"got [{self.lo}, {self.hi}]")
         if self.points < 2:
             raise InvalidParams(f"grid needs >= 2 points, got {self.points}")
 

@@ -546,6 +546,56 @@ class TestMalformedValues:
         assert err == "config error: probabilities must be non-negative\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("cfg,problem", [
+        ({"target": "clt", "n": 2.7}, "n must be an integer"),
+        ({"target": "clt", "reps": 100.9}, "reps must be an integer"),
+        ({"target": "clt", "seed": True}, "seed must be an integer"),
+        ({"target": "clt", "stream": False}, "stream must be an integer"),
+        ({"target": "policy", "model": "mean", "mu_low": True, "mu_high": 0.5,
+          "phi": "gauss"}, "mu_low must be a number"),
+        ({"target": "mixture", "atoms": [1, True]},
+         "malformed atoms list [1, True]: True is not a number"),
+    ], ids=["n", "reps", "seed", "stream", "mu_low", "atoms"])
+    def test_config_value_that_its_flag_would_refuse(self, tmp_path, capsys,
+                                                     cfg, problem):
+        # a bool, or an integer key's number with a fraction: int() and
+        # float() would read them, as 0 or 1 or cut off, where a flag exits 2
+        self.assert_one_config_error(tmp_path, capsys,
+                                     {"command": "simulate", **cfg}, problem)
+
+    @pytest.mark.parametrize("schedule,problem", [
+        ([10.9, 20], "malformed schedule list [10.9, 20]: 10.9 is not an integer"),
+        ([True, 20], "malformed schedule list [True, 20]: True is not an integer"),
+    ], ids=["fraction", "bool"])
+    def test_schedule_entry_that_its_flag_would_refuse(self, tmp_path, capsys,
+                                                       schedule, problem):
+        self.assert_one_config_error(tmp_path, capsys, {
+            "command": "converge", "model": "mean", "mu_low": -0.5,
+            "mu_high": 0.5, "phi": "gauss", "schedule": schedule}, problem)
+
+    @staticmethod
+    def assert_one_config_error(tmp_path, capsys, cfg, problem):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("validate", "--config", str(cfg_path)) == 0
+        assert capsys.readouterr().out == \
+            f"validation report: 1 violation(s)\n  - {problem}\n"
+        out = tmp_path / "never.csv"
+        assert run(cfg["command"], "--config", str(cfg_path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not out.exists()
+
+    def test_integral_numbers_in_a_config_stay_integers(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "command": "simulate", "target": "clt", "n": 400.0, "reps": 500.0,
+            "seed": 1.0, "stream": 0.0}))
+        assert run("simulate", "--config", str(cfg_path), "--out", str(a)) == 0
+        assert run("simulate", "--target", "clt", "--n", "400", "--reps", "500",
+                   "--seed", "1", "--out", str(b)) == 0
+        assert read(a) == read(b)
+
     @pytest.mark.parametrize("value", ["x", None, [1, "a"], {"a": 1}, 1e400])
     def test_any_single_value_gives_a_documented_exit(self, tmp_path, capsys,
                                                       value):
@@ -622,6 +672,13 @@ class TestExtremeScales:
             tmp_path, capsys, ["density", "--family", "chen-epstein", *argv],
             "chen-epstein curve needs a finite (2 S)^2, S = |alpha| + |beta| "
             f"+ 2|c| + max(|lo|, |hi|), got S = {scale}")
+
+    def test_grid_whose_span_overflows(self, tmp_path, capsys):
+        # hi - lo = 2e308 overflows: np.linspace would write nan and inf
+        assert_one_config_error(
+            tmp_path, capsys, ["density", "--family", "cez", "--alpha", "1",
+                               "--beta", "1", "--grid=-1e308:1e308:3"],
+            "grid needs a finite span hi - lo, got [-1e+308, 1e+308]")
 
     @pytest.mark.parametrize("argv,t", [
         (["--t", "1e200"], "1e+200"),

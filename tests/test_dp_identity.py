@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 from helpers_dp import standardized_bernoulli
 from nlclt.classical import DiscreteLaw
 from nlclt.densities import MeanInterval, VarianceInterval
-from nlclt.measure_dp import RectangularModel, _backward_induction, _dp_grid
+from nlclt.measure_dp import (RectangularModel, _backward_induction, _dp_grid,
+                              _lattice_stencil)
 from nlclt.sublinear import SShapeSpec, make_s_shaped, named_test_function
 
 
@@ -252,3 +253,24 @@ def test_criterion_8_mean_roots_stay_within_1e_12_of_the_per_atom_form(
     per_atom, _, _, _ = ref_backward_induction(model, phi, side, points, False,
                                                two_level=False)
     assert abs(root - per_atom) <= 1e-12
+
+
+@pytest.mark.parametrize("side", ["sup", "inf"])
+@pytest.mark.parametrize("n, controls, groups", [(1, 400, 21), (3, 136, 21)])
+def test_split_controls_a_whole_cell_apart_share_a_group(side, n, controls,
+                                                         groups):
+    # mean [-1e6, 1e6]: the drift of the exact set's inner controls is no
+    # whole cell, and those whose split terms agree once their whole drift
+    # is taken out share one expectation
+    model = RectangularModel.mean_uncertain(MeanInterval(-1e6, 1e6), 1.0, n)
+    x, _, offsets, drift = _dp_grid(model, 401)
+    stencil = _lattice_stencil(offsets, drift, model.innovation.probs, len(x))
+    assert (len(offsets), len(stencil)) == (controls, groups)
+    assert len(stencil) < len(offsets)
+    phi = named_test_function("gauss")
+    root, _, _, policy = _backward_induction(model, phi, side, 401, True)
+    ref_root, _, _, ref_policy = ref_backward_induction(model, phi, side, 401,
+                                                        True)
+    assert np.float64(root).tobytes() == np.float64(ref_root).tobytes()
+    assert policy.dtype == ref_policy.dtype
+    assert policy.tobytes() == ref_policy.tobytes()

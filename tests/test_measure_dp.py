@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -183,21 +184,26 @@ class TestLatticeStencil:
         # (1 - p)/p = sqrt(2) - 1: no spacing makes both atoms whole cells,
         # so the bounds split both atoms' offsets between two cells, and
         # each inner control of the exact set puts one atom on a whole cell
-        # and splits the other
+        # and splits the other.  Each control reads exactly one group, whose
+        # cells are its atoms' cells less its whole drift
         law = irrational_law()
         model = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0,
                                                 125, innovation=law)
-        x, h, offsets, _ = _dp_grid(model, DEFAULT_GRID_POINTS)
+        _, h, offsets, drift = _dp_grid(model, DEFAULT_GRID_POINTS)
         assert len(model.controls(h)) == len(offsets) == 5
         groups = self.stencil(model, DEFAULT_GRID_POINTS)
-        assert [(reach, members) for _, reach, members in groups] == \
-            [(0, [(c, 0, None)]) for c in range(5)]
+        read_by = [c for _, _, members in groups for c, _, _ in members]
+        assert sorted(read_by) == list(range(5))
+        terms_of = {c: terms for terms, _, members in groups for c, _, _ in members}
         wholes = []
-        for (terms, _, _), row in zip(groups, offsets):
+        for c, (row, d) in enumerate(zip(offsets, drift)):
+            f = math.floor(d)
             whole = [abs(off - round(off)) < 1e-9 for off in row]
             wholes.append(sum(whole))
-            per_atom = [[round(off)] if w else [math.floor(off), math.floor(off) + 1]
+            per_atom = [[round(off) - f] if w else
+                        [math.floor(off) - f, math.floor(off) + 1 - f]
                         for off, w in zip(row, whole)]
+            terms = terms_of[c]
             assert [m for m, _ in terms] == per_atom[0] + per_atom[1]
             # each atom's weights sum to its probability
             weights = [q for _, q in terms]
@@ -205,6 +211,31 @@ class TestLatticeStencil:
             assert sum(weights[:first]) == pytest.approx(law.probs[0], abs=1e-15)
             assert sum(weights[first:]) == pytest.approx(law.probs[1], abs=1e-15)
         assert wholes == [0, 1, 1, 1, 0]
+
+    def test_irrational_law_controls_a_whole_cell_apart_share_a_group(self):
+        # every control reads its group at its whole drift, so controls 1
+        # and 3, at -0.355 and 0.645 cells, share one: 5 controls, 4 groups
+        model = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0,
+                                                125, innovation=irrational_law())
+        groups = self.stencil(model, DEFAULT_GRID_POINTS)
+        assert [(reach, members) for _, reach, members in groups] == [
+            (1, [(0, -1, None)]), (1, [(1, -1, None), (3, 0, None)]),
+            (0, [(2, 0, None)]), (0, [(4, 0, None)])]
+
+    def test_wide_split_mean_set_stays_small(self):
+        # mean [-1e6, 1e6] at n = 1: 4000 split controls, read at their
+        # whole drifts, share 17 expectations
+        model = RectangularModel.mean_uncertain(MeanInterval(-1e6, 1e6), 1.0, 1)
+        assert len(self.stencil(model, DEFAULT_GRID_POINTS)) == 17
+        tracemalloc.start()
+        try:
+            root, _, _, _ = _backward_induction(model, named_test_function("gauss"),
+                                                "sup", DEFAULT_GRID_POINTS, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert root == 0.998000007999968
+        assert peak < 16 * 2**20
 
 
 class TestKernelOperationsPerStep:

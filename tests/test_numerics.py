@@ -180,6 +180,11 @@ class TestGrid:
         with pytest.raises(InvalidParams):
             Grid1D(lo, hi, points)
 
+    def test_rejects_a_span_that_overflows(self):
+        with pytest.raises(InvalidParams, match="finite span"):
+            Grid1D(-1e308, 1e308, 3)
+        assert np.all(np.isfinite(Grid1D(-1e300, 1e300, 3).values()))
+
 
 class TestRandomStreams:
     def test_generator_reproducible(self):
