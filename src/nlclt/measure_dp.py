@@ -17,10 +17,16 @@ them at its drift (a view at f, else interpolated between f and f + 1);
 any other control splits each atom's summed offset between two cells,
 takes f out of those cells and reads them at f.  Controls whose terms
 then agree share one expectation.
+
+convergence_experiment checks each fine root against a coarser lattice
+only where one of the two lattices interpolates, and may solve half of its
+lattices in one forked child process (see _solve_all).
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -53,6 +59,11 @@ INTERP_TOLERANCE = 1e-3
 SNAP_DENOMINATOR_CAP = 64
 SNAP_REL_TOL = 1e-9
 SNAP_REFINE_CAP = 16
+# convergence_experiment forks a child for the lighter half of its solves
+# only when that half is at least this many cell-steps (n x grid points),
+# about 20 ms of solving at 4.5 ns per cell-step: a fork, its pipe and its
+# reaping cost about 2 ms (2-vCPU x86-64 VM)
+FORK_MIN_WORK = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -386,40 +397,62 @@ def _backward_induction(model: RectangularModel, phi: TestFunction, side: str,
                         halfwidth: Optional[float] = None):
     """Root value, grid, spacing and (optionally) the policy table, from
     the lattice kernel on the model's grid, shifts and control set."""
-    x, h, offsets, drift = _dp_grid(model, target_points, controls, halfwidth)
+    grid = _dp_grid(model, target_points, controls, halfwidth)
+    root, policy = _solve(model, phi, side, grid, record_policy)
+    return root, grid[0], grid[1], policy
+
+
+def _solve(model: RectangularModel, phi: TestFunction, side: str, grid,
+           record_policy: bool = False):
+    """Root value and policy table (or None) of the lattice kernel on a
+    _dp_grid lattice (x, h, offsets, drift) of the model."""
+    x, _, offsets, drift = grid
     probs = np.asarray(model.innovation.probs, dtype=float)
-    root, policy = _lattice_induction(phi(x), offsets, drift, probs, model.n,
-                                      side, record_policy)
-    return root, x, h, policy
+    return _lattice_induction(phi(x), offsets, drift, probs, model.n, side,
+                              record_policy)
+
+
+def _interpolates(grid) -> bool:
+    """Whether the kernel interpolates on a _dp_grid lattice: some summed
+    offset or drift is not a whole number of cells by _cell_split's rule.
+    Where every one is whole, each group's terms and each control's read
+    are whole-cell views, and no weight splits a move."""
+    _, _, offsets, drift = grid
+    return any(_cell_split(float(cells))[1] is not None
+               for cells in np.concatenate([offsets.ravel(), drift]))
+
+
+def _refinement_grids(model: RectangularModel, target_points: int,
+                      check_points: Optional[int]) -> list:
+    """The fine lattice, and the check_points lattice after it where either
+    of them interpolates.  On two exact lattices the kernel reads phi at
+    the same reachable points through whole-cell moves, so the roots agree
+    to rounding (the abscissae j * h round differently on the two
+    spacings) and the refinement check has nothing to see; the
+    check_points lattice is still built, which validates it."""
+    fine = _dp_grid(model, target_points)
+    if check_points is None:
+        return [fine]
+    coarse = _dp_grid(model, check_points)
+    return [fine, coarse] if _interpolates(fine) or _interpolates(coarse) \
+        else [fine]
+
+
+def _check_refinement(n: int, grids, root: float, coarse_root: float) -> None:
+    """GridTooCoarse when the fine and coarse roots differ by more than
+    INTERP_TOLERANCE."""
+    gap = abs(root - coarse_root)
+    if gap > INTERP_TOLERANCE:
+        raise GridTooCoarse(
+            f"grid refinement changes the DP value at n = {n} by {gap:.2e} "
+            f"> {INTERP_TOLERANCE} ({len(grids[0][0])} against "
+            f"{len(grids[1][0])} grid points)")
 
 
 def check_dp_inputs(phi: TestFunction) -> None:
     """The adversarial DP's precondition on its payoff (the kernel checks the side)."""
     if phi.growth != "bounded_with_limits":
         raise InvalidParams("the adversarial DP needs a bounded payoff")
-
-
-def _dp_root(model: RectangularModel, phi: TestFunction, side: str,
-             target_points: int, check_points: Optional[int],
-             record_policy: bool):
-    """Root value and, when record_policy, the AdversaryPolicy (else None)."""
-    check_dp_inputs(phi)
-    root, x, h, policy = _backward_induction(model, phi, side, target_points,
-                                             record_policy)
-    if check_points is not None:
-        coarse_root, _, _, _ = _backward_induction(model, phi, side,
-                                                   check_points,
-                                                   record_policy=False)
-        if abs(root - coarse_root) > INTERP_TOLERANCE:
-            raise GridTooCoarse(
-                f"grid refinement changes the DP value by "
-                f"{abs(root - coarse_root):.2e} > {INTERP_TOLERANCE}")
-    if not record_policy:
-        return root, None
-    return root, AdversaryPolicy(kind=model.kind, side=side, n=model.n,
-                                 x0=float(x[0]), h=h,
-                                 control_values=tuple(model.controls(h)),
-                                 controls=policy)
 
 
 def sup_expectation_dp(model: RectangularModel, phi: TestFunction, side: str,
@@ -433,10 +466,21 @@ def sup_expectation_dp(model: RectangularModel, phi: TestFunction, side: str,
     refinement check re-solves on the coarser check_points grid and raises
     GridTooCoarse when the two roots differ by more than 1e-3; the coarse
     root only gates, it is not extrapolated with the fine one, and is then
-    discarded.  Pass check_points=None to skip the check.
+    discarded.  The re-solve runs only where the fine or the coarse lattice
+    interpolates: on two exact lattices it would check nothing.  Pass
+    check_points=None to skip the check.
     """
-    return _dp_root(model, phi, side, target_points, check_points,
-                    record_policy=True)
+    check_dp_inputs(phi)
+    grids = _refinement_grids(model, target_points, check_points)
+    root, policy = _solve(model, phi, side, grids[0], record_policy=True)
+    if len(grids) == 2:
+        _check_refinement(model.n, grids, root,
+                          _solve(model, phi, side, grids[1])[0])
+    x, h, _, _ = grids[0]
+    return root, AdversaryPolicy(kind=model.kind, side=side, n=model.n,
+                                 x0=float(x[0]), h=h,
+                                 control_values=tuple(model.controls(h)),
+                                 controls=policy)
 
 
 def lindeberg_condition_value(model: RectangularModel, eps: float) -> float:
@@ -507,20 +551,143 @@ def _explicit_limit(model: RectangularModel, phi: TestFunction,
     return solve_g_heat(model.var_interval, phi, side).u0
 
 
+def _usable_cpus() -> set:
+    """The CPUs this process may run on: its affinity mask, else all."""
+    try:
+        return os.sched_getaffinity(0)
+    except AttributeError:  # no affinity masks on this platform
+        return set(range(os.cpu_count() or 1))
+
+
+def _current_cpu() -> Optional[int]:
+    """The CPU this process runs on, from /proc/self/stat (Linux), else None."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            # the fields after "pid (comm)" start at the third; the 39th is the CPU
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _forks(child_work: int) -> bool:
+    """Whether _solve_all forks a child for child_work cell-steps: the
+    process runs one Python thread (a fork copies no other thread, and
+    numpy's BLAS pool stops itself across a fork), two CPUs are usable,
+    and the work is at least FORK_MIN_WORK."""
+    return (child_work >= FORK_MIN_WORK and hasattr(os, "fork")
+            and threading.active_count() == 1 and len(_usable_cpus()) >= 2)
+
+
+def _solve_all(solves, phi: TestFunction, side: str) -> list:
+    """Roots of the (model, grid) solves, in order.
+
+    The solves are split into two halves of near-equal cell-steps (n x grid
+    points; the largest first, each to the lighter half).  When _forks
+    allows, one forked child runs the lighter half and writes its roots
+    back through a pipe as float64 bytes, so they keep their bits; the
+    parent runs the other half and always reaps the child.  A solve that
+    raised in either process, or that a failed child did not send, is
+    solved again here in order, so every exception is the serial one.
+    """
+    def root(k):
+        model, grid = solves[k]
+        return _solve(model, phi, side, grid)[0]
+
+    work = [model.n * len(grid[0]) for model, grid in solves]
+    halves, loads = ([], []), [0, 0]
+    for k in sorted(range(len(solves)), key=lambda k: -work[k]):
+        lighter = int(loads[1] < loads[0])
+        halves[lighter].append(k)
+        loads[lighter] += work[k]
+    light = int(loads[1] < loads[0])
+    roots = {}
+    if _forks(loads[light]):
+        roots = _forked_roots(root, halves[1 - light], halves[light])
+    return [roots[k] if k in roots else root(k) for k in range(len(solves))]
+
+
+def _forked_roots(root, mine: list, theirs: list) -> dict:
+    """Index -> root of `mine`, solved here, and of `theirs`, solved in one
+    forked child; each list stops at its first solve that raises, and is
+    empty where the fork or the child failed."""
+    parent_cpu = _current_cpu()
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return {}
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            # a scheduler may leave a new child on its parent's CPU
+            others = _usable_cpus() - {parent_cpu}
+            if parent_cpu is not None and others:
+                try:
+                    os.sched_setaffinity(0, others)
+                except OSError:
+                    pass  # the child runs wherever it is
+            values = []
+            try:
+                for k in theirs:
+                    values.append(root(k))
+            except Exception:
+                pass  # the parent solves it again, in order, and raises
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(np.array(values, dtype=np.float64).tobytes())
+            code = 0
+        finally:
+            # never return into the caller's frames in the child
+            os._exit(code)
+    os.close(write_end)
+    roots, data = {}, None
+    try:
+        with os.fdopen(read_end, "rb") as pipe:
+            try:
+                for k in mine:
+                    roots[k] = root(k)
+            except Exception:
+                pass  # solved again, in order, by the caller
+            data = pipe.read()
+    finally:
+        if data is None:  # interrupted here: the child's roots are not wanted
+            import signal  # only here: its import costs 0.7 ms of set-up
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) == 0:
+        roots.update(zip(theirs, np.frombuffer(data, dtype=np.float64).tolist()))
+    return roots
+
+
 def convergence_experiment(model: RectangularModel, phi: TestFunction,
                            n_schedule, side: str):
     """Finite-n DP values against the nonlinear limit.
 
     Returns one (n, dp_value, limit_value, gap) row per schedule entry;
-    the limit is computed once.
+    the limit is computed once.  Each n is solved on the
+    DEFAULT_GRID_POINTS lattice, and re-solved on the COARSE_GRID_POINTS
+    one for the refinement check of sup_expectation_dp only where either
+    lattice interpolates.  Those solves may run on two CPUs: the lighter
+    half in one forked child process (see _solve_all), with the same roots
+    and the same exceptions as one after another.
     """
     limit = _explicit_limit(model, phi, side)
-    rows = []
+    check_dp_inputs(phi)
+    plans = []
     for n in n_schedule:
         work = replace(model, n=int(n))
-        value, _ = _dp_root(work, phi, side, DEFAULT_GRID_POINTS,
-                            COARSE_GRID_POINTS, record_policy=False)
-        rows.append((int(n), value, limit, abs(value - limit)))
+        plans.append((work, _refinement_grids(work, DEFAULT_GRID_POINTS,
+                                              COARSE_GRID_POINTS)))
+    roots = iter(_solve_all([(work, grid) for work, grids in plans
+                             for grid in grids], phi, side))
+    rows = []
+    for work, grids in plans:
+        value = next(roots)
+        if len(grids) == 2:
+            _check_refinement(work.n, grids, value, next(roots))
+        rows.append((work.n, value, limit, abs(value - limit)))
     return rows
 
 

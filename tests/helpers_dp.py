@@ -137,3 +137,24 @@ def integer_lattice_value(payoff, drifts, moves, probs, steps, side="sup"):
                      for d, row in zip(drifts, moves))
              for s in range(-k * reach, k * reach + 1)}
     return v[0]
+
+
+def mean_tree_value(n, phi, drifts, moves, probs, side="sup"):
+    """Value of the mean game by brute force over every sequence of
+    controls and atoms: a step adds drifts[c] + moves[a] with probability
+    probs[a], and the payoff sees the sum of the n steps.
+
+    No grid and no interpolation: the (controls x atoms)^n sums are formed
+    in floating point, and the recursion expects over the last step's atom
+    and picks the best control, n times back.
+    """
+    steps = np.add.outer(np.asarray(drifts, dtype=float),
+                         np.asarray(moves, dtype=float))
+    sums = np.zeros(())
+    for _ in range(n):
+        sums = np.add.outer(sums, steps)
+    v = np.asarray(phi(sums.ravel()), dtype=float).reshape(sums.shape)
+    best = np.max if side == "sup" else np.min
+    for _ in range(n):
+        v = best(v @ np.asarray(probs, dtype=float), axis=-1)
+    return float(v)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlclt import cli, csvio
+from nlclt import cli, csvio, measure_dp
 from nlclt.cli import (OPTIONS, build_parser, main, merge_config, parse_grid,
                        validate_config)
 from nlclt.densities import VarianceInterval
@@ -302,6 +302,19 @@ class TestConvergeCommand:
                    "--schedule", "125,2000", "--out", str(out)) == 0
         for line in out.read_text().splitlines()[1:]:
             assert abs(float(line.split(",")[2])) <= 1e-12
+
+    def test_grid_too_coarse_exits_1_and_names_the_n(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(measure_dp, "DEFAULT_GRID_POINTS", 41)
+        out = tmp_path / "converge.csv"
+        assert run("converge", "--model", "mean", "--mu-low", "-0.5",
+                   "--mu-high", "0.5", "--phi", "gauss", "--schedule", "2,200",
+                   "--out", str(out)) == 1
+        assert re.fullmatch(
+            r"numerical failure: grid refinement changes the DP value at "
+            r"n = 200 by \S+ > 0\.001 \(\d+ against \d+ grid points\)\n",
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_zero_sigma_is_a_config_error(self, tmp_path, capsys):
         # the mean model accepts sigma = 0 (the lattice oracle runs it); the

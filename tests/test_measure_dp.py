@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -14,19 +16,21 @@ from helpers_dp import (
     lattice_tree_value,
     lattice_tree_value_split,
     lattice_tree_value_two_layer,
+    mean_tree_value,
     standardized_bernoulli,
 )
 from helpers_numpy import CountingNumpy
 from nlclt import measure_dp
 from nlclt.classical import DiscreteLaw
 from nlclt.densities import DensityParams, MeanInterval, VarianceInterval, chen_epstein_pdf
-from nlclt.errors import GridTooCoarse, InvalidParams, PolicyMismatch
+from nlclt.errors import GridTooCoarse, InvalidParams, NonConvergence, PolicyMismatch
 from nlclt.measure_dp import (
     COARSE_GRID_POINTS,
     DEFAULT_GRID_POINTS,
     RectangularModel,
     _backward_induction,
     _dp_grid,
+    _interpolates,
     _lattice_induction,
     _lattice_stencil,
     lindeberg_condition_value,
@@ -140,6 +144,39 @@ class TestBruteForceEquivalence:
         model = RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), 12)
         dp, _ = sup_expectation_dp(model, phi, "sup", check_points=None)
         assert abs(dp - lattice_tree_value(12, phi, "sup")) <= 1e-12
+
+
+class TestMeanBruteForce:
+    """The mean model's counterpart of criterion 9: on a lattice that
+    _interpolates calls exact, the DP is the game over its control set."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("side", ["sup", "inf"])
+    @pytest.mark.parametrize("law", [None, standardized_bernoulli(1.0 / 3.0)],
+                             ids=["rademacher", "bernoulli-1/3"])
+    @pytest.mark.parametrize("payoff", ["gauss", "tanh"])
+    def test_matches_the_game_tree(self, n, side, law, payoff):
+        innovation = law or DiscreteLaw.rademacher()
+        probe = RectangularModel.mean_uncertain(MeanInterval(0.0, 0.0), 1.0, n,
+                                                innovation)
+        moves = probe.mean_step_scale() * np.asarray(innovation.values)
+        # a target spacing just above the least move makes it the spacing,
+        # and drifts of whole cells, -1 to 2 per step, keep every move on
+        # the lattice
+        h = float(np.min(np.abs(moves)))
+        model = replace(probe, mean_interval=MeanInterval(-n * h, 2 * n * h))
+        points = int(2 * model.halfwidth() / h) + 1
+        grid = _dp_grid(model, points)
+        assert grid[1] == pytest.approx(h, rel=1e-12)
+        assert not _interpolates(grid)
+        assert not _interpolates(_dp_grid(model, COARSE_GRID_POINTS))
+        phi = named_test_function(payoff)
+        dp, _ = sup_expectation_dp(model, phi, side, target_points=points)
+        controls = model.controls(grid[1])
+        assert len(controls) == 4
+        brute = mean_tree_value(n, phi, controls / n, moves,
+                                innovation.probs, side)
+        assert abs(dp - brute) <= 1e-12
 
 
 def irrational_law():
@@ -496,12 +533,18 @@ class TestConvergenceExperiment:
         assert rows[1][3] < rows[0][3]
 
     def test_grid_too_coarse_raises(self, monkeypatch):
-        # the values-only path keeps the refinement check of the policy path
+        # the values-only path keeps the refinement check of the policy
+        # path, and names the n that fails (n = 2 passes) and the two
+        # lattices' sizes
         monkeypatch.setattr(measure_dp, "DEFAULT_GRID_POINTS", 41)
         model = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, 1)
-        with pytest.raises(GridTooCoarse):
+        fine = len(_dp_grid(replace(model, n=200), 41)[0])
+        coarse = len(_dp_grid(replace(model, n=200), COARSE_GRID_POINTS)[0])
+        with pytest.raises(GridTooCoarse, match=(
+                rf"^grid refinement changes the DP value at n = 200 by "
+                rf"\S+ > 0\.001 \({fine} against {coarse} grid points\)$")):
             convergence_experiment(model, named_test_function("gauss"),
-                                   [200], "sup")
+                                   [2, 200], "sup")
 
     @pytest.mark.parametrize("side", ["sup", "inf"])
     def test_dp_value_equals_sup_expectation_dp(self, side):
@@ -516,6 +559,212 @@ class TestConvergenceExperiment:
             for n, value, _, _ in rows:
                 ref, _ = sup_expectation_dp(replace(model, n=n), phi, side)
                 assert np.float64(value).tobytes() == np.float64(ref).tobytes()
+
+
+def mean_and_variance(side):
+    """The criterion-8 models and payoffs of the given side."""
+    return [
+        (RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, 1),
+         named_test_function("gauss")),
+        (RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), 1),
+         s_shaped("phibar" if side == "sup" else "phi")),
+    ]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    """convergence_experiment with every solve in this process."""
+    monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", math.inf)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """convergence_experiment forking for any work, as on two CPUs; yields
+    the list of the fork calls' pids made in this process."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
+    monkeypatch.setattr(measure_dp, "_usable_cpus", lambda: {0, 1})
+    return pids
+
+
+class TestForkedSolves:
+    """convergence_experiment's solves split over one forked child."""
+
+    @pytest.mark.parametrize("side", ["sup", "inf"])
+    @pytest.mark.parametrize("case", [0, 1], ids=["mean", "variance"])
+    @pytest.mark.parametrize("schedule", [[40, 10, 40, 25], [60, 5, 30]])
+    def test_rows_keep_their_bits(self, monkeypatch, forked, side, case,
+                                  schedule):
+        model, phi = mean_and_variance(side)[case]
+        rows = convergence_experiment(model, phi, schedule, side)
+        assert len(forked) == 1
+        assert_no_child_left()
+        monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", math.inf)
+        ref = convergence_experiment(model, phi, schedule, side)
+        assert len(forked) == 1
+        assert [n for n, *_ in rows] == schedule
+        assert np.array(rows).tobytes() == np.array(ref).tobytes()
+
+    def test_grid_too_coarse_message_is_the_serial_one(self, monkeypatch,
+                                                       forked):
+        monkeypatch.setattr(measure_dp, "DEFAULT_GRID_POINTS", 41)
+        model, phi = mean_and_variance("sup")[0]
+        with pytest.raises(GridTooCoarse) as got:
+            convergence_experiment(model, phi, [2, 200], "sup")
+        assert len(forked) == 1
+        assert_no_child_left()
+        monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", math.inf)
+        with pytest.raises(GridTooCoarse) as ref:
+            convergence_experiment(model, phi, [2, 200], "sup")
+        assert str(got.value) == str(ref.value)
+        assert "at n = 200 " in str(got.value)
+
+    def test_child_exception_is_raised_by_the_parent(self, monkeypatch,
+                                                     forked, tmp_path):
+        # NonConvergence takes three arguments past its message, so it
+        # cannot cross a pipe by pickle; the parent solves n = 10 again
+        log = tmp_path / "raised"
+        solve = measure_dp._solve
+
+        def failing(model, phi, side, grid, record_policy=False):
+            if model.n == 10:
+                with open(log, "a", encoding="ascii") as handle:
+                    handle.write(f"{os.getpid()}\n")
+                raise NonConvergence("no root at n = 10", 0.5, 1e-3, 7)
+            return solve(model, phi, side, grid, record_policy)
+
+        monkeypatch.setattr(measure_dp, "_solve", failing)
+        model, phi = mean_and_variance("sup")[0]
+        # the 200-step solves outweigh the 10-step ones, which go to the child
+        with pytest.raises(NonConvergence, match="no root at n = 10") as got:
+            convergence_experiment(model, phi, [200, 10], "sup")
+        assert (got.value.estimate, got.value.err_estimate,
+                got.value.evaluations) == (0.5, 1e-3, 7)
+        assert len(forked) == 1
+        assert_no_child_left()
+        assert log.read_text().split() == [str(forked[0]), str(os.getpid())]
+
+    def test_interrupted_parent_kills_and_reaps_the_child(self, monkeypatch,
+                                                         forked):
+        parent = os.getpid()
+        solve = measure_dp._solve
+
+        def interrupted(model, phi, side, grid, record_policy=False):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return solve(model, phi, side, grid, record_policy)
+
+        monkeypatch.setattr(measure_dp, "_solve", interrupted)
+        model, phi = mean_and_variance("sup")[0]
+        with pytest.raises(KeyboardInterrupt):
+            convergence_experiment(model, phi, [200, 10], "sup")
+        assert len(forked) == 1
+        assert_no_child_left()
+
+    def never_forks(self, monkeypatch, schedule=(125, 250)):
+        def fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", fork)
+        model, phi = mean_and_variance("sup")[1]
+        rows = convergence_experiment(model, phi, list(schedule), "sup")
+        assert [n for n, *_ in rows] == list(schedule)
+
+    def test_not_below_fork_min_work(self, monkeypatch):
+        # the benchmark's warm-up schedule: 120 thousand cell-steps
+        monkeypatch.setattr(measure_dp, "_usable_cpus", lambda: {0, 1})
+        self.never_forks(monkeypatch, (10, 20))
+
+    def test_not_with_a_second_thread(self, monkeypatch):
+        monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
+        monkeypatch.setattr(measure_dp, "_usable_cpus", lambda: {0, 1})
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            self.never_forks(monkeypatch)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_not_on_one_usable_cpu(self, monkeypatch):
+        # under `taskset -c 0` the real affinity mask has one CPU
+        monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
+        if len(os.sched_getaffinity(0)) > 1:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        self.never_forks(monkeypatch)
+
+
+class TestExactLatticeSkip:
+    """The refinement re-solve runs only where a lattice interpolates."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(q=st.integers(1, 8), p=st.integers(1, 24),
+           law=st.sampled_from([None, (1, 2), (1, 3), (2, 3), (1, 4), (3, 5)]),
+           n=st.integers(1, 20), side=st.sampled_from(["sup", "inf"]),
+           payoff=st.sampled_from(["gauss", "tanh"]))
+    def test_exact_lattices_agree_to_rounding(self, q, p, law, n, side, payoff):
+        # the kernel reads the same whole-cell moves of phi on both lattices;
+        # only the abscissae j * h round differently on the two spacings
+        innovation = None if law is None else \
+            standardized_bernoulli(law[0] / law[1])
+        model = RectangularModel.variance_uncertain(
+            VarianceInterval(1.0, 1.0 + p / q), n, innovation)
+        fine = _dp_grid(model, DEFAULT_GRID_POINTS)
+        coarse = _dp_grid(model, COARSE_GRID_POINTS)
+        assert not _interpolates(fine) and not _interpolates(coarse)
+        phi = named_test_function(payoff)
+        roots = [measure_dp._solve(model, phi, side, grid)[0]
+                 for grid in (fine, coarse)]
+        assert abs(roots[0] - roots[1]) <= 1e-14
+
+    @pytest.mark.parametrize("side", ["sup", "inf"])
+    @pytest.mark.parametrize("n", [125, 250])
+    def test_criterion_8_variance_roots_are_bit_identical(self, side, n):
+        model, phi = mean_and_variance(side)[1]
+        work = replace(model, n=n)
+        fine, coarse = [measure_dp._solve(work, phi, side,
+                                          _dp_grid(work, points))[0]
+                        for points in (DEFAULT_GRID_POINTS, COARSE_GRID_POINTS)]
+        assert np.float64(fine).tobytes() == np.float64(coarse).tobytes()
+
+    @pytest.mark.parametrize("case, solves", [(0, 2), (1, 1)],
+                             ids=["mean", "variance"])
+    def test_solves_per_root(self, monkeypatch, serial, case, solves):
+        calls = []
+        solve = measure_dp._solve
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].n)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(measure_dp, "_solve", counting)
+        model, phi = mean_and_variance("sup")[case]
+        sup_expectation_dp(replace(model, n=40), phi, "sup")
+        assert calls == [40] * solves
+        calls.clear()
+        convergence_experiment(model, phi, [10, 20], "sup")
+        assert calls == [10] * solves + [20] * solves
+
+    def test_irrational_law_interpolates(self):
+        model = RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), 7,
+                                                    irrational_law())
+        assert _interpolates(_dp_grid(model, DEFAULT_GRID_POINTS))
 
 
 class TestPolicySimulate:
