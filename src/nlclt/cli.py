@@ -36,6 +36,7 @@ from .densities import (
     MeanInterval,
     VarianceInterval,
     check_curve_scale,
+    density_pdf,
     emit_density_curve,
 )
 from .errors import ConfigError, InvalidParams, NlcltError, require_at_least
@@ -401,6 +402,9 @@ _DOMAIN_RULES = (
     (_s_shape_spec, ("s_phi1", "s_center", "s_theta")),
     (_known_payoff, ("terminal",)),
     (_known_payoff, ("phi",)),
+    (lambda family, *params: density_pdf(DENSITY_FAMILIES[family],
+                                         DensityParams(*params)),
+     ("family", "alpha", "beta", "c")),
 )
 
 
@@ -414,10 +418,6 @@ def _domain_problems(values: dict) -> list:
             build(*args)
         except InvalidParams as exc:
             problems.append(str(exc))
-    alpha, beta = values.get("alpha"), values.get("beta")
-    if (values.get("family") == "cez" and None not in (alpha, beta)
-            and not (alpha > 0 and beta > 0)):
-        problems.append("cez needs alpha > 0 and beta > 0")
     for family, params in _density_curves(values):
         try:
             check_curve_scale(family, params, values["grid"])
@@ -433,8 +433,7 @@ def _density_curves(values: dict) -> list:
     if values.get("grid") is None:
         return []
     if values["command"] == "figures":
-        return [item if family == "mixed" else (family, item)
-                for _, family, items in PAPER_FIGURES for item in items]
+        return [curve for _, curves in PAPER_FIGURES for curve in curves]
     params = [values.get(key) for key in ("alpha", "beta", "c")]
     if values.get("family") is None or None in params:
         return []
@@ -561,33 +560,33 @@ def cmd_density(cfg: dict) -> int:
     return 0
 
 
+# (file name, [(family, params), ...]) of each paper figure
 PAPER_FIGURES = (
-    ("figure1_mean_density_alpha_nonpositive.csv", "chen_epstein",
-     [DensityParams(a, 0.0, 0.0) for a in (-1.0, -0.5, 0.0)]),
-    ("figure2_mean_density_alpha_nonnegative.csv", "chen_epstein",
-     [DensityParams(a, 0.0, 0.0) for a in (0.0, 0.5, 1.0)]),
-    ("figure3_variance_density_sup.csv", "cez", [DensityParams(1.0, 2.0, 0.0)]),
-    ("figure4_variance_density_inf.csv", "cez", [DensityParams(2.0, 1.0, 0.0)]),
-    ("figure5_normal_comparison.csv", "mixed",
+    ("figure1_mean_density_alpha_nonpositive.csv",
+     [("chen_epstein", DensityParams(a, 0.0, 0.0)) for a in (-1.0, -0.5, 0.0)]),
+    ("figure2_mean_density_alpha_nonnegative.csv",
+     [("chen_epstein", DensityParams(a, 0.0, 0.0)) for a in (0.0, 0.5, 1.0)]),
+    ("figure3_variance_density_sup.csv", [("cez", DensityParams(1.0, 2.0, 0.0))]),
+    ("figure4_variance_density_inf.csv", [("cez", DensityParams(2.0, 1.0, 0.0))]),
+    ("figure5_normal_comparison.csv",
      [("cez", DensityParams(1.0, 2.0, 0.0)), ("cez", DensityParams(2.0, 1.0, 0.0)),
       ("chen_epstein", DensityParams(0.0, 0.0, 0.0))]),
 )
 
 
 def _figure_curves(entry, grid: Grid1D):
-    """(file name, [(label, curve), ...]) for one paper figure."""
-    name, family, param_list = entry
-    curves = []
-    for item in param_list:
-        if family == "mixed":
-            fam, params = item
-            label = f"{fam}({csvio.format_value(params.alpha)}," \
-                    f"{csvio.format_value(params.beta)},{csvio.format_value(params.c)})"
-        else:
-            fam, params = family, item
-            label = f"alpha={csvio.format_value(params.alpha)}"
-        curves.append((label, emit_density_curve(params, fam, grid)))
-    return name, curves
+    """(file name, [(label, curve), ...]) for one paper figure: a curve
+    is labelled by its alpha in a one-family figure, else by its family
+    and all three parameters."""
+    name, curves = entry
+    mixed = len({family for family, _ in curves}) > 1
+    fmt = csvio.format_value
+    labelled = []
+    for family, p in curves:
+        label = (f"{family}({fmt(p.alpha)},{fmt(p.beta)},{fmt(p.c)})" if mixed
+                 else f"alpha={fmt(p.alpha)}")
+        labelled.append((label, emit_density_curve(p, family, grid)))
+    return name, labelled
 
 
 def cmd_figures(cfg: dict) -> int:

@@ -16,11 +16,13 @@ whose innovation moves are whole cells groups its atoms' moves and reads
 them at its drift (a view at f, else interpolated between f and f + 1);
 any other control splits each atom's summed offset between two cells,
 takes f out of those cells and reads them at f.  Controls whose terms
-then agree share one expectation.
+then agree share one expectation.  A step takes each control once and
+folds its row into the running best, so memory does not grow with the
+interpolated controls.
 
 convergence_experiment checks each fine root against a coarser lattice
 only where one of the two lattices interpolates, and may solve half of its
-lattices in one forked child process (see _solve_all).
+lattices in a forked child that sends every root or none (see _solve_all).
 """
 from __future__ import annotations
 
@@ -317,8 +319,10 @@ def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
     rows with ufunc calls, on two levels (see _lattice_stencil).  Group
     level: q * V once per distinct weight q over the whole buffer, and per
     group E = sum over its terms of (q * V)[i + m], a sum of views.
-    Control level: a view of E at a whole-cell drift, else (1 - w) *
-    E[i + f] + w * E[i + f + 1].
+    Control level: one pass in control order, each row a view of E at a
+    whole-cell drift, else (1 - w) * E[i + f] + w * E[i + f + 1] in one of
+    two scratch rows, folded into the running best once formed: rows read
+    E, not V, and memory does not grow with the interpolated controls.
     """
     points = len(terminal)
     stencil = _lattice_stencil(offsets, drift, probs, points)
@@ -330,10 +334,13 @@ def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
     np.add(terminal, 0.0, out=values)
     head, tail = padded[:pad], padded[pad + points:]
     first, last = values[:1], values[-1:]
-    rows = [None] * len(offsets)
+    # the first control's row (the first fold reads it) and every later one's
+    scratch = (np.empty(points), np.empty(points))
+    # per control: (E[i + f], None), or its scratch row and the reads of
+    # (1 - w) * E[i + f] + w * E[i + f + 1]
+    reads = [None] * len(offsets)
     products = {}  # q -> (q as a 0-d array, q * padded)
     sums = []      # per group: (E, its term views)
-    drifted = []   # (row, E[i + f], E[i + f + 1], 1 - w, w)
     for terms, reach, members in stencil:
         width = points + 2 * reach
         expectation = np.empty(width)
@@ -347,17 +354,15 @@ def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
             return expectation[reach + f:reach + f + points]
 
         for c, f, w in members:
-            if w is None:
-                rows[c] = at(f)
-            else:
-                rows[c] = np.empty(points)
-                drifted.append((rows[c], at(f), at(f + 1), np.array(1.0 - w),
-                                np.array(w)))
+            reads[c] = (at(f), None) if w is None else \
+                (scratch[c > 0], (at(f), at(f + 1), np.array(1.0 - w), np.array(w)))
     upper = np.empty(points)
     best = side_extremum(side)
     # int8 while it holds every control index
-    policy = np.empty((steps, points), dtype=np.min_scalar_type(-len(rows))) \
+    policy = np.empty((steps, points), dtype=np.min_scalar_type(-len(reads))) \
         if record_policy else None
+    beats = np.greater if side == "sup" else np.less
+    wins = np.empty(points, dtype=bool)
     copyto, multiply, add = np.copyto, np.multiply, np.add
     for step in range(steps - 1, -1, -1):
         copyto(head, first)
@@ -368,26 +373,27 @@ def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
             add(views[0], views[1], expectation)
             for view in views[2:]:
                 add(expectation, view, expectation)
-        for row, lower, higher, w_lower, w in drifted:
-            multiply(lower, w_lower, row)
-            multiply(higher, w, upper)
-            add(row, upper, row)
-        # pointwise best over the rows in control order, as np.max/np.min
-        # over them stacked would reduce
-        if len(rows) == 1:
-            copyto(values, rows[0])
-        else:
-            best(rows[0], rows[1], out=values)
-            for row in rows[2:]:
-                best(values, row, out=values)
         if record_policy:
-            # the first control whose row reaches the best value: np.argmax's
-            # index for non-NaN rows (ties go to the lower control), without
-            # its cost of twice the rest of the step
-            row = policy[step]
-            row.fill(len(rows) - 1)
-            for k in range(len(rows) - 2, -1, -1):
-                np.copyto(row, k, where=rows[k] == values)
+            chosen = policy[step]
+            chosen.fill(0)
+        # the pointwise best over the rows in control order, as np.max/np.min
+        # over them stacked would reduce
+        for k, (row, interpolated) in enumerate(reads):
+            if interpolated is not None:
+                lower, higher, w_lower, w = interpolated
+                multiply(lower, w_lower, row)
+                multiply(higher, w, upper)
+                add(row, upper, row)
+            if k:
+                if record_policy:
+                    # only a row strictly past the best so far takes the
+                    # point: np.argmax's first index for non-NaN rows
+                    beats(row, running, out=wins)
+                    copyto(chosen, k, where=wins)
+                best(running, row, out=values)
+            running = values if k else row
+        if running is not values:  # a lone control
+            copyto(values, running)
     return float(values[points // 2]), policy
 
 
@@ -585,9 +591,9 @@ def _solve_all(solves, phi: TestFunction, side: str) -> list:
     points; the largest first, each to the lighter half).  When _forks
     allows, one forked child runs the lighter half and writes its roots
     back through a pipe as float64 bytes, so they keep their bits; the
-    parent runs the other half and always reaps the child.  A solve that
-    raised in either process, or that a failed child did not send, is
-    solved again here in order, so every exception is the serial one.
+    parent runs the other half and always reaps the child.  The fork gives
+    every root or none: after any failure in either process every solve
+    runs again here, in order, so every exception is the serial one.
     """
     def root(k):
         model, grid = solves[k]
@@ -600,16 +606,15 @@ def _solve_all(solves, phi: TestFunction, side: str) -> list:
         halves[lighter].append(k)
         loads[lighter] += work[k]
     light = int(loads[1] < loads[0])
-    roots = {}
-    if _forks(loads[light]):
-        roots = _forked_roots(root, halves[1 - light], halves[light])
-    return [roots[k] if k in roots else root(k) for k in range(len(solves))]
+    roots = _forked_roots(root, halves[1 - light], halves[light]) \
+        if _forks(loads[light]) else None
+    return [root(k) if roots is None else roots[k] for k in range(len(solves))]
 
 
-def _forked_roots(root, mine: list, theirs: list) -> dict:
-    """Index -> root of `mine`, solved here, and of `theirs`, solved in one
-    forked child; each list stops at its first solve that raises, and is
-    empty where the fork or the child failed."""
+def _forked_roots(root, mine: list, theirs: list) -> Optional[dict]:
+    """Index -> root of every solve, `mine` solved here and `theirs` in one
+    forked child, or None: the child sends all its roots or exits non-zero,
+    and a raise here kills the child, which is always reaped."""
     parent_cpu = _current_cpu()
     read_end, write_end = os.pipe()
     try:
@@ -617,7 +622,7 @@ def _forked_roots(root, mine: list, theirs: list) -> dict:
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        return {}
+        return None
     if pid == 0:
         code = 1
         try:
@@ -629,35 +634,29 @@ def _forked_roots(root, mine: list, theirs: list) -> dict:
                     os.sched_setaffinity(0, others)
                 except OSError:
                     pass  # the child runs wherever it is
-            values = []
-            try:
-                for k in theirs:
-                    values.append(root(k))
-            except Exception:
-                pass  # the parent solves it again, in order, and raises
+            values = np.array([root(k) for k in theirs], dtype=np.float64)
             with os.fdopen(write_end, "wb") as pipe:
-                pipe.write(np.array(values, dtype=np.float64).tobytes())
+                pipe.write(values.tobytes())
             code = 0
         finally:
             # never return into the caller's frames in the child
             os._exit(code)
     os.close(write_end)
-    roots, data = {}, None
+    data = None
     try:
         with os.fdopen(read_end, "rb") as pipe:
-            try:
-                for k in mine:
-                    roots[k] = root(k)
-            except Exception:
-                pass  # solved again, in order, by the caller
+            roots = {k: root(k) for k in mine}
             data = pipe.read()
+    except Exception:
+        pass  # the caller solves every one again, in order, and raises
     finally:
-        if data is None:  # interrupted here: the child's roots are not wanted
+        if data is None:  # the child's roots are not wanted
             import signal  # only here: its import costs 0.7 ms of set-up
             os.kill(pid, signal.SIGKILL)
         _, status = os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) == 0:
-        roots.update(zip(theirs, np.frombuffer(data, dtype=np.float64).tolist()))
+    if data is None or os.waitstatus_to_exitcode(status) != 0:
+        return None
+    roots.update(zip(theirs, np.frombuffer(data, dtype=np.float64).tolist()))
     return roots
 
 
@@ -673,8 +672,8 @@ def convergence_experiment(model: RectangularModel, phi: TestFunction,
     half in one forked child process (see _solve_all), with the same roots
     and the same exceptions as one after another.
     """
-    limit = _explicit_limit(model, phi, side)
     check_dp_inputs(phi)
+    limit = _explicit_limit(model, phi, side)
     plans = []
     for n in n_schedule:
         work = replace(model, n=int(n))

@@ -74,6 +74,26 @@ class TestDensityCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_cez_scales_refused_with_the_density_module_s_message(self, tmp_path,
+                                                                capsys):
+        assert_one_config_error(
+            tmp_path, capsys,
+            ["density", "--family", "cez", "--alpha", "-1", "--beta", "2"],
+            "cez density needs alpha > 0 and beta > 0, got (-1.0, 2.0)")
+
+    def test_cez_scales_and_a_bad_grid_are_both_reported(self, tmp_path, capsys):
+        problems = ["grid needs a finite span hi - lo, got [-1e+308, 1e+308]",
+                    "cez density needs alpha > 0 and beta > 0, got (-1.0, 2.0)"]
+        argv = ["density", "--family", "cez", "--alpha", "-1", "--beta", "2",
+                "--grid=-1e308:1e308:3"]
+        out = tmp_path / "never.csv"
+        assert run(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == \
+            "".join(f"config error: {p}\n" for p in problems)
+        assert not out.exists()
+        assert validate_config(merge_config(build_parser().parse_args(argv))) \
+            == problems
+
     def test_unknown_subcommand_exits_2(self, tmp_path, capsys):
         assert run("transmogrify") == 2
 
@@ -95,6 +115,21 @@ class TestFiguresCommand:
         assert fig1[0] == "y,curve,density"
         labels = {line.split(",")[1] for line in fig1[1:]}
         assert labels == {"alpha=-1", "alpha=-0.5", "alpha=0"}
+
+    @pytest.mark.parametrize("name, labels", [
+        ("figure3_variance_density_sup.csv", ["alpha=1"]),
+        ("figure5_normal_comparison.csv",
+         ["cez(1,2,0)", "cez(2,1,0)", "chen_epstein(0,0,0)"]),
+    ])
+    def test_curve_labels(self, tmp_path, name, labels):
+        # a one-family figure names each curve by its alpha, a mixed one by
+        # its family and all three parameters
+        out = tmp_path / "figs"
+        assert run("figures", "--set", "paper", "--grid=-1:1:3", "--out", str(out)) == 0
+        rows = (out / name).read_text().splitlines()[1:]
+        # y,curve,density: the label sits between the first and last comma
+        assert [line.split(",", 1)[1].rsplit(",", 1)[0] for line in rows[::3]] \
+            == labels
 
 
 class TestSolveCommand:

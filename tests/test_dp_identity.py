@@ -274,3 +274,21 @@ def test_split_controls_a_whole_cell_apart_share_a_group(side, n, controls,
     assert np.float64(root).tobytes() == np.float64(ref_root).tobytes()
     assert policy.dtype == ref_policy.dtype
     assert policy.tobytes() == ref_policy.tobytes()
+
+
+@pytest.mark.parametrize("side", ["sup", "inf"])
+def test_many_interpolated_controls_keep_the_root_and_policy(side):
+    # 64 of 65 controls read between two cells, where the drawn problems
+    # have at most 7: the one pass folds each into the running best and
+    # keeps np.argmax's first-index tie rule
+    model = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, 125)
+    controls = np.linspace(-0.5, 0.5, 65)
+    phi = named_test_function("gauss")
+    root, x, _, policy = _backward_induction(model, phi, side, 401, True,
+                                             controls=controls)
+    ref_root, _, _, ref_policy = ref_backward_induction(model, phi, side, 401,
+                                                        True, controls=controls)
+    assert len(x) == 557
+    assert np.float64(root).tobytes() == np.float64(ref_root).tobytes()
+    assert policy.dtype == ref_policy.dtype
+    assert policy.tobytes() == ref_policy.tobytes()

@@ -274,6 +274,27 @@ class TestLatticeStencil:
         assert root == 0.998000007999968
         assert peak < 16 * 2**20
 
+    def test_interpolated_controls_share_two_scratch_rows(self):
+        # 65 controls on one group, 64 of them read between two cells: each
+        # row is folded into the running best as soon as it is formed, so
+        # the kernel holds two scratch rows, not one row per control
+        model = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, 125)
+        controls = np.linspace(-0.5, 0.5, 65)
+        x, _, offsets, drift = _dp_grid(model, DEFAULT_GRID_POINTS, controls)
+        groups = _lattice_stencil(offsets, drift, model.innovation.probs, len(x))
+        assert len(groups) == 1
+        assert sum(w is not None for _, f, w in groups[0][2]) == 64
+        tracemalloc.start()
+        try:
+            root, _, _, _ = _backward_induction(model, named_test_function("gauss"),
+                                                "sup", DEFAULT_GRID_POINTS, False,
+                                                controls=controls)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert root == 0.6621544950439797
+        assert peak < 0.5 * 2**20
+
 
 class TestKernelOperationsPerStep:
     """A step of the kernel makes only the ufunc calls its stencil asks for:
@@ -546,6 +567,23 @@ class TestConvergenceExperiment:
             convergence_experiment(model, named_test_function("gauss"),
                                    [2, 200], "sup")
 
+    @pytest.mark.parametrize("model", [
+        RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, 1),
+        RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), 1),
+    ], ids=["mean", "variance"])
+    def test_unbounded_payoff_is_refused_before_the_limit(self, monkeypatch,
+                                                          model):
+        # abs takes the explicit mean density or the G-heat solve; neither
+        # may run for a payoff the DP refuses
+        def limit(*args, **kwargs):
+            raise AssertionError("the limit was computed")
+
+        monkeypatch.setattr(measure_dp, "solve_g_heat", limit)
+        monkeypatch.setattr(measure_dp, "density_integral", limit)
+        with pytest.raises(InvalidParams,
+                           match="^the adversarial DP needs a bounded payoff$"):
+            convergence_experiment(model, named_test_function("abs"), [10], "sup")
+
     @pytest.mark.parametrize("side", ["sup", "inf"])
     def test_dp_value_equals_sup_expectation_dp(self, side):
         cases = [
@@ -673,6 +711,33 @@ class TestForkedSolves:
             convergence_experiment(model, phi, [200, 10], "sup")
         assert len(forked) == 1
         assert_no_child_left()
+
+    def test_failed_child_runs_every_solve_here_in_order(self, monkeypatch,
+                                                        forked):
+        # the child's half is not merged with the parent's: after the child
+        # fails, the parent solves the whole schedule again, in order
+        parent, calls = os.getpid(), []
+        solve = measure_dp._solve
+
+        def child_fails(model, phi, side, grid, record_policy=False):
+            if os.getpid() != parent:
+                raise RuntimeError("the child fails")
+            calls.append((model.n, len(grid[0])))
+            return solve(model, phi, side, grid, record_policy)
+
+        monkeypatch.setattr(measure_dp, "_solve", child_fails)
+        model, phi = mean_and_variance("sup")[0]
+        rows = convergence_experiment(model, phi, [200, 10], "sup")
+        assert len(forked) == 1
+        assert_no_child_left()
+        every = [(n, len(_dp_grid(replace(model, n=n), points)[0]))
+                 for n in (200, 10)
+                 for points in (DEFAULT_GRID_POINTS, COARSE_GRID_POINTS)]
+        # the 200-step fine solve is the parent's own half
+        assert calls == every[:1] + every
+        monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", math.inf)
+        ref = convergence_experiment(model, phi, [200, 10], "sup")
+        assert np.array(rows).tobytes() == np.array(ref).tobytes()
 
     def never_forks(self, monkeypatch, schedule=(125, 250)):
         def fork():
