@@ -21,8 +21,9 @@ folds its row into the running best, so memory does not grow with the
 interpolated controls.
 
 convergence_experiment checks each fine root against a coarser lattice
-only where one of the two lattices interpolates, and may solve half of its
-lattices in a forked child that sends every root or none (see _solve_all).
+only where one of the two lattices interpolates.  It may solve half of its
+lattices, and policy_simulate may walk half of its paths, in one forked
+child that sends all of its half or nothing (see _forked).
 """
 from __future__ import annotations
 
@@ -46,7 +47,8 @@ from .densities import (
     select_variance_limit_params,
 )
 from .errors import GridTooCoarse, InvalidParams, PolicyMismatch, UnsupportedCombination
-from .numerics import Categorical, SeedSpec, generator, side_extremum
+from .numerics import (Categorical, SeedSpec, generator, side_extremum,
+                       skip_uniforms)
 from .sublinear import (TestFunction, default_halfwidth, solve_g_expectation,
                         solve_g_heat)
 
@@ -61,10 +63,11 @@ INTERP_TOLERANCE = 1e-3
 SNAP_DENOMINATOR_CAP = 64
 SNAP_REL_TOL = 1e-9
 SNAP_REFINE_CAP = 16
-# convergence_experiment forks a child for the lighter half of its solves
-# only when that half is at least this many cell-steps (n x grid points),
-# about 20 ms of solving at 4.5 ns per cell-step: a fork, its pipe and its
-# reaping cost about 2 ms (2-vCPU x86-64 VM)
+# _forked runs a child only for at least this much work in the child's
+# half: cell-steps (n x grid points) of convergence_experiment's solves,
+# about 20 ms at 4.5 ns per cell-step, or path steps (paths x n) of
+# policy_simulate, about 80 ms at 20 ns per path step.  A fork, its pipe
+# and its reaping cost about 2 ms (2-vCPU x86-64 VM)
 FORK_MIN_WORK = 4_000_000
 
 
@@ -576,10 +579,11 @@ def _current_cpu() -> Optional[int]:
 
 
 def _forks(child_work: int) -> bool:
-    """Whether _solve_all forks a child for child_work cell-steps: the
-    process runs one Python thread (a fork copies no other thread, and
-    numpy's BLAS pool stops itself across a fork), two CPUs are usable,
-    and the work is at least FORK_MIN_WORK."""
+    """Whether _forked runs child_work (cell-steps of the DP, or path
+    steps of the replay) in a child: the process runs one Python thread
+    (a fork copies no other thread, and numpy's BLAS pool stops itself
+    across a fork), two CPUs are usable, and the work is at least
+    FORK_MIN_WORK."""
     return (child_work >= FORK_MIN_WORK and hasattr(os, "fork")
             and threading.active_count() == 1 and len(_usable_cpus()) >= 2)
 
@@ -589,11 +593,10 @@ def _solve_all(solves, phi: TestFunction, side: str) -> list:
 
     The solves are split into two halves of near-equal cell-steps (n x grid
     points; the largest first, each to the lighter half).  When _forks
-    allows, one forked child runs the lighter half and writes its roots
-    back through a pipe as float64 bytes, so they keep their bits; the
-    parent runs the other half and always reaps the child.  The fork gives
-    every root or none: after any failure in either process every solve
-    runs again here, in order, so every exception is the serial one.
+    allows, _forked solves the lighter half in a child and the other half
+    here.  It gives every root or none: after any failure in either process
+    every solve runs again here, in order, so every exception is the
+    serial one.
     """
     def root(k):
         model, grid = solves[k]
@@ -606,15 +609,28 @@ def _solve_all(solves, phi: TestFunction, side: str) -> list:
         halves[lighter].append(k)
         loads[lighter] += work[k]
     light = int(loads[1] < loads[0])
-    roots = _forked_roots(root, halves[1 - light], halves[light]) \
+    mine, theirs = halves[1 - light], halves[light]
+    roots = _forked(lambda: [root(k) for k in mine],
+                    lambda: [root(k) for k in theirs]) \
         if _forks(loads[light]) else None
-    return [root(k) if roots is None else roots[k] for k in range(len(solves))]
+    if roots is None:
+        return [root(k) for k in range(len(solves))]
+    found = dict(zip(mine + theirs, np.concatenate(roots).tolist()))
+    return [found[k] for k in range(len(solves))]
 
 
-def _forked_roots(root, mine: list, theirs: list) -> Optional[dict]:
-    """Index -> root of every solve, `mine` solved here and `theirs` in one
-    forked child, or None: the child sends all its roots or exits non-zero,
-    and a raise here kills the child, which is always reaped."""
+def _forked(mine, theirs) -> Optional[tuple]:
+    """(mine(), theirs()) as float64 arrays, mine() computed here and
+    theirs() in one forked child pinned off this process's CPU, or None.
+
+    The child writes its array back through a pipe as raw float64 bytes,
+    so the values keep their bits.  The result is both arrays or none:
+    the child sends all of its array or exits non-zero, a raise here
+    kills the child, and the child is always reaped.  On None the caller
+    runs all of the work itself, so its exceptions are the serial ones.
+    convergence_experiment's solves and policy_simulate's paths both
+    split here.
+    """
     parent_cpu = _current_cpu()
     read_end, write_end = os.pipe()
     try:
@@ -634,7 +650,7 @@ def _forked_roots(root, mine: list, theirs: list) -> Optional[dict]:
                     os.sched_setaffinity(0, others)
                 except OSError:
                     pass  # the child runs wherever it is
-            values = np.array([root(k) for k in theirs], dtype=np.float64)
+            values = np.asarray(theirs(), dtype=np.float64)
             with os.fdopen(write_end, "wb") as pipe:
                 pipe.write(values.tobytes())
             code = 0
@@ -645,19 +661,18 @@ def _forked_roots(root, mine: list, theirs: list) -> Optional[dict]:
     data = None
     try:
         with os.fdopen(read_end, "rb") as pipe:
-            roots = {k: root(k) for k in mine}
+            here = np.asarray(mine(), dtype=np.float64)
             data = pipe.read()
     except Exception:
-        pass  # the caller solves every one again, in order, and raises
+        pass  # the caller runs all of the work again and raises
     finally:
-        if data is None:  # the child's roots are not wanted
+        if data is None:  # the child's result is not wanted
             import signal  # only here: its import costs 0.7 ms of set-up
             os.kill(pid, signal.SIGKILL)
         _, status = os.waitpid(pid, 0)
     if data is None or os.waitstatus_to_exitcode(status) != 0:
         return None
-    roots.update(zip(theirs, np.frombuffer(data, dtype=np.float64).tolist()))
-    return roots
+    return here, np.frombuffer(data, dtype=np.float64)
 
 
 def convergence_experiment(model: RectangularModel, phi: TestFunction,
@@ -696,7 +711,12 @@ def policy_simulate(model: RectangularModel, policy: AdversaryPolicy,
 
     Returns (estimate, standard error).  A sup-side policy is a feasible
     strategy, so its simulated value cannot exceed the DP value beyond
-    noise.
+    noise.  The replay may use 2 CPUs with unchanged bits: when _forks
+    allows for half the paths' steps (reps // 2 x n; the CLI defaults,
+    n = 100 and reps = 1e4, stay serial), _forked walks the second half
+    of the paths in a child, and each half skips the other's uniforms
+    (see _replay_paths).  phi, the mean and the standard error are taken
+    here over every path, as in the serial replay.
     """
     if reps < 1:
         raise InvalidParams("reps must be >= 1")
@@ -706,12 +726,35 @@ def policy_simulate(model: RectangularModel, policy: AdversaryPolicy,
             f"match model kind={model.kind!r} n={model.n}")
     if policy.controls.shape[0] != policy.n:
         raise PolicyMismatch("policy control table does not cover every step")
-    expected = model.controls(policy.h)
-    if len(policy.control_values) != len(expected) or \
-            not np.allclose(policy.control_values, expected):
+    # a policy records tuple(model.controls(h)), so a model that gives any
+    # other control is not the one the policy was recorded for
+    if policy.control_values != tuple(model.controls(policy.h)):
         raise PolicyMismatch("policy control set differs from the model's")
+
+    def walk(lo, hi):
+        return lambda: _replay_paths(model, policy, reps, spec, lo, hi)
+
+    half = reps // 2
+    halves = _forked(walk(0, half), walk(half, reps)) \
+        if _forks(half * model.n) else None
+    x = walk(0, reps)() if halves is None else np.concatenate(halves)
+    vals = phi(x)
+    est = float(np.mean(vals))
+    se = float(np.std(vals, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    return est, se
+
+
+def _replay_paths(model: RectangularModel, policy: AdversaryPolicy,
+                  reps: int, spec: SeedSpec, lo: int, hi: int) -> np.ndarray:
+    """Final statistic of paths lo..hi-1 of the reps-path replay.
+
+    Path i draws uniform i of each step's reps, so every step skips the
+    lo uniforms before its own and the reps - hi after them (skip_uniforms
+    costs O(1)): any split of [0, reps) draws the serial bits.
+    """
     gen = generator(spec)
-    innovations = Categorical(model.innovation.probs, reps)
+    size = hi - lo
+    innovations = Categorical(model.innovation.probs, size)
     atoms = np.asarray(model.innovation.values, dtype=float)
     cvals = np.asarray(policy.control_values, dtype=float)
     mean_model = model.kind == MEAN_KIND
@@ -722,11 +765,11 @@ def policy_simulate(model: RectangularModel, policy: AdversaryPolicy,
         atoms = model.mean_step_scale() * atoms
     rtn = math.sqrt(model.n)
     # every step writes into these buffers
-    x = np.zeros(reps)
-    eps = np.empty(reps)
-    chosen = np.empty(reps)
-    scratch = np.empty(reps)
-    cell = np.empty(reps, dtype=int)
+    x = np.zeros(size)
+    eps = np.empty(size)
+    chosen = np.empty(size)
+    scratch = np.empty(size)
+    cell = np.empty(size, dtype=int)
     row = np.empty(policy.controls.shape[1])
     for step in range(model.n):
         # cell = rint((x - x0)/h) cast to int; mode="clip" in the take
@@ -737,7 +780,9 @@ def policy_simulate(model: RectangularModel, policy: AdversaryPolicy,
         np.copyto(cell, scratch, casting="unsafe")
         np.take(cvals, policy.controls[step], out=row)
         np.take(row, cell, out=chosen, mode="clip")
+        skip_uniforms(gen, lo)
         np.take(atoms, innovations.draw(gen), out=eps)
+        skip_uniforms(gen, reps - hi)
         if mean_model:  # (x + chosen/n) + k*eps
             np.add(x, chosen, out=x)
             np.add(x, eps, out=x)
@@ -745,7 +790,4 @@ def policy_simulate(model: RectangularModel, policy: AdversaryPolicy,
             np.multiply(chosen, eps, out=scratch)
             np.divide(scratch, rtn, out=scratch)
             np.add(x, scratch, out=x)
-    vals = phi(x)
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return est, se
+    return x

@@ -97,6 +97,30 @@ def generator(spec: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def skip_uniforms(gen: np.random.Generator, k: int) -> None:
+    """Move a generator() past k doubles of gen.random() without drawing
+    them all, leaving the same state (buffer included) as drawing them.
+
+    Philox is counter-based: one counter step makes a block of 4 words,
+    and gen.random() takes one word per double.  The skip uses up the
+    words left in the current block, advances the counter past whole
+    blocks in O(1), and draws the last 1 to 4 words, which refills the
+    buffer as drawing would (advance clears it).  So a second process can
+    skip to its share of a stream and draw exactly the serial bits; the
+    policy replay's two halves do.
+    """
+    if k == 0:
+        return
+    bits = gen.bit_generator
+    left = 4 - bits.state["buffer_pos"]  # words still in the block
+    if k > left:
+        gen.random(left)
+        blocks = (k - left - 1) // 4
+        bits.advance(blocks)
+        k -= left + 4 * blocks
+    gen.random(k)
+
+
 class Categorical:
     """Atom indices of a finite law, draw for draw those of ``Generator.choice``.
 

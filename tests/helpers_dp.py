@@ -1,14 +1,41 @@
-"""Independent oracles for the adversarial DP tests, and the innovation
-law they draw besides Rademacher.
+"""Independent oracles for the adversarial DP tests, the innovation
+law they draw besides Rademacher, and the fixture that makes measure_dp
+fork for any work.
 
 The oracles work on exact integer state lattices or explicit policy
 enumeration and share no code with the production backward induction.
 """
 import math
+import os
 
 import numpy as np
+import pytest
 
+from nlclt import measure_dp
 from nlclt.classical import DiscreteLaw
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """measure_dp forking for any work, as on two CPUs; yields the list of
+    the fork calls' pids made in this process."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
+    monkeypatch.setattr(measure_dp, "_usable_cpus", lambda: {0, 1})
+    return pids
 
 
 def standardized_bernoulli(p):

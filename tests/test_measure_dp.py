@@ -11,7 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers_dp import (
+    assert_no_child_left,
     enumerate_adapted_policies_value,
+    forked,
     integer_lattice_value,
     lattice_tree_value,
     lattice_tree_value_split,
@@ -609,33 +611,10 @@ def mean_and_variance(side):
     ]
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture
 def serial(monkeypatch):
     """convergence_experiment with every solve in this process."""
     monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", math.inf)
-
-
-@pytest.fixture
-def forked(monkeypatch):
-    """convergence_experiment forking for any work, as on two CPUs; yields
-    the list of the fork calls' pids made in this process."""
-    pids, real_fork = [], os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
-    monkeypatch.setattr(measure_dp, "_usable_cpus", lambda: {0, 1})
-    return pids
 
 
 class TestForkedSolves:
@@ -876,6 +855,17 @@ class TestPolicySimulate:
         _, policy = sup_expectation_dp(wide, phi, "sup", check_points=None)
         with pytest.raises(PolicyMismatch):
             policy_simulate(narrow, policy, phi, 10, SeedSpec(1, 0))
+
+    def test_nearly_equal_control_sets_mismatch(self):
+        # both sets have 13 controls; the top one is 0.5 against 0.500002,
+        # which np.allclose took as equal
+        phi = named_test_function("gauss")
+        recorded = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.5), 1.0, 20)
+        other = RectangularModel.mean_uncertain(MeanInterval(-0.5, 0.500002), 1.0, 20)
+        _, policy = sup_expectation_dp(recorded, phi, "sup", check_points=None)
+        assert len(policy.control_values) == len(other.controls(policy.h)) == 13
+        with pytest.raises(PolicyMismatch, match="control set differs"):
+            policy_simulate(other, policy, phi, 1000, SeedSpec(1, 0))
 
 
 class TestModelValidation:

@@ -3,19 +3,26 @@
 ``Categorical`` counts the cdf edges a uniform reaches instead of calling
 ``Generator.choice``; ``DiscreteLaw.draw`` and ``policy_simulate`` read
 atoms at its indices, and ``policy_simulate`` writes every step into
-preallocated buffers.  This file requires the same draws and generator
-state as ``Generator.choice``, and keeps a frozen copy of the earlier
+preallocated buffers, and may walk half of its paths in a forked child
+that skips the other half's uniforms with ``skip_uniforms``.  This file
+requires the same draws and generator state as ``Generator.choice`` and
+as drawing the skipped uniforms, and keeps a frozen copy of the earlier
 replay (one ``gen.choice`` and fresh arrays per step) whose
-``(estimate, stderr)`` the replay must reproduce bit for bit.
+``(estimate, stderr)`` the replay, serial or forked, must reproduce bit
+for bit.
 """
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers_dp import standardized_bernoulli
+from helpers_dp import assert_no_child_left, forked, standardized_bernoulli
+from nlclt import measure_dp
 from nlclt.classical import DiscreteLaw
 from nlclt.densities import MeanInterval, VarianceInterval
 from nlclt.errors import InvalidParams
@@ -26,7 +33,7 @@ from nlclt.measure_dp import (
     policy_simulate,
     sup_expectation_dp,
 )
-from nlclt.numerics import Categorical, SeedSpec, generator
+from nlclt.numerics import Categorical, SeedSpec, generator, skip_uniforms
 from nlclt.sublinear import SShapeSpec, make_s_shaped, named_test_function
 
 SEEDS = st.integers(0, 2**64 - 1)
@@ -126,6 +133,34 @@ def test_atoms_must_match_probabilities():
 
 
 # ---------------------------------------------------------------------------
+# skipping uniforms against drawing them
+# ---------------------------------------------------------------------------
+
+def state_bytes(gen):
+    """The bit generator's whole state (counter, key, buffer, its position
+    and the 32-bit carry) as comparable bytes."""
+    def flat(state):
+        return {k: flat(v) if isinstance(v, dict) else np.asarray(v).tobytes()
+                for k, v in state.items()}
+    return flat(gen.bit_generator.state)
+
+
+@pytest.mark.parametrize("drawn", [0, 1, 2, 3], ids=lambda d: f"{d}-drawn")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=SEEDS, stream=STREAMS, k=st.integers(0, 100_000))
+def test_skip_is_drawing(drawn, seed, stream, k):
+    # drawn words of Philox's 4-word block are used up before the skip
+    spec = SeedSpec(seed, stream)
+    gen, ref_gen = generator(spec), generator(spec)
+    gen.random(drawn)
+    ref_gen.random(drawn)
+    skip_uniforms(gen, k)
+    ref_gen.random(k)
+    assert state_bytes(gen) == state_bytes(ref_gen)
+    assert gen.random(9).tobytes() == ref_gen.random(9).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # frozen allocating replay
 # ---------------------------------------------------------------------------
 
@@ -154,10 +189,25 @@ def ref_policy_simulate(model, policy, phi, reps, spec):
 
 
 @st.composite
-def replays(draw):
+def standardized_laws(draw):
+    """laws() with mass on two atoms or more (a law with one has no
+    variance), at distinct integer values, shifted and scaled to zero mean
+    and unit variance."""
+    probs = draw(laws().filter(lambda p: np.count_nonzero(p) >= 2))
+    values = np.array(draw(st.lists(st.integers(-3, 3), min_size=len(probs),
+                                    max_size=len(probs), unique=True)), float)
+    values -= probs @ values
+    return DiscreteLaw(tuple(values / math.sqrt(probs @ values**2)), tuple(probs))
+
+
+BERNOULLI_LAWS = st.one_of(st.just(DiscreteLaw.rademacher()),
+                           st.floats(0.01, 0.99).map(standardized_bernoulli))
+
+
+@st.composite
+def replays(draw, laws=BERNOULLI_LAWS, reps=(1, 2, 1000)):
     n = draw(st.integers(1, 12))
-    law = draw(st.one_of(st.just(DiscreteLaw.rademacher()),
-                         st.floats(0.01, 0.99).map(standardized_bernoulli)))
+    law = draw(laws)
     if draw(st.booleans()):
         lo = draw(st.sampled_from([0.5, 1.0]))
         ratio = draw(st.sampled_from([1.0, 2.0, math.sqrt(2.0)]))
@@ -176,7 +226,7 @@ def replays(draw):
     else:
         phi = named_test_function(name)
     side = draw(st.sampled_from(["sup", "inf"]))
-    reps = draw(st.sampled_from([1, 2, 1000]))
+    reps = draw(st.sampled_from(reps))
     spec = SeedSpec(draw(SEEDS), draw(STREAMS))
     return model, phi, side, reps, spec
 
@@ -209,3 +259,108 @@ def test_replay_is_bit_identical_at_larger_n(model, side):
     got = policy_simulate(model, policy, phi, 5000, spec)
     assert np.array(got).tobytes() == \
         np.array(ref_policy_simulate(model, policy, phi, 5000, spec)).tobytes()
+
+
+class TestForkedReplay:
+    """policy_simulate's paths split over one forked child."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(case=replays(laws=st.one_of(BERNOULLI_LAWS, standardized_laws()),
+                        reps=(2, 3, 1000, 1001)))
+    def test_forked_replay_is_bit_identical(self, monkeypatch, forked, case):
+        model, phi, side, reps, spec = case
+        _, policy = sup_expectation_dp(model, phi, side, check_points=None)
+        forks = len(forked)
+        got = policy_simulate(model, policy, phi, reps, spec)
+        assert len(forked) == forks + 1
+        assert_no_child_left()
+        with monkeypatch.context() as patch:
+            patch.setattr(measure_dp, "FORK_MIN_WORK", math.inf)
+            serial = policy_simulate(model, policy, phi, reps, spec)
+        assert len(forked) == forks + 1
+        ref = ref_policy_simulate(model, policy, phi, reps, spec)
+        assert np.array(got).tobytes() == np.array(serial).tobytes()
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+    def replay(self, n=20, reps=1001):
+        model = RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), n)
+        phi = named_test_function("gauss")
+        _, policy = sup_expectation_dp(model, phi, "sup")
+        return lambda: policy_simulate(model, policy, phi, reps, SeedSpec(11, 2)), \
+            lambda: ref_policy_simulate(model, policy, phi, reps, SeedSpec(11, 2))
+
+    def test_failed_child_gives_the_serial_result(self, monkeypatch, forked):
+        parent, walk = os.getpid(), measure_dp._replay_paths
+
+        def child_fails(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("the child fails")
+            return walk(*args)
+
+        monkeypatch.setattr(measure_dp, "_replay_paths", child_fails)
+        simulate, ref = self.replay()
+        got = simulate()
+        assert len(forked) == 1
+        assert_no_child_left()
+        assert np.array(got).tobytes() == np.array(ref()).tobytes()
+
+    def test_interrupted_parent_kills_and_reaps_the_child(self, monkeypatch,
+                                                         forked):
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # only a kill ends the child sooner
+
+        monkeypatch.setattr(measure_dp, "_replay_paths", interrupted)
+        simulate, _ = self.replay()
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            simulate()
+        assert time.monotonic() - start < 30
+        assert len(forked) == 1
+        assert_no_child_left()
+
+    def test_work_is_half_the_paths_times_n(self, monkeypatch, forked):
+        # reps // 2 * n path steps against FORK_MIN_WORK: 99 x 10, then 100 x 10
+        monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1000)
+        for reps, forks in ((199, 0), (200, 1)):
+            simulate, ref = self.replay(n=10, reps=reps)
+            assert np.array(simulate()).tobytes() == np.array(ref()).tobytes()
+            assert len(forked) == forks
+
+    def never_forks(self, monkeypatch, n=20, reps=1001):
+        def fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", fork)
+        simulate, ref = self.replay(n, reps)
+        assert np.array(simulate()).tobytes() == np.array(ref()).tobytes()
+
+    def test_not_below_fork_min_work(self, monkeypatch):
+        # the CLI defaults, n = 100 and reps = 1e4: 500 thousand path steps
+        monkeypatch.setattr(measure_dp, "_usable_cpus", lambda: {0, 1})
+        self.never_forks(monkeypatch, 100, 10_000)
+
+    def test_not_with_a_second_thread(self, monkeypatch):
+        monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
+        monkeypatch.setattr(measure_dp, "_usable_cpus", lambda: {0, 1})
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            self.never_forks(monkeypatch)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_not_on_one_usable_cpu(self, monkeypatch):
+        # under `taskset -c 0` the real affinity mask has one CPU
+        monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
+        if len(os.sched_getaffinity(0)) > 1:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        self.never_forks(monkeypatch)
