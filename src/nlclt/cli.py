@@ -63,16 +63,12 @@ from .measure_dp import (
 from .numerics import SIDES, Grid1D, SeedSpec
 from .sublinear import (
     DEFAULT_SPACE_POINTS,
-    GMean,
-    GVariance,
-    HjbProblem,
     SShapeSpec,
     check_mean_solve_inputs,
     make_s_shaped,
     named_test_function,
     solve_g_expectation,
     solve_g_heat,
-    tree_value_oracle,
 )
 
 DEFAULT_SEED = 1234
@@ -608,12 +604,10 @@ def cmd_solve(cfg: dict) -> int:
     terminal = build_payoff(cfg, "terminal")
     build, keys = _INTERVAL_OF[cfg["problem"]]
     interval = build(*(cfg[key] for key in keys))
-    if cfg["problem"] == "g-heat":
-        solve, generator = solve_g_heat, GVariance(interval, cfg["side"])
-    else:
-        solve, generator = solve_g_expectation, GMean(interval, cfg["side"])
-    grid = solve(generator.interval, terminal, generator.side,
-                 space_points=cfg["space_points"], time_steps=cfg["time_steps"])
+    solve = solve_g_heat if cfg["problem"] == "g-heat" else solve_g_expectation
+    grid = solve(interval, terminal, cfg["side"],
+                 space_points=cfg["space_points"], time_steps=cfg["time_steps"],
+                 tree_steps=cfg["tree_steps"])
     at_end = terminal(grid.x)
     low, high = float(at_end.min()), float(at_end.max())
     slack = 1e-12 * max(1.0, high - low)
@@ -625,10 +619,9 @@ def cmd_solve(cfg: dict) -> int:
               f"[{low:.6g}, {high:.6g}] on the grid; increase space_points",
               file=sys.stderr)
     rows = [("u0", grid.u0)]
-    if cfg["tree_steps"] is not None:
-        tree = tree_value_oracle(HjbProblem(generator, terminal), cfg["tree_steps"])
-        rows.append(("tree_value", tree))
-        rows.append(("abs_gap", abs(grid.u0 - tree)))
+    if grid.tree_value is not None:
+        rows.append(("tree_value", grid.tree_value))
+        rows.append(("abs_gap", abs(grid.u0 - grid.tree_value)))
     if cfg["grid_out"]:
         write_table(cfg["grid_out"], "t,x,u", _grid_blocks(grid))
     write_table(_out(cfg), "name,value", _rows_block(rows))

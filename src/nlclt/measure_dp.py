@@ -22,8 +22,9 @@ interpolated controls.
 
 convergence_experiment checks each fine root against a coarser lattice
 only where one of the two lattices interpolates.  It may solve half of its
-lattices, and policy_simulate may walk half of its paths, in one forked
-child that sends all of its half or nothing (see _forked).
+lattices, policy_simulate may walk half of its paths, and sublinear's
+solve may march its coarse grid and run its lattice oracle, in one forked
+child that sends all of its part or nothing (see _forked).
 """
 from __future__ import annotations
 
@@ -65,9 +66,13 @@ SNAP_REL_TOL = 1e-9
 SNAP_REFINE_CAP = 16
 # _forked runs a child only for at least this much work in the child's
 # half: cell-steps (n x grid points) of convergence_experiment's solves,
-# about 20 ms at 4.5 ns per cell-step, or path steps (paths x n) of
-# policy_simulate, about 80 ms at 20 ns per path step.  A fork, its pipe
-# and its reaping cost about 2 ms (2-vCPU x86-64 VM)
+# about 20 ms at 4.5 ns per cell-step; path steps (paths x n) of
+# policy_simulate, about 80 ms at 20 ns per path step; or cell-steps of a
+# PDE solve's coarse march (steps x points, 5 to 9 ns each) plus its
+# lattice oracle's (steps x target points).  A criterion-6 solve with
+# 2000 oracle steps gives its child 1.1e7 to 1.2e7; a 201-point solve
+# with 200 oracle steps, about 8e5, stays serial.  A fork, its pipe and
+# its reaping cost about 2 ms (2-vCPU x86-64 VM)
 FORK_MIN_WORK = 4_000_000
 
 
@@ -579,11 +584,11 @@ def _current_cpu() -> Optional[int]:
 
 
 def _forks(child_work: int) -> bool:
-    """Whether _forked runs child_work (cell-steps of the DP, or path
-    steps of the replay) in a child: the process runs one Python thread
-    (a fork copies no other thread, and numpy's BLAS pool stops itself
-    across a fork), two CPUs are usable, and the work is at least
-    FORK_MIN_WORK."""
+    """Whether _forked runs child_work (cell-steps of the DP or of a PDE
+    solve's coarse march and oracle, or path steps of the replay) in a
+    child: the process runs one Python thread (a fork copies no other
+    thread, and numpy's BLAS pool stops itself across a fork), two CPUs
+    are usable, and the work is at least FORK_MIN_WORK."""
     return (child_work >= FORK_MIN_WORK and hasattr(os, "fork")
             and threading.active_count() == 1 and len(_usable_cpus()) >= 2)
 
@@ -620,16 +625,17 @@ def _solve_all(solves, phi: TestFunction, side: str) -> list:
 
 
 def _forked(mine, theirs) -> Optional[tuple]:
-    """(mine(), theirs()) as float64 arrays, mine() computed here and
-    theirs() in one forked child pinned off this process's CPU, or None.
+    """(mine(), theirs()), mine() computed here and theirs() in one forked
+    child pinned off this process's CPU, or None.
 
-    The child writes its array back through a pipe as raw float64 bytes,
-    so the values keep their bits.  The result is both arrays or none:
-    the child sends all of its array or exits non-zero, a raise here
-    kills the child, and the child is always reaped.  On None the caller
-    runs all of the work itself, so its exceptions are the serial ones.
-    convergence_experiment's solves and policy_simulate's paths both
-    split here.
+    The child writes theirs() back through a pipe as raw float64 bytes, so
+    its values keep their bits; mine() is returned as it is.  The result
+    is both or none: the child sends all of its array or exits non-zero,
+    a raise here kills the child, and the child is always reaped.  On None
+    the caller runs all of the work itself, so its exceptions are the
+    serial ones.  Three callers split here: convergence_experiment's
+    solves, policy_simulate's paths, and sublinear._solve, whose child
+    runs the coarse march and the lattice oracle beside the fine march.
     """
     parent_cpu = _current_cpu()
     read_end, write_end = os.pipe()
@@ -661,7 +667,7 @@ def _forked(mine, theirs) -> Optional[tuple]:
     data = None
     try:
         with os.fdopen(read_end, "rb") as pipe:
-            here = np.asarray(mine(), dtype=np.float64)
+            here = mine()
             data = pipe.read()
     except Exception:
         pass  # the caller runs all of the work again and raises

@@ -8,7 +8,10 @@ equation, its mean face (sigma = 1), the mean-uncertain value.  One explicit
 scheme marches either face on its grid and every other point of it, and a
 solve reports the two-grid Richardson extrapolation.  The lattice oracle
 checks both faces against the adversarial DP: a call of measure_dp's
-backward induction with +-1 innovations on the problem's domain.
+backward induction with +-1 innovations on the problem's domain.  A solve
+asked for the oracle may run the coarse march and the oracle in one forked
+child while the fine march runs here, through measure_dp._forked, whose
+third caller it is (see _solve); every value keeps its bits.
 """
 from __future__ import annotations
 
@@ -274,7 +277,11 @@ class ValueGrid:
     difference from the coarse layer, interpolated linearly onto x
     (Richardson extrapolation: the dx^2 and dt error terms cancel).
     `solve --grid-out` writes each stored layer as one CSV block: its time,
-    x and the layer as columns.
+    x and the layer as columns.  A solve asked for tree_steps also holds
+    the lattice oracle's root.  The coarse march and the oracle may run in
+    one forked child beside the fine march, with the same bits: _solve is
+    the third caller of measure_dp._forked, after convergence_experiment's
+    solves and policy_simulate's paths.
     """
 
     x: np.ndarray
@@ -288,6 +295,7 @@ class ValueGrid:
     steps: int                 # steps of the fine march
     richardson_gap: float      # u0 minus the fine march's u(0, 0)
     dt_ratio: float            # the fine march's dt over its dt_bound(dx)
+    tree_value: Optional[float] = None  # tree_value_oracle's root, if asked for
 
 
 class _March(NamedTuple):
@@ -432,10 +440,12 @@ def _root(x: np.ndarray, layer: np.ndarray) -> float:
     return float(np.interp(0.0, x, layer))
 
 
-def _marches(problem: HjbProblem, space_points: int,
-             time_steps: Optional[int]) -> tuple:
-    """The fine and the coarse march of _scheme's step on the problem's
-    generator, whichever face it is, as two _March records.
+def _plan(problem: HjbProblem, space_points: int,
+          time_steps: Optional[int]) -> tuple:
+    """(march, coarse_cells): march(fine) runs the fine (fine = True) or
+    the coarse march of _scheme's step on the problem's generator,
+    whichever face it is, as a _March record, and coarse_cells is the
+    coarse march's cell-steps (its steps times its grid points).
 
     The fine grid is x = linspace(-L, L, space_points) with spacing dx, the
     coarse grid x[::2] with spacing 2 * dx; it ends at L only when
@@ -475,20 +485,77 @@ def _marches(problem: HjbProblem, space_points: int,
         coarse_steps = max(math.ceil(time_steps / 4),
                            math.ceil(1.0 / coarse_bound))
     every = max(1, coarse_steps // (MAX_VALUE_SNAPSHOTS - 1))
-    marches = []
-    for grid, spacing, refine in ((x, dx, 4), (x[::2].copy(), 2.0 * dx, 1)):
+
+    def march(fine: bool) -> _March:
+        grid, spacing, refine = (x, dx, 4) if fine else (x[::2].copy(), 2.0 * dx, 1)
         steps = refine * coarse_steps
         dt = 1.0 / steps
-        marches.append(_March(grid, steps, *_march(
+        return _March(grid, steps, *_march(
             problem.terminal(grid), steps, refine * every,
-            make_step(len(grid), spacing, dt)), dt / dt_bound(spacing)))
-    return tuple(marches)
+            make_step(len(grid), spacing, dt)), dt / dt_bound(spacing))
+
+    return march, coarse_steps * len(x[::2])
 
 
-def _solve(problem: HjbProblem, space_points: int,
-           time_steps: Optional[int]) -> ValueGrid:
-    """The two marches of the problem, extrapolated layer by layer."""
-    fine, coarse = _marches(problem, space_points, time_steps)
+def _marches(problem: HjbProblem, space_points: int,
+             time_steps: Optional[int]) -> tuple:
+    """The fine and the coarse march of the problem (see _plan), as two
+    _March records."""
+    march, _ = _plan(problem, space_points, time_steps)
+    return march(True), march(False)
+
+
+def _sent(coarse: _March, tree: list) -> np.ndarray:
+    """The coarse march's lo, hi and dt_ratio, layer times and layers, then
+    the oracle's root if there is one, as one float64 array."""
+    return np.concatenate([(coarse.lo, coarse.hi, coarse.dt_ratio),
+                           coarse.times, coarse.values.ravel(), tree])
+
+
+def _received(sent: np.ndarray, fine: _March) -> tuple:
+    """(coarse march, [oracle root] or []) from a _sent array, with the
+    grid, step count and layer count the fine march fixes."""
+    x = fine.x[::2]
+    layers = len(fine.times)
+    lo, hi, dt_ratio = sent[:3].tolist()
+    end = 3 + layers * (1 + len(x))
+    coarse = _March(x, fine.steps // 4, sent[3:3 + layers],
+                    sent[3 + layers:end].reshape(layers, len(x)),
+                    lo, hi, dt_ratio)
+    return coarse, sent[end:].tolist()
+
+
+def _solve(problem: HjbProblem, space_points: int, time_steps: Optional[int],
+           tree_steps: Optional[int] = None) -> ValueGrid:
+    """The two marches of the problem, extrapolated layer by layer, and the
+    lattice oracle's root over tree_steps steps when it is asked for.
+
+    The coarse march and the oracle need nothing from the fine march.  When
+    measure_dp._forks allows for their cell-steps (the coarse march's, plus
+    tree_steps times the oracle's target points), measure_dp._forked runs
+    them in one child while the fine march runs here.  The child sends the
+    coarse march and the oracle's root back as float64 (see _sent), so
+    every value keeps its bits.  If either process fails, every march and
+    the oracle run again here, so every exception is the serial one.
+    """
+    from .measure_dp import DEFAULT_GRID_POINTS, _forked, _forks
+
+    march, coarse_cells = _plan(problem, space_points, time_steps)
+
+    def oracle():
+        # through the module attribute, which a tracer may wrap
+        return [] if tree_steps is None else [
+            tree_value_oracle(problem, tree_steps, DEFAULT_GRID_POINTS)]
+
+    work = coarse_cells + (tree_steps or 0) * DEFAULT_GRID_POINTS
+    both = _forked(lambda: march(True),
+                   lambda: _sent(march(False), oracle())) \
+        if _forks(work) else None
+    if both is None:
+        fine, coarse, tree = march(True), march(False), oracle()
+    else:
+        fine, sent = both
+        coarse, tree = _received(sent, fine)
     x = fine.x
     fine_root = _root(x, fine.values[-1])
     values = fine.values
@@ -502,17 +569,21 @@ def _solve(problem: HjbProblem, space_points: int,
                      min_seen=min(fine.lo, float(values.min())),
                      max_seen=max(fine.hi, float(values.max())),
                      steps=fine.steps, richardson_gap=u0 - fine_root,
-                     dt_ratio=fine.dt_ratio)
+                     dt_ratio=fine.dt_ratio,
+                     tree_value=tree[0] if tree else None)
 
 
 def solve_g_heat(v: VarianceInterval, terminal: TestFunction, side: str = "sup",
                  space_points: int = DEFAULT_SPACE_POINTS,
                  time_steps: Optional[int] = None,
-                 domain_halfwidth: Optional[float] = None) -> ValueGrid:
+                 domain_halfwidth: Optional[float] = None,
+                 tree_steps: Optional[int] = None) -> ValueGrid:
     """March the G-heat equation back from t = 1; u(0,0) is the upper (sup) or
-    the lower (inf) expectation of the terminal under the variance interval."""
+    the lower (inf) expectation of the terminal under the variance interval.
+    With tree_steps, tree_value is the lattice oracle's root over that many
+    steps (see tree_value_oracle)."""
     return _solve(HjbProblem(GVariance(v, side), terminal, domain_halfwidth),
-                  space_points, time_steps)
+                  space_points, time_steps, tree_steps)
 
 
 def check_mean_solve_inputs(terminal: TestFunction) -> None:
@@ -524,16 +595,18 @@ def check_mean_solve_inputs(terminal: TestFunction) -> None:
 def solve_g_expectation(m: MeanInterval, terminal: TestFunction, side: str,
                         space_points: int = DEFAULT_SPACE_POINTS,
                         time_steps: Optional[int] = None,
-                        domain_halfwidth: Optional[float] = None) -> ValueGrid:
+                        domain_halfwidth: Optional[float] = None,
+                        tree_steps: Optional[int] = None) -> ValueGrid:
     """March the semilinear drift equation back from t = 1; u(0,0) is the
     mean-uncertain value of the terminal payoff at unit diffusion.
 
     Bounded terminals only; the drift term is max (sup) or min (inf) of
-    mu * gradient over the mean interval.
+    mu * gradient over the mean interval.  With tree_steps, tree_value is
+    the lattice oracle's root over that many steps (see tree_value_oracle).
     """
     check_mean_solve_inputs(terminal)
     return _solve(HjbProblem(GMean(m, side=side), terminal, domain_halfwidth),
-                  space_points, time_steps)
+                  space_points, time_steps, tree_steps)
 
 
 # ---------------------------------------------------------------------------
