@@ -58,6 +58,11 @@ VARIANCE_KIND = "variance_uncertain"
 DEFAULT_GRID_POINTS = 4001
 COARSE_GRID_POINTS = 2001
 INTERP_TOLERANCE = 1e-3
+# A solved lattice resolves the step: its widest control's smallest nonzero
+# innovation move spans at least this many cells.  The criterion-8 and
+# benchmark lattices give 3 to 445 cells, the brute-force-checked mean games
+# 1; mean [-1e6, 1e6] at n = 1 gave 0.002 and a value of 0.998 for 0.5.
+MIN_MOVE_CELLS = 0.5
 # A lattice snaps to shifts whose ratios are fractions of at most this
 # denominator (to this tolerance), by refining the target spacing at most
 # SNAP_REFINE_CAP times: a tiny shift would ask for an unbounded grid.
@@ -443,13 +448,32 @@ def _refinement_grids(model: RectangularModel, target_points: int,
     the same reachable points through whole-cell moves, so the roots agree
     to rounding (the abscissae j * h round differently on the two
     spacings) and the refinement check has nothing to see; the
-    check_points lattice is still built, which validates it."""
+    check_points lattice is still built, which validates it.  Each
+    returned lattice must resolve the step (_check_resolution)."""
     fine = _dp_grid(model, target_points)
-    if check_points is None:
-        return [fine]
-    coarse = _dp_grid(model, check_points)
-    return [fine, coarse] if _interpolates(fine) or _interpolates(coarse) \
-        else [fine]
+    grids = [fine]
+    if check_points is not None:
+        coarse = _dp_grid(model, check_points)
+        if _interpolates(fine) or _interpolates(coarse):
+            grids.append(coarse)
+    for grid in grids:
+        _check_resolution(model.n, grid)
+    return grids
+
+
+def _check_resolution(n: int, grid) -> None:
+    """GridTooCoarse when the lattice's spacing exceeds 1/MIN_MOVE_CELLS
+    times the step's smallest nonzero innovation move, taken at the control
+    whose smallest move is largest (a variance model's sigma_high).  The
+    drift mu/n does not count: the kernel interpolates it by design."""
+    x, h, offsets, drift = grid
+    moves = np.abs(offsets - drift[:, None])
+    cells = np.where(moves > 0, moves, np.inf).min(axis=1).max()
+    if cells < MIN_MOVE_CELLS:
+        raise GridTooCoarse(
+            f"the DP lattice's spacing {h:.6g} is more than "
+            f"{1 / MIN_MOVE_CELLS:g} times the step's smallest innovation move "
+            f"{cells * h:.6g} at n = {n} ({len(x)} grid points)")
 
 
 def _check_refinement(n: int, grids, root: float, coarse_root: float) -> None:

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -15,7 +17,8 @@ from hypothesis import strategies as st
 from nlclt import cli, csvio, measure_dp
 from nlclt.cli import (OPTIONS, build_parser, main, merge_config, parse_grid,
                        validate_config)
-from nlclt.densities import VarianceInterval
+from nlclt.densities import (DensityParams, MeanInterval, VarianceInterval,
+                             emit_density_curve)
 from nlclt.errors import ConfigError
 from nlclt.numerics import std_normal_pdf
 from nlclt.sublinear import (DEFAULT_SPACE_POINTS, SShapeSpec, ValueGrid,
@@ -303,15 +306,36 @@ class TestConvergeCommand:
         limit = float(row.split(",")[2])
         assert abs(limit - 0.5 * math.erfc(-0.25)) <= 1e-8
 
-    def test_explicit_limit_of_a_wide_mean_interval(self, tmp_path):
-        # the limit density is 1e-6 wide about c; its peak must not be missed
+    def test_explicit_limit_of_a_wide_mean_interval(self, tmp_path, capsys):
+        # the limit density is 1e-6 wide about c; its peak must not be missed.
+        # The DP's lattice for n = 1 spaces its cells 1000 apart for a step
+        # of +-2, so the command refuses it rather than report its root
         out = tmp_path / "converge.csv"
         assert run("converge", "--model", "mean", "--mu-low", "-1e6",
                    "--mu-high", "1e6", "--schedule", "1", "--phi", "gauss",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "numerical failure: the DP lattice's spacing 1000 is more than 2 "
+            "times the step's smallest innovation move 2 at n = 1 "
+            "(4001 grid points)\n")
+        assert not out.exists()
+        model = measure_dp.RectangularModel.mean_uncertain(
+            MeanInterval(-1e6, 1e6), 1.0, 1)
+        limit = measure_dp._explicit_limit(model, named_test_function("gauss"),
+                                           "sup")
+        assert abs(limit - 1.0) <= 1e-6
+
+    def test_a_wide_mean_interval_the_lattice_resolves(self, tmp_path):
+        # 2003 controls, the two bounds read between two cells; the game is
+        # worth max over c of (phi(c - 2) + phi(c + 2))/2
+        out = tmp_path / "converge.csv"
+        assert run("converge", "--model", "mean", "--mu-low", "-1000.5",
+                   "--mu-high", "1000.5", "--schedule", "1", "--phi", "gauss",
                    "--out", str(out)) == 0
         header, row = out.read_text().splitlines()
-        assert header == "n,dp_value,limit_value,gap"
-        assert abs(float(row.split(",")[2]) - 1.0) <= 1e-6
+        phi = named_test_function("gauss")
+        assert float(row.split(",")[1]) == pytest.approx(
+            (phi(np.array([0.0]))[0] + phi(np.array([4.0]))[0]) / 2, abs=1e-12)
 
     def test_s_shape_with_another_theta_takes_the_pde_limit(self, tmp_path):
         # theta 0.25 is not sigma_low / sigma_high = 0.5, so the theorem's
@@ -1165,6 +1189,127 @@ class TestRenderCsvBytes:
         column = np.array(floats)
         assert_blocks_render([(column, "x", column[::-1]),
                               tuple((v,) for v in tail), (column,)])
+
+
+# the package source, for tests that run a fresh interpreter
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# cells where the 15-digit decimal is a tie, carries to a new power of ten,
+# or switches between the fixed and the exponent form
+HARD = [123456789012345.5, 123456789012344.5, 999999999999999.5,
+        999999999999999.4, 99999999999999.95, 9999999999999995.0,
+        9.999999999999995e-05, 9.9999999999999995e-05, 1e-05, 1e-04,
+        0.00012345, 1e14, 1e15, 1e16, 1e22, 1e23, 123456789012345.0,
+        5e-324, -5e-324, 1e-323, 1.5e-323, 2.2250738585072014e-308,
+        2.225073858507201e-308, 1.7976931348623157e308, -0.0, 0.0,
+        math.inf, -math.inf, math.nan, 0.5, 0.1, 1 / 3, 1000.0, 2.5, -2.5]
+
+
+class TestFloatCellKernel:
+    """csvio._float_cells against Python's "%.15g", through render_csv."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1),
+           st.integers(csvio.BLOCK_ROWS + 1, 2 * csvio.BLOCK_ROWS + 7),
+           st.lists(st.tuples(st.integers(0, 2**64 - 1), st.floats(0, 1)),
+                    max_size=20))
+    def test_raw_bit_patterns(self, seed, rows, drawn):
+        # every float64, subnormals, infinities and nans included; the drawn
+        # patterns land at drawn rows of a column past one block
+        bits = np.random.default_rng(seed).integers(0, 2**64, rows, dtype=np.uint64)
+        for pattern, at in drawn:
+            bits[int(at * (rows - 1))] = pattern
+        column = bits.view(np.float64)
+        assert_blocks_render([(column, "c", column[::-1])])
+
+    def test_hard_cases(self):
+        values = np.array(HARD)
+        signed = np.concatenate([values, -values])
+        assert csvio._float_cells(signed) == [f"{v:.15g}" for v in signed.tolist()]
+        assert_blocks_render([(np.tile(signed, 60),)])
+
+    def test_near_every_power_of_ten(self):
+        # each power of ten, its neighbours, and the cells that round up to it
+        with np.errstate(over="ignore"):
+            tens = 10.0 ** np.arange(-323, 309)
+            cells = np.concatenate([
+                tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+                tens * (1 - 5e-16), tens * (1 - 4.9e-16), tens * 9.999999999999995,
+                tens * 0.99999999999999949, tens * 1.5])
+        cells = cells[np.isfinite(cells)]
+        assert csvio._float_cells(cells) == [f"{v:.15g}" for v in cells.tolist()]
+
+    def test_first_render_imports_nothing(self):
+        # a lazy import on the first render (np.unique's, for one) would
+        # land in the warm-up op of every benchmark workload
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from nlclt import csvio\n"
+                "before = set(sys.modules)\n"
+                "y = np.linspace(-6.0, 6.0, 601)\n"
+                "text = csvio.render_csv('y,d', [(y, np.exp(-y * y / 2))])\n"
+                "assert text.count('\\n') == 602, text[:80]\n"
+                "print(sorted(set(sys.modules) - before))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=os.environ | {"PYTHONPATH": SRC},
+                             check=True).stdout
+        assert out == "[]\n"
+
+
+class TestCliCsvBytes:
+    """Each command's CSV equals the per-cell renderer of its arrays."""
+
+    @pytest.mark.parametrize("family, params", [
+        ("chen-epstein", DensityParams(0.5, 0.0, 0.25)),
+        ("cez", DensityParams(1.0, 2.0, 0.0)),
+    ])
+    def test_density(self, tmp_path, family, params):
+        out = tmp_path / "d.csv"
+        assert run("density", "--family", family, "--alpha", str(params.alpha),
+                   "--beta", str(params.beta), "--c", str(params.c),
+                   "--grid=-9:9:10001", "--out", str(out)) == 0
+        curve = emit_density_curve(params, cli.DENSITY_FAMILIES[family],
+                                   parse_grid("-9:9:10001"))
+        assert_same_text(out.read_bytes().decode(),
+                         ref_render_csv("y,density", map(tuple, curve)))
+
+    def test_figures(self, tmp_path):
+        assert run("figures", "--grid=-7:7:5001", "--out", str(tmp_path)) == 0
+        for entry in cli.PAPER_FIGURES:
+            name, curves = cli._figure_curves(entry, parse_grid("-7:7:5001"))
+            rows = [(y, label, d) for label, curve in curves for y, d in curve]
+            assert_same_text((tmp_path / name).read_bytes().decode(),
+                             ref_render_csv("y,curve,density", rows))
+
+    def test_solve_grid_out(self, tmp_path):
+        gout = tmp_path / "grid.csv"
+        assert run("solve", "--problem", "g-heat", "--sigma-low", "1",
+                   "--sigma-high", "2", "--terminal", "abs", "--space-points",
+                   "201", "--out", str(tmp_path / "s.csv"), "--grid-out",
+                   str(gout)) == 0
+        grid = solve_g_heat(VarianceInterval(1.0, 2.0), named_test_function("abs"),
+                            "sup", space_points=201)
+        rows = [(t, x, u) for t, layer in zip(grid.times, grid.values)
+                for x, u in zip(grid.x, layer)]
+        assert_same_text(gout.read_bytes().decode(), ref_render_csv("t,x,u", rows))
+
+
+class TestCsvEncoding:
+    def test_utf8_under_the_c_locale(self, tmp_path):
+        # the locale's encoding is ASCII here: a text-mode file without an
+        # explicit encoding would raise UnicodeEncodeError
+        out = tmp_path / "t.csv"
+        code = ("import codecs, locale, sys\n"
+                "from nlclt import csvio\n"
+                "encoding = locale.getpreferredencoding(False)\n"
+                "assert codecs.lookup(encoding).name == 'ascii', encoding\n"
+                "csvio.write_csv_atomic(sys.argv[1], 'name,value',"
+                " [(['\\u03c3_low', 'u0'], [0.5, 1 / 3])])\n")
+        env = os.environ | {"PYTHONPATH": SRC, "LC_ALL": "C", "PYTHONUTF8": "0",
+                            "PYTHONCOERCECLOCALE": "0"}
+        subprocess.run([sys.executable, "-c", code, str(out)], env=env, check=True)
+        assert out.read_bytes() == \
+            "name,value\n\u03c3_low,0.5\nu0,0.333333333333333\n".encode("utf-8")
 
 
 class TestRenderCsvBlocks:

@@ -181,6 +181,74 @@ class TestMeanBruteForce:
         assert abs(dp - brute) <= 1e-12
 
 
+RESOLUTION_REFUSED = (r"^the DP lattice's spacing \S+ is more than 2 times the "
+                      r"step's smallest innovation move \S+ at n = \d+ "
+                      r"\(\d+ grid points\)$")
+
+
+class TestLatticeResolution:
+    """A lattice whose cell dwarfs the step's innovation move is refused:
+    mean [-1e6, 1e6] at n = 1 spaced its 4001 points 1000 apart for a step
+    of +-2, and its root read 0.998 for a game worth 0.5."""
+
+    WIDE = RectangularModel.mean_uncertain(MeanInterval(-1e6, 1e6), 1.0, 1)
+
+    def test_the_wide_mean_interval_is_refused(self):
+        message = (r"^the DP lattice's spacing 1000 is more than 2 times the "
+                   r"step's smallest innovation move 2 at n = 1 "
+                   r"\(4001 grid points\)$")
+        phi = named_test_function("gauss")
+        with pytest.raises(GridTooCoarse, match=message):
+            sup_expectation_dp(self.WIDE, phi, "sup")
+        with pytest.raises(GridTooCoarse, match=message):
+            convergence_experiment(self.WIDE, phi, [1], "sup")
+
+    @pytest.mark.parametrize("offsets, drift, refused", [
+        ([[-0.5, 0.5]], [0.0], False),
+        ([[-0.49, 0.49]], [0.0], True),
+        # the drift is no move of the innovation: these move +-0.25 cells
+        ([[0.25, 0.75]], [0.5], True),
+        ([[9.5, 10.5]], [10.0], False),
+        # the widest control counts: a variance model's tiny sigma_low
+        ([[-1e-4, 1e-4], [-3.0, 3.0]], [0.0, 0.0], False),
+        # an atom at 0 is no move
+        ([[-1.0, 0.0, 1.0]], [0.0], False),
+        ([[-0.1, 0.0, 0.1]], [0.0], True),
+    ])
+    def test_the_threshold_in_cells(self, offsets, drift, refused):
+        assert measure_dp.MIN_MOVE_CELLS == 0.5
+        grid = (np.zeros(5), 2.0, np.array(offsets), np.array(drift))
+        if refused:
+            with pytest.raises(GridTooCoarse, match=RESOLUTION_REFUSED):
+                measure_dp._check_resolution(3, grid)
+        else:
+            measure_dp._check_resolution(3, grid)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.floats(math.log10(50.0), 6.0))
+    def test_a_wide_mean_root_is_the_game_s_value(self, n, log_width):
+        # From mu = +-50 on, the last step's drift can undo every earlier
+        # move, so the game over the lattice's whole-cell drifts is worth
+        # the best one-step value max over c on the lattice of
+        # E[phi(c + k eps)], brute force.  A lattice that cannot resolve k
+        # is refused instead: a Rademacher lattice snaps to whole moves or
+        # leaves them under 1/16 of a cell
+        width = 10.0 ** log_width
+        model = RectangularModel.mean_uncertain(MeanInterval(-width, width),
+                                                1.0, n)
+        phi = named_test_function("gauss")
+        try:
+            root, policy = sup_expectation_dp(model, phi, "sup")
+        except GridTooCoarse:
+            # unresolved, or its interpolated bounds fail the refinement gate
+            return
+        h = policy.h
+        c = h * np.arange(-math.ceil(8.0 / h), math.ceil(8.0 / h) + 1)
+        moves = model.mean_step_scale() * np.array([-1.0, 1.0])
+        assert abs(root - mean_tree_value(1, phi, c, moves, (0.5, 0.5), "sup")) \
+            <= 1e-12
+
+
 def irrational_law():
     """A two-atom law whose moves no spacing makes whole cells:
     (1 - p)/p = sqrt(2) - 1."""
