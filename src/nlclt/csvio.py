@@ -181,13 +181,9 @@ def _float_cells(column) -> list:
     whole = digits // div
     frac = (digits - whole * div) * np.take(_FRAC_MUL, x)
     record = np.empty((11, len(a)), np.uint32)
-    if whole.max() < 10000:              # one group of integer digits
-        record[0:3] = 0
-        record[3] = _GROUPS[whole]
-    else:
-        q, g = _groups(whole)
-        g[1:] += _FULL * (q[:3] != 0)        # a group past the leading zeros
-        record[0:4] = _GROUPS[g]
+    q, g = _groups(whole)
+    g[1:] += _FULL * (q[:3] != 0)        # a group past the leading zeros
+    record[0:4] = _GROUPS[g]
     q, g = _groups(frac)
     g += _TRAIL
     g[:3] -= _FULL * (frac != q[:3] * _GROUP_DIV[:3])   # digits follow it

@@ -536,10 +536,15 @@ def _solve(problem: HjbProblem, space_points: int, time_steps: Optional[int],
     them in one child while the fine march runs here.  The child sends the
     coarse march and the oracle's root back as float64 (see _sent), so
     every value keeps its bits.  If either process fails, every march and
-    the oracle run again here, so every exception is the serial one.
+    the oracle run again here, so every exception is the serial one.  An
+    oracle lattice that does not resolve its step is refused before any
+    march (measure_dp._check_resolution).
     """
-    from .measure_dp import DEFAULT_GRID_POINTS, _forked, _forks
+    from .measure_dp import DEFAULT_GRID_POINTS, _check_resolution, _forked, _forks
 
+    if tree_steps is not None:
+        _check_resolution(tree_steps, _oracle_lattice(
+            problem, tree_steps, DEFAULT_GRID_POINTS)[1])
     march, coarse_cells = _plan(problem, space_points, time_steps)
 
     def oracle():
@@ -623,16 +628,25 @@ def tree_value_oracle(problem: HjbProblem, steps: int,
     walk drifted by mu/steps, with mu from the model's exact control set
     on the lattice (the bounds and every whole-cell drift between them).
     grid_points is a target the DP's snapping may refine; values past the
-    ends are held at the end values.
+    ends are held at the end values.  The lattice is solved as it is: a
+    solve asked for the oracle refuses one that does not resolve the step
+    (see _solve).
     """
-    from .measure_dp import RectangularModel, _backward_induction
+    from . import measure_dp
+
+    model, grid = _oracle_lattice(problem, steps, grid_points)
+    root, _ = measure_dp._solve(model, problem.terminal,
+                                problem.generator.side, grid)
+    return root
+
+
+def _oracle_lattice(problem: HjbProblem, steps: int, grid_points: int):
+    """The measure_dp model of tree_value_oracle and its _dp_grid lattice."""
+    from .measure_dp import RectangularModel, _dp_grid
 
     gen = problem.generator
     if isinstance(gen, GVariance):
         model = RectangularModel.variance_uncertain(gen.interval, steps)
     else:
         model = RectangularModel.mean_uncertain(gen.interval, 0.0, steps)
-    root, _, _, _ = _backward_induction(model, problem.terminal, gen.side,
-                                        grid_points, record_policy=False,
-                                        halfwidth=problem.halfwidth())
-    return root
+    return model, _dp_grid(model, grid_points, halfwidth=problem.halfwidth())

@@ -159,6 +159,26 @@ class TestSolveCommand:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, spacing, move, points", [
+        (["--problem", "g-expectation", "--mu-low", "-0.5", "--mu-high", "0.5"],
+         "0.5045", "0.0223607", 4003),
+        (["--problem", "g-heat", "--sigma-low", "1", "--sigma-high", "2"],
+         "0.508", "0.0447214", 4001),
+    ], ids=["mean", "variance"])
+    def test_an_oracle_lattice_coarser_than_its_step_exits_1(
+            self, tmp_path, capsys, argv, spacing, move, points):
+        # a junction 1000 away widens the domain, and so the oracle's cells,
+        # to about 0.5, past twice the 2000-step tree's move
+        out = tmp_path / "solve.csv"
+        code = run("solve", *argv, "--terminal", "s-shape", "--s-center",
+                   "1000", "--tree-steps", "2000", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"numerical failure: the DP lattice's spacing {spacing} is more "
+            f"than 2 times the step's smallest innovation move {move} at "
+            f"n = 2000 ({points} grid points)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("points", ["1", "2"])
     def test_too_few_space_points_is_config_error(self, tmp_path, capsys,
                                                   points):
