@@ -588,14 +588,18 @@ def _figure_curves(entry, grid: Grid1D):
 def cmd_figures(cfg: dict) -> int:
     out_dir = _out(cfg)
     tables = [_figure_curves(e, cfg["grid"]) for e in PAPER_FIGURES]
+    # every curve's y column, the bits of each curve[:, 0]: one array, so a
+    # table renders its cells once
+    y = cfg["grid"].values()
     for name, curves in tables:  # compute everything before writing anything
         write_table(os.path.join(out_dir, name), "y,curve,density",
-                    [(curve[:, 0], label, curve[:, 1]) for label, curve in curves])
+                    [(y, label, curve[:, 1]) for label, curve in curves])
     return 0
 
 
 def _grid_blocks(grid) -> list:
-    """The t,x,u table of a ValueGrid: one block per stored layer."""
+    """The t,x,u table of a ValueGrid: one block per stored layer, each
+    with the one grid.x array, whose cells render once."""
     return [(csvio.format_value(t), grid.x, layer)
             for t, layer in zip(grid.times.tolist(), grid.values)]
 

@@ -24,19 +24,19 @@ convergence_experiment checks each fine root against a coarser lattice
 only where one of the two lattices interpolates.  It may solve half of its
 lattices, policy_simulate may walk half of its paths, and sublinear's
 solve may march its coarse grid and run its lattice oracle, in one forked
-child that sends all of its part or nothing (see _forked).
+child that sends all of its part or nothing (see split).
 """
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+# sublinear imports this module too: each reads the other's names at call time
+from . import split, sublinear
 from .classical import DiscreteLaw
 from .densities import (
     MEAN_FAMILY,
@@ -50,8 +50,9 @@ from .densities import (
 from .errors import GridTooCoarse, InvalidParams, PolicyMismatch, UnsupportedCombination
 from .numerics import (Categorical, SeedSpec, generator, side_extremum,
                        skip_uniforms)
-from .sublinear import (TestFunction, default_halfwidth, solve_g_expectation,
-                        solve_g_heat)
+
+if TYPE_CHECKING:
+    from .sublinear import TestFunction
 
 MEAN_KIND = "mean_uncertain"
 VARIANCE_KIND = "variance_uncertain"
@@ -69,9 +70,9 @@ MIN_MOVE_CELLS = 0.5
 SNAP_DENOMINATOR_CAP = 64
 SNAP_REL_TOL = 1e-9
 SNAP_REFINE_CAP = 16
-# _forked runs a child only for at least this much work in the child's
-# half: cell-steps (n x grid points) of convergence_experiment's solves,
-# about 20 ms at 4.5 ns per cell-step; path steps (paths x n) of
+# split._forked runs a child only for at least this much work in the
+# child's half: cell-steps (n x grid points) of convergence_experiment's
+# solves, about 20 ms at 4.5 ns per cell-step; path steps (paths x n) of
 # policy_simulate, about 80 ms at 20 ns per path step; or cell-steps of a
 # PDE solve's coarse march (steps x points, 5 to 9 ns each) plus its
 # lattice oracle's (steps x target points).  A criterion-6 solve with
@@ -142,8 +143,8 @@ class RectangularModel:
         return cls(kind=VARIANCE_KIND, n=n, var_interval=v, innovation=innovation)
 
     def halfwidth(self) -> float:
-        return default_halfwidth(self.var_interval if self.kind == VARIANCE_KIND
-                                 else self.mean_interval)
+        return sublinear.default_halfwidth(
+            self.var_interval if self.kind == VARIANCE_KIND else self.mean_interval)
 
     def controls(self, h: Optional[float] = None) -> np.ndarray:
         """The adversary's control set: the two scales (bang-bang), or, on
@@ -449,7 +450,10 @@ def _refinement_grids(model: RectangularModel, target_points: int,
     to rounding (the abscissae j * h round differently on the two
     spacings) and the refinement check has nothing to see; the
     check_points lattice is still built, which validates it.  Each
-    returned lattice must resolve the step (_check_resolution)."""
+    returned lattice must resolve the step (_check_resolution), and a
+    check lattice that snaps to the fine lattice's spacing is refused
+    with GridTooCoarse: its root would be the fine root itself, and the
+    check could not see an interpolated drift's error."""
     fine = _dp_grid(model, target_points)
     grids = [fine]
     if check_points is not None:
@@ -458,6 +462,12 @@ def _refinement_grids(model: RectangularModel, target_points: int,
             grids.append(coarse)
     for grid in grids:
         _check_resolution(model.n, grid)
+    if len(grids) == 2 and grids[1][1] == fine[1]:
+        raise GridTooCoarse(
+            f"the DP lattice interpolates at n = {model.n}, and its "
+            f"{check_points}-point check lattice snaps to the same spacing "
+            f"{fine[1]:.6g} as the {target_points}-point one, so the "
+            "refinement check cannot see the interpolation error")
     return grids
 
 
@@ -575,7 +585,7 @@ def _explicit_limit(model: RectangularModel, phi: TestFunction,
             params = select_mean_limit_params(model.mean_interval, shape.center,
                                               shape.monotone_right, side)
             return density_integral(MEAN_FAMILY, params, phi)
-        return solve_g_expectation(model.mean_interval, phi, side).u0
+        return sublinear.solve_g_expectation(model.mean_interval, phi, side).u0
     meta = phi.s_shape
     if (meta is not None and meta.theta == model.var_interval.theta
             and shape.convexity_right is not None):
@@ -586,46 +596,18 @@ def _explicit_limit(model: RectangularModel, phi: TestFunction,
             return density_integral(VARIANCE_FAMILY, params, phi)
         except UnsupportedCombination:
             pass
-    return solve_g_heat(model.var_interval, phi, side).u0
-
-
-def _usable_cpus() -> set:
-    """The CPUs this process may run on: its affinity mask, else all."""
-    try:
-        return os.sched_getaffinity(0)
-    except AttributeError:  # no affinity masks on this platform
-        return set(range(os.cpu_count() or 1))
-
-
-def _current_cpu() -> Optional[int]:
-    """The CPU this process runs on, from /proc/self/stat (Linux), else None."""
-    try:
-        with open("/proc/self/stat", "rb") as stat:
-            # the fields after "pid (comm)" start at the third; the 39th is the CPU
-            return int(stat.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, IndexError, ValueError):
-        return None
-
-
-def _forks(child_work: int) -> bool:
-    """Whether _forked runs child_work (cell-steps of the DP or of a PDE
-    solve's coarse march and oracle, or path steps of the replay) in a
-    child: the process runs one Python thread (a fork copies no other
-    thread, and numpy's BLAS pool stops itself across a fork), two CPUs
-    are usable, and the work is at least FORK_MIN_WORK."""
-    return (child_work >= FORK_MIN_WORK and hasattr(os, "fork")
-            and threading.active_count() == 1 and len(_usable_cpus()) >= 2)
+    return sublinear.solve_g_heat(model.var_interval, phi, side).u0
 
 
 def _solve_all(solves, phi: TestFunction, side: str) -> list:
     """Roots of the (model, grid) solves, in order.
 
     The solves are split into two halves of near-equal cell-steps (n x grid
-    points; the largest first, each to the lighter half).  When _forks
-    allows, _forked solves the lighter half in a child and the other half
-    here.  It gives every root or none: after any failure in either process
-    every solve runs again here, in order, so every exception is the
-    serial one.
+    points; the largest first, each to the lighter half).  When
+    split._forks allows, split._forked solves the lighter half in a child
+    and the other half here.  It gives every root or none: after any
+    failure in either process every solve runs again here, in order, so
+    every exception is the serial one.
     """
     def root(k):
         model, grid = solves[k]
@@ -639,70 +621,14 @@ def _solve_all(solves, phi: TestFunction, side: str) -> list:
         loads[lighter] += work[k]
     light = int(loads[1] < loads[0])
     mine, theirs = halves[1 - light], halves[light]
-    roots = _forked(lambda: [root(k) for k in mine],
-                    lambda: [root(k) for k in theirs]) \
-        if _forks(loads[light]) else None
-    if roots is None:
+    both = split._forked(
+        loads[light], FORK_MIN_WORK, lambda: [root(k) for k in mine],
+        lambda: np.array([root(k) for k in theirs], dtype=np.float64).tobytes())
+    if both is None:
         return [root(k) for k in range(len(solves))]
-    found = dict(zip(mine + theirs, np.concatenate(roots).tolist()))
+    here, data = both
+    found = dict(zip(mine + theirs, here + np.frombuffer(data).tolist()))
     return [found[k] for k in range(len(solves))]
-
-
-def _forked(mine, theirs) -> Optional[tuple]:
-    """(mine(), theirs()), mine() computed here and theirs() in one forked
-    child pinned off this process's CPU, or None.
-
-    The child writes theirs() back through a pipe as raw float64 bytes, so
-    its values keep their bits; mine() is returned as it is.  The result
-    is both or none: the child sends all of its array or exits non-zero,
-    a raise here kills the child, and the child is always reaped.  On None
-    the caller runs all of the work itself, so its exceptions are the
-    serial ones.  Three callers split here: convergence_experiment's
-    solves, policy_simulate's paths, and sublinear._solve, whose child
-    runs the coarse march and the lattice oracle beside the fine march.
-    """
-    parent_cpu = _current_cpu()
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            # a scheduler may leave a new child on its parent's CPU
-            others = _usable_cpus() - {parent_cpu}
-            if parent_cpu is not None and others:
-                try:
-                    os.sched_setaffinity(0, others)
-                except OSError:
-                    pass  # the child runs wherever it is
-            values = np.asarray(theirs(), dtype=np.float64)
-            with os.fdopen(write_end, "wb") as pipe:
-                pipe.write(values.tobytes())
-            code = 0
-        finally:
-            # never return into the caller's frames in the child
-            os._exit(code)
-    os.close(write_end)
-    data = None
-    try:
-        with os.fdopen(read_end, "rb") as pipe:
-            here = mine()
-            data = pipe.read()
-    except Exception:
-        pass  # the caller runs all of the work again and raises
-    finally:
-        if data is None:  # the child's result is not wanted
-            import signal  # only here: its import costs 0.7 ms of set-up
-            os.kill(pid, signal.SIGKILL)
-        _, status = os.waitpid(pid, 0)
-    if data is None or os.waitstatus_to_exitcode(status) != 0:
-        return None
-    return here, np.frombuffer(data, dtype=np.float64)
 
 
 def convergence_experiment(model: RectangularModel, phi: TestFunction,
@@ -741,12 +667,12 @@ def policy_simulate(model: RectangularModel, policy: AdversaryPolicy,
 
     Returns (estimate, standard error).  A sup-side policy is a feasible
     strategy, so its simulated value cannot exceed the DP value beyond
-    noise.  The replay may use 2 CPUs with unchanged bits: when _forks
-    allows for half the paths' steps (reps // 2 x n; the CLI defaults,
-    n = 100 and reps = 1e4, stay serial), _forked walks the second half
-    of the paths in a child, and each half skips the other's uniforms
-    (see _replay_paths).  phi, the mean and the standard error are taken
-    here over every path, as in the serial replay.
+    noise.  The replay may use 2 CPUs with unchanged bits: when
+    split._forks allows for half the paths' steps (reps // 2 x n; the CLI
+    defaults, n = 100 and reps = 1e4, stay serial), split._forked walks the
+    second half of the paths in a child, and each half skips the other's
+    uniforms (see _replay_paths).  phi, the mean and the standard error are
+    taken here over every path, as in the serial replay.
     """
     if reps < 1:
         raise InvalidParams("reps must be >= 1")
@@ -765,9 +691,10 @@ def policy_simulate(model: RectangularModel, policy: AdversaryPolicy,
         return lambda: _replay_paths(model, policy, reps, spec, lo, hi)
 
     half = reps // 2
-    halves = _forked(walk(0, half), walk(half, reps)) \
-        if _forks(half * model.n) else None
-    x = walk(0, reps)() if halves is None else np.concatenate(halves)
+    halves = split._forked(half * model.n, FORK_MIN_WORK, walk(0, half),
+                           lambda: walk(half, reps)().tobytes())
+    x = walk(0, reps)() if halves is None else \
+        np.concatenate([halves[0], np.frombuffer(halves[1])])
     vals = phi(x)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0

@@ -10,8 +10,8 @@ solve reports the two-grid Richardson extrapolation.  The lattice oracle
 checks both faces against the adversarial DP: a call of measure_dp's
 backward induction with +-1 innovations on the problem's domain.  A solve
 asked for the oracle may run the coarse march and the oracle in one forked
-child while the fine march runs here, through measure_dp._forked, whose
-third caller it is (see _solve); every value keeps its bits.
+child while the fine march runs here, through split._forked, whose third
+caller it is (see _solve); every value keeps its bits.
 """
 from __future__ import annotations
 
@@ -21,6 +21,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+# measure_dp imports this module too: each reads the other's names at call time
+from . import measure_dp, split
 from .densities import MeanInterval, VarianceInterval
 from .errors import InvalidParams, InvalidTheta, UnstableResolution
 from .numerics import side_extremum
@@ -280,7 +282,7 @@ class ValueGrid:
     x and the layer as columns.  A solve asked for tree_steps also holds
     the lattice oracle's root.  The coarse march and the oracle may run in
     one forked child beside the fine march, with the same bits: _solve is
-    the third caller of measure_dp._forked, after convergence_experiment's
+    the third caller of split._forked, after convergence_experiment's
     solves and policy_simulate's paths.
     """
 
@@ -531,36 +533,35 @@ def _solve(problem: HjbProblem, space_points: int, time_steps: Optional[int],
     lattice oracle's root over tree_steps steps when it is asked for.
 
     The coarse march and the oracle need nothing from the fine march.  When
-    measure_dp._forks allows for their cell-steps (the coarse march's, plus
-    tree_steps times the oracle's target points), measure_dp._forked runs
-    them in one child while the fine march runs here.  The child sends the
-    coarse march and the oracle's root back as float64 (see _sent), so
-    every value keeps its bits.  If either process fails, every march and
+    split._forks allows for their cell-steps (the coarse march's, plus
+    tree_steps times the oracle's target points) against
+    measure_dp.FORK_MIN_WORK, split._forked runs them in one child while
+    the fine march runs here.  The child sends the coarse march and the
+    oracle's root back as float64 bytes (see _sent), so every value keeps
+    its bits.  If either process fails, every march and
     the oracle run again here, so every exception is the serial one.  An
     oracle lattice that does not resolve its step is refused before any
     march (measure_dp._check_resolution).
     """
-    from .measure_dp import DEFAULT_GRID_POINTS, _check_resolution, _forked, _forks
-
+    points = measure_dp.DEFAULT_GRID_POINTS
     if tree_steps is not None:
-        _check_resolution(tree_steps, _oracle_lattice(
-            problem, tree_steps, DEFAULT_GRID_POINTS)[1])
+        measure_dp._check_resolution(
+            tree_steps, _oracle_lattice(problem, tree_steps, points)[1])
     march, coarse_cells = _plan(problem, space_points, time_steps)
 
     def oracle():
         # through the module attribute, which a tracer may wrap
         return [] if tree_steps is None else [
-            tree_value_oracle(problem, tree_steps, DEFAULT_GRID_POINTS)]
+            tree_value_oracle(problem, tree_steps, points)]
 
-    work = coarse_cells + (tree_steps or 0) * DEFAULT_GRID_POINTS
-    both = _forked(lambda: march(True),
-                   lambda: _sent(march(False), oracle())) \
-        if _forks(work) else None
+    work = coarse_cells + (tree_steps or 0) * points
+    both = split._forked(work, measure_dp.FORK_MIN_WORK, lambda: march(True),
+                         lambda: _sent(march(False), oracle()).tobytes())
     if both is None:
         fine, coarse, tree = march(True), march(False), oracle()
     else:
         fine, sent = both
-        coarse, tree = _received(sent, fine)
+        coarse, tree = _received(np.frombuffer(sent), fine)
     x = fine.x
     fine_root = _root(x, fine.values[-1])
     values = fine.values
@@ -632,8 +633,6 @@ def tree_value_oracle(problem: HjbProblem, steps: int,
     solve asked for the oracle refuses one that does not resolve the step
     (see _solve).
     """
-    from . import measure_dp
-
     model, grid = _oracle_lattice(problem, steps, grid_points)
     root, _ = measure_dp._solve(model, problem.terminal,
                                 problem.generator.side, grid)
@@ -642,11 +641,10 @@ def tree_value_oracle(problem: HjbProblem, steps: int,
 
 def _oracle_lattice(problem: HjbProblem, steps: int, grid_points: int):
     """The measure_dp model of tree_value_oracle and its _dp_grid lattice."""
-    from .measure_dp import RectangularModel, _dp_grid
-
     gen = problem.generator
     if isinstance(gen, GVariance):
-        model = RectangularModel.variance_uncertain(gen.interval, steps)
+        model = measure_dp.RectangularModel.variance_uncertain(gen.interval, steps)
     else:
-        model = RectangularModel.mean_uncertain(gen.interval, 0.0, steps)
-    return model, _dp_grid(model, grid_points, halfwidth=problem.halfwidth())
+        model = measure_dp.RectangularModel.mean_uncertain(gen.interval, 0.0, steps)
+    return model, measure_dp._dp_grid(model, grid_points,
+                                      halfwidth=problem.halfwidth())

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from nlclt import measure_dp
+from nlclt import measure_dp, split
 from nlclt.classical import DiscreteLaw
 
 
@@ -22,8 +22,9 @@ def assert_no_child_left():
 
 @pytest.fixture
 def forked(monkeypatch):
-    """measure_dp forking for any work, as on two CPUs; yields the list of
-    the fork calls' pids made in this process."""
+    """split's callers forking for any work at measure_dp.FORK_MIN_WORK, as
+    on two CPUs; yields the list of the fork calls' pids made in this
+    process."""
     pids, real_fork = [], os.fork
 
     def fork():
@@ -34,7 +35,7 @@ def forked(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
-    monkeypatch.setattr(measure_dp, "_usable_cpus", lambda: {0, 1})
+    monkeypatch.setattr(split, "_usable_cpus", lambda: {0, 1})
     return pids
 
 

@@ -7,14 +7,17 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nlclt import cli, csvio, measure_dp
+from helpers_dp import assert_no_child_left, forked  # noqa: F401 (a fixture)
+from nlclt import cli, csvio, measure_dp, split
 from nlclt.cli import (OPTIONS, build_parser, main, merge_config, parse_grid,
                        validate_config)
 from nlclt.densities import (DensityParams, MeanInterval, VarianceInterval,
@@ -344,6 +347,21 @@ class TestConvergeCommand:
         limit = measure_dp._explicit_limit(model, named_test_function("gauss"),
                                            "sup")
         assert abs(limit - 1.0) <= 1e-6
+
+    def test_a_check_lattice_on_the_fine_spacing_exits_1(self, tmp_path, capsys):
+        # both lattices snap to the step's move, 0.75: the refinement check
+        # would compare the root with itself, and the root is 5.8e-3 under
+        # the game's value 0.575609
+        out = tmp_path / "converge.csv"
+        assert run("converge", "--model", "mean", "--mu-low", "-963.1",
+                   "--mu-high", "963.1", "--schedule", "4", "--phi", "gauss",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "numerical failure: the DP lattice interpolates at n = 4, and its "
+            "2001-point check lattice snaps to the same spacing 0.75 as the "
+            "4001-point one, so the refinement check cannot see the "
+            "interpolation error\n")
+        assert not out.exists()
 
     def test_a_wide_mean_interval_the_lattice_resolves(self, tmp_path):
         # 2003 controls, the two bounds read between two cells; the game is
@@ -1157,10 +1175,11 @@ def block_rows(block):
     return list(zip(*cells))
 
 
-def assert_same_text(got, want):
-    """got == want, reporting only the first line that differs (a diff of
-    two long texts would take minutes)."""
-    got, want = got.split("\n"), want.split("\n")
+def assert_same_csv(got, want):
+    """got == want, two CSVs as bytes, reporting only the first line that
+    differs (a diff of two long texts would take minutes)."""
+    assert isinstance(got, bytes) and isinstance(want, bytes)
+    got, want = got.split(b"\n"), want.split(b"\n")
     bad = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
                None)
     assert bad is None, f"line {bad}: {got[bad]!r} != {want[bad]!r}"
@@ -1169,9 +1188,9 @@ def assert_same_text(got, want):
 
 def assert_blocks_render(blocks):
     rows = [row for block in blocks for row in block_rows(block)]
-    want = ref_render_csv("h", rows)
-    assert_same_text(csvio.render_csv("h", blocks), want)
-    assert_same_text(csvio.render_csv("h", iter(blocks)), want)
+    want = ref_render_csv("h", rows).encode("utf-8")
+    assert_same_csv(csvio.render_csv("h", blocks), want)
+    assert_same_csv(csvio.render_csv("h", iter(blocks)), want)
 
 
 CELLS = st.one_of(
@@ -1225,8 +1244,17 @@ HARD = [123456789012345.5, 123456789012344.5, 999999999999999.5,
         math.inf, -math.inf, math.nan, 0.5, 0.1, 1 / 3, 1000.0, 2.5, -2.5]
 
 
+def assert_kernel_cells(cells):
+    """The kernel's records of a float64 column, padding dropped, are
+    Python's "%.15g" of each cell, then "," or, in a row's last column,
+    "\n"."""
+    for last, end in enumerate(",\n"):
+        got = csvio._float_records(cells, last).T.tobytes().translate(None, b"\xff")
+        assert got == "".join(f"{v:.15g}{end}" for v in cells.tolist()).encode()
+
+
 class TestFloatCellKernel:
-    """csvio._float_cells against Python's "%.15g", through render_csv."""
+    """csvio._float_records against Python's "%.15g", also through render_csv."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1),
@@ -1245,7 +1273,7 @@ class TestFloatCellKernel:
     def test_hard_cases(self):
         values = np.array(HARD)
         signed = np.concatenate([values, -values])
-        assert csvio._float_cells(signed) == [f"{v:.15g}" for v in signed.tolist()]
+        assert_kernel_cells(signed)
         assert_blocks_render([(np.tile(signed, 60),)])
 
     def test_near_every_power_of_ten(self):
@@ -1257,7 +1285,7 @@ class TestFloatCellKernel:
                 tens * (1 - 5e-16), tens * (1 - 4.9e-16), tens * 9.999999999999995,
                 tens * 0.99999999999999949, tens * 1.5])
         cells = cells[np.isfinite(cells)]
-        assert csvio._float_cells(cells) == [f"{v:.15g}" for v in cells.tolist()]
+        assert_kernel_cells(cells)
 
     def test_first_render_imports_nothing(self):
         # a lazy import on the first render (np.unique's, for one) would
@@ -1268,7 +1296,7 @@ class TestFloatCellKernel:
                 "before = set(sys.modules)\n"
                 "y = np.linspace(-6.0, 6.0, 601)\n"
                 "text = csvio.render_csv('y,d', [(y, np.exp(-y * y / 2))])\n"
-                "assert text.count('\\n') == 602, text[:80]\n"
+                "assert text.count(b'\\n') == 602, text[:80]\n"
                 "print(sorted(set(sys.modules) - before))\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, env=os.environ | {"PYTHONPATH": SRC},
@@ -1290,16 +1318,16 @@ class TestCliCsvBytes:
                    "--grid=-9:9:10001", "--out", str(out)) == 0
         curve = emit_density_curve(params, cli.DENSITY_FAMILIES[family],
                                    parse_grid("-9:9:10001"))
-        assert_same_text(out.read_bytes().decode(),
-                         ref_render_csv("y,density", map(tuple, curve)))
+        assert_same_csv(out.read_bytes(),
+                        ref_render_csv("y,density", map(tuple, curve)).encode())
 
     def test_figures(self, tmp_path):
         assert run("figures", "--grid=-7:7:5001", "--out", str(tmp_path)) == 0
         for entry in cli.PAPER_FIGURES:
             name, curves = cli._figure_curves(entry, parse_grid("-7:7:5001"))
             rows = [(y, label, d) for label, curve in curves for y, d in curve]
-            assert_same_text((tmp_path / name).read_bytes().decode(),
-                             ref_render_csv("y,curve,density", rows))
+            assert_same_csv((tmp_path / name).read_bytes(),
+                            ref_render_csv("y,curve,density", rows).encode())
 
     def test_solve_grid_out(self, tmp_path):
         gout = tmp_path / "grid.csv"
@@ -1311,7 +1339,7 @@ class TestCliCsvBytes:
                             "sup", space_points=201)
         rows = [(t, x, u) for t, layer in zip(grid.times, grid.values)
                 for x, u in zip(grid.x, layer)]
-        assert_same_text(gout.read_bytes().decode(), ref_render_csv("t,x,u", rows))
+        assert_same_csv(gout.read_bytes(), ref_render_csv("t,x,u", rows).encode())
 
 
 class TestCsvEncoding:
@@ -1373,7 +1401,7 @@ class TestRenderCsvBlocks:
         # "%.15g" of np.float32(0.1).tolist() would be 0.100000001490116
         values = np.array([0.1, 1 / 3, -0.0, np.inf, np.nan], dtype=np.float32)
         assert csvio.render_csv("v", [(values,)]) == \
-            "v\n0.1\n0.33333334\n-0.0\ninf\nnan\n"
+            b"v\n0.1\n0.33333334\n-0.0\ninf\nnan\n"
         assert_blocks_render([(np.tile(values, 1000), "f")])
 
     @pytest.mark.parametrize("block", [
@@ -1385,8 +1413,8 @@ class TestRenderCsvBlocks:
             csvio.render_csv("h", [block])
 
     def test_empty_table_is_the_header(self):
-        assert csvio.render_csv("h", []) == "h\n"
-        assert csvio.render_csv("h", [(np.zeros(0),)]) == "h\n"
+        assert csvio.render_csv("h", []) == b"h\n"
+        assert csvio.render_csv("h", [(np.zeros(0),)]) == b"h\n"
 
 
 class TestCsvRowsAsPythonFloats:
@@ -1397,8 +1425,8 @@ class TestCsvRowsAsPythonFloats:
     def assert_same_bytes(values):
         table = np.array(values, dtype=float).reshape(-1, 1)
         table = np.column_stack([table, table[::-1]])
-        frozen = ref_render_csv("a,b", map(tuple, table))   # np.float64 cells
-        assert_same_text(csvio.render_csv("a,b", [(table[:, 0], table[:, 1])]), frozen)
+        frozen = ref_render_csv("a,b", map(tuple, table)).encode()   # np.float64 cells
+        assert_same_csv(csvio.render_csv("a,b", [(table[:, 0], table[:, 1])]), frozen)
 
     def test_special_values(self):
         self.assert_same_bytes(SPECIAL)
@@ -1422,8 +1450,8 @@ class TestGridOutBlocks:
                   for xi, ui in zip(grid.x, layer)]
         blocks = cli._grid_blocks(grid)
         assert len(blocks) == len(grid.times)
-        assert_same_text(csvio.render_csv("t,x,u", blocks),
-                         ref_render_csv("t,x,u", frozen))
+        assert_same_csv(csvio.render_csv("t,x,u", blocks),
+                        ref_render_csv("t,x,u", frozen).encode())
 
     def test_every_layer_in_time_order(self, tmp_path):
         gout = tmp_path / "grid.csv"
@@ -1440,3 +1468,210 @@ class TestGridOutBlocks:
         assert times[-1] == 0.0
         assert np.all(np.diff(times) < 0)
         assert np.all(table.reshape(len(times), 101, 3)[:, :, 0] == times[:, None])
+
+
+def counting_kernel(monkeypatch):
+    """Wrap csvio._float_records; the list of the columns it renders."""
+    calls, kernel = [], csvio._float_records
+
+    def counted(column, last):
+        calls.append(column)
+        return kernel(column, last)
+
+    monkeypatch.setattr(csvio, "_float_records", counted)
+    return calls
+
+
+class TestCsvRepeatedColumns:
+    """Within one render_csv call, a float64 column object that an earlier
+    block rendered reuses its records."""
+
+    def test_grid_out_renders_its_x_column_once(self, monkeypatch):
+        grid = solve_g_heat(VarianceInterval(1.0, 2.0), named_test_function("abs"),
+                            "sup", space_points=201)
+        calls = counting_kernel(monkeypatch)
+        got = csvio.render_csv("t,x,u", cli._grid_blocks(grid))
+        # x once, then every layer
+        assert len(calls) == 1 + len(grid.times)
+        rows = [(t, x, u) for t, layer in zip(grid.times, grid.values)
+                for x, u in zip(grid.x, layer)]
+        assert_same_csv(got, ref_render_csv("t,x,u", rows).encode())
+
+    def test_figures_render_each_table_s_y_column_once(self, tmp_path, monkeypatch):
+        # one chunk of rows per block: y once, then every curve
+        calls = counting_kernel(monkeypatch)
+        assert run("figures", "--grid=-7:7:4001", "--out", str(tmp_path)) == 0
+        curves = [len(entry[1]) for entry in cli.PAPER_FIGURES]
+        assert len(calls) == sum(1 + n for n in curves)
+        y = parse_grid("-7:7:4001").values()
+        for entry in cli.PAPER_FIGURES:
+            _, labelled = cli._figure_curves(entry, parse_grid("-7:7:4001"))
+            for _, curve in labelled:
+                assert curve[:, 0].tobytes() == y.tobytes()
+
+    def test_a_repeated_column_in_blocks_of_many_chunks(self):
+        n = 2 * csvio.BLOCK_ROWS + 3
+        x = np.random.default_rng(5).standard_normal(n) * 1e3
+        u = np.arange(n, dtype=float) / 7
+        assert_blocks_render([(x, "a", u), (x, x[::-1]), ("b", x), (x[:5], "c")])
+
+
+# 0, inf, nan and the cells within 1e-6 of a rounding tie take format_value
+FALLBACK = [0.0, -0.0, math.inf, -math.inf, math.nan] + HARD
+LABELS = ["\u03c3_low", "%", "%s", "a%%b", "50%d", "cez(1,2,0)", "na\u00efve,\u00e9", ""]
+
+
+@st.composite
+def mixed_blocks(draw):
+    """Blocks of 1 to 4 columns: float64 arrays and strided views of them,
+    which may recur in later blocks, lists of Python ints and floats, str
+    columns and lists of str cells; 1 to 3 blocks of lengths about
+    multiples of BLOCK_ROWS."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = csvio.BLOCK_ROWS
+    texts = draw(st.lists(st.text(max_size=5), min_size=1, max_size=4))
+    blocks, pool = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.sampled_from([1, 2, 3, b - 1, b, b + 1, 2 * b - 1, 2 * b + 1]))
+        block = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["float64", "again", "python", "str", "text"]))
+            again = [c for c in pool if len(c) == rows]
+            if kind == "again" and again:
+                block.append(again[draw(st.integers(0, len(again) - 1))])
+            elif kind in ("float64", "again"):
+                stride = draw(st.sampled_from([1, 2, -1, -3]))
+                base = np.where(rng.random(3 * rows) < 0.5,
+                                rng.integers(0, 2**64, 3 * rows, dtype=np.uint64)
+                                .view(np.float64),
+                                rng.standard_normal(3 * rows)
+                                * 10.0 ** rng.integers(-8, 17, 3 * rows))
+                at = rng.integers(0, 3 * rows, min(3 * rows, 40))
+                base[at] = rng.choice(FALLBACK, len(at))
+                column = base[::stride][:rows]
+                pool.append(column)
+                block.append(column)
+            elif kind == "python":
+                ints = rng.integers(-2**40, 2**40, rows).tolist()
+                floats = (rng.standard_normal(rows) * 1e5).tolist()
+                block.append([f if i % 2 else n
+                              for i, (n, f) in enumerate(zip(ints, floats))])
+            elif kind == "str":
+                block.append(draw(st.sampled_from(LABELS)))
+            else:
+                block.append([texts[i % len(texts)] for i in range(rows)])
+        if all(isinstance(c, str) for c in block):
+            block.append(np.linspace(-1.0, 1.0, rows))
+        blocks.append(tuple(block))
+    return blocks
+
+
+class TestCsvRecordPath:
+    """render_csv against the per-cell renderer, encoded as UTF-8, with the
+    rows split over a forked child and without."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(blocks=mixed_blocks())
+    @pytest.mark.parametrize("split_rows", [True, False], ids=["forked", "serial"])
+    def test_mixed_blocks(self, forked, blocks, split_rows):
+        forks = len(forked)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(csvio, "SPLIT_MIN_CELLS", 1 if split_rows else math.inf)
+            assert_blocks_render(blocks)
+        assert len(forked) == forks + 2 * split_rows
+        assert_no_child_left()
+
+
+class TestCsvSplit:
+    """render_csv's rows split over one forked child (see split)."""
+
+    @staticmethod
+    def table(rows=9001):
+        y = np.linspace(-3.0, 3.0, rows)
+        return [(y, "\u03c3,%", np.exp(-y * y / 2)), (y[::-1], "b", y)]
+
+    @staticmethod
+    def reference(blocks):
+        rows = [row for block in blocks for row in block_rows(block)]
+        return ref_render_csv("y,c,d", rows).encode("utf-8")
+
+    def test_failed_child_gives_the_serial_bytes(self, monkeypatch, forked):
+        parent, render = os.getpid(), csvio._render
+
+        def child_fails(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("the child fails")
+            return render(*args)
+
+        monkeypatch.setattr(csvio, "SPLIT_MIN_CELLS", 1)
+        monkeypatch.setattr(csvio, "_render", child_fails)
+        blocks = self.table()
+        got = csvio.render_csv("y,c,d", blocks)
+        assert len(forked) == 1
+        assert_no_child_left()
+        assert_same_csv(got, self.reference(blocks))
+
+    def test_interrupted_parent_kills_and_reaps_the_child(self, monkeypatch,
+                                                         forked):
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # only a kill ends the child sooner
+
+        monkeypatch.setattr(csvio, "SPLIT_MIN_CELLS", 1)
+        monkeypatch.setattr(csvio, "_render", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            csvio.render_csv("y,c,d", self.table())
+        assert time.monotonic() - start < 30
+        assert len(forked) == 1
+        assert_no_child_left()
+
+    def test_work_is_the_cells_outside_str_columns(self, forked):
+        # two float64 columns: rows x 2 cells against SPLIT_MIN_CELLS, and a
+        # float64 column that recurs counts once
+        least = csvio.SPLIT_MIN_CELLS
+        assert least == 120_000
+        for rows, forks in ((least // 2 - 1, 0), (least // 2, 1)):
+            y = np.linspace(-1.0, 1.0, rows)
+            blocks = [(y, "c", y * y)]
+            assert_same_csv(csvio.render_csv("y,c,d", blocks), self.reference(blocks))
+            assert len(forked) == forks
+        rows = least // 3 - 1        # 3 * rows < least < 4 * rows
+        y = np.linspace(-1.0, 1.0, rows)
+        for blocks, forks in (([(y, "a", y * y), (y, "b", -y)], 1),
+                              ([(y, "a", y * y), (y.copy(), "b", -y)], 2)):
+            assert_same_csv(csvio.render_csv("y,c,d", blocks), self.reference(blocks))
+            assert len(forked) == forks
+        assert_no_child_left()
+
+    def never_forks(self, monkeypatch):
+        def fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(csvio, "SPLIT_MIN_CELLS", 1)
+        monkeypatch.setattr(os, "fork", fork)
+        blocks = self.table()
+        assert_same_csv(csvio.render_csv("y,c,d", blocks), self.reference(blocks))
+
+    def test_not_with_a_second_thread(self, monkeypatch):
+        monkeypatch.setattr(split, "_usable_cpus", lambda: {0, 1})
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            self.never_forks(monkeypatch)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_not_on_one_usable_cpu(self, monkeypatch):
+        # under `taskset -c 0` the real affinity mask has one CPU
+        if len(os.sched_getaffinity(0)) > 1:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        self.never_forks(monkeypatch)

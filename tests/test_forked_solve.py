@@ -1,8 +1,8 @@
 """The PDE solve's coarse march and lattice oracle in one forked child.
 
-``sublinear._solve`` marches its fine grid here and, when
-``measure_dp._forks`` allows, its coarse grid and its lattice oracle in one
-child of ``measure_dp._forked``.  This file requires every field of the
+``sublinear._solve`` marches its fine grid here and, when ``split._forks``
+allows, its coarse grid and its lattice oracle in one child of
+``split._forked``.  This file requires every field of the
 forked ``ValueGrid`` to equal the serial one byte for byte, the CLI's
 criterion-6 solves to write the serial bytes, and the fork's gate and
 clean-up to hold: a failed child gives the serial result, an interrupted
@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers_dp import assert_no_child_left, forked  # noqa: F401 (a fixture)
-from nlclt import cli, measure_dp, sublinear
+from nlclt import cli, measure_dp, split, sublinear
 from nlclt.densities import MeanInterval, VarianceInterval
 from nlclt.sublinear import (
     GMean,
@@ -201,13 +201,13 @@ class TestForkedMarch:
 
     def test_not_for_the_warm_up_solve(self, monkeypatch):
         # 201 points and 200 oracle steps: about 8e5 cell-steps in the child
-        monkeypatch.setattr(measure_dp, "_usable_cpus", lambda: {0, 1})
+        monkeypatch.setattr(split, "_usable_cpus", lambda: {0, 1})
         self.never_forks(monkeypatch,
                          small_solve(space_points=201, tree_steps=200))
 
     def test_not_with_a_second_thread(self, monkeypatch):
         monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
-        monkeypatch.setattr(measure_dp, "_usable_cpus", lambda: {0, 1})
+        monkeypatch.setattr(split, "_usable_cpus", lambda: {0, 1})
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         thread.start()
@@ -261,7 +261,7 @@ class TestForkedMarchCli:
                 argv += ["--grid-out", str(grid_out)]
             with monkeypatch.context() as patch:
                 if way == "serial":
-                    patch.setattr(measure_dp, "_forks", lambda work: False)
+                    patch.setattr(split, "_forks", lambda work, min_work: False)
                 assert cli.main(argv) == 0
             written[way] = [path.read_bytes() for path in (out, grid_out)
                             if path.exists()]

@@ -22,7 +22,7 @@ from helpers_dp import (
     standardized_bernoulli,
 )
 from helpers_numpy import CountingNumpy
-from nlclt import measure_dp
+from nlclt import measure_dp, split, sublinear
 from nlclt.classical import DiscreteLaw
 from nlclt.densities import DensityParams, MeanInterval, VarianceInterval, chen_epstein_pdf
 from nlclt.errors import GridTooCoarse, InvalidParams, NonConvergence, PolicyMismatch
@@ -223,6 +223,30 @@ class TestLatticeResolution:
                 measure_dp._check_resolution(3, grid)
         else:
             measure_dp._check_resolution(3, grid)
+
+    def test_a_check_lattice_on_the_fine_spacing_is_refused(self):
+        # mean [-963.1, 963.1] at n = 4: both lattices snap to the move,
+        # 0.75, and the bounds' drifts read between two cells, so the check
+        # lattice is the fine one and its 1e-3 gate would compare a root
+        # with itself.  The lattice's root is 5.8e-3 under the game's value,
+        # max over real c of E[phi(c + k eps)] (the last drift undoes the
+        # earlier moves)
+        model = RectangularModel.mean_uncertain(MeanInterval(-963.1, 963.1),
+                                                1.0, 4)
+        phi = named_test_function("gauss")
+        message = (r"^the DP lattice interpolates at n = 4, and its "
+                   r"2001-point check lattice snaps to the same spacing 0\.75 "
+                   r"as the 4001-point one, so the refinement check cannot "
+                   r"see the interpolation error$")
+        with pytest.raises(GridTooCoarse, match=message):
+            sup_expectation_dp(model, phi, "sup")
+        with pytest.raises(GridTooCoarse, match=message):
+            convergence_experiment(model, phi, [4], "sup")
+        root, _ = sup_expectation_dp(model, phi, "sup", check_points=None)
+        k = model.mean_step_scale()
+        c = np.linspace(-2.0, 2.0, 400001)
+        game = float(np.max((phi(c - k) + phi(c + k)) / 2))
+        assert game - root > 5e-3
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(1, 6), st.floats(math.log10(50.0), 6.0))
@@ -648,7 +672,7 @@ class TestConvergenceExperiment:
         def limit(*args, **kwargs):
             raise AssertionError("the limit was computed")
 
-        monkeypatch.setattr(measure_dp, "solve_g_heat", limit)
+        monkeypatch.setattr(sublinear, "solve_g_heat", limit)
         monkeypatch.setattr(measure_dp, "density_integral", limit)
         with pytest.raises(InvalidParams,
                            match="^the adversarial DP needs a bounded payoff$"):
@@ -797,12 +821,12 @@ class TestForkedSolves:
 
     def test_not_below_fork_min_work(self, monkeypatch):
         # the benchmark's warm-up schedule: 120 thousand cell-steps
-        monkeypatch.setattr(measure_dp, "_usable_cpus", lambda: {0, 1})
+        monkeypatch.setattr(split, "_usable_cpus", lambda: {0, 1})
         self.never_forks(monkeypatch, (10, 20))
 
     def test_not_with_a_second_thread(self, monkeypatch):
         monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
-        monkeypatch.setattr(measure_dp, "_usable_cpus", lambda: {0, 1})
+        monkeypatch.setattr(split, "_usable_cpus", lambda: {0, 1})
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         thread.start()

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers_dp import assert_no_child_left, forked, standardized_bernoulli
-from nlclt import measure_dp
+from nlclt import measure_dp, split
 from nlclt.classical import DiscreteLaw
 from nlclt.densities import MeanInterval, VarianceInterval
 from nlclt.errors import InvalidParams
@@ -342,12 +342,12 @@ class TestForkedReplay:
 
     def test_not_below_fork_min_work(self, monkeypatch):
         # the CLI defaults, n = 100 and reps = 1e4: 500 thousand path steps
-        monkeypatch.setattr(measure_dp, "_usable_cpus", lambda: {0, 1})
+        monkeypatch.setattr(split, "_usable_cpus", lambda: {0, 1})
         self.never_forks(monkeypatch, 100, 10_000)
 
     def test_not_with_a_second_thread(self, monkeypatch):
         monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
-        monkeypatch.setattr(measure_dp, "_usable_cpus", lambda: {0, 1})
+        monkeypatch.setattr(split, "_usable_cpus", lambda: {0, 1})
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         thread.start()
