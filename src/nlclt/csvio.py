@@ -19,7 +19,7 @@ The chunk's rows are its columns' records side by side, and one
 bytes.translate drops the padding.  Within one call, a float64 column
 object that an earlier block rendered reuses its records.  A table of at
 least SPLIT_MIN_CELLS cells renders the second half of its rows in one
-forked child (split._forked), with the same bytes.
+forked child (split._run), with the same bytes.
 
 The float64 kernel, _float_records, gives the bytes of Python's "%.15g".
 It finds the 15-digit decimal of each cell exactly (the correctly rounded
@@ -307,10 +307,10 @@ def render_csv(header: str, blocks) -> bytes:
                 cells += n
     rows = sum(n for _, n in table)
     half = rows // 2
-    both = split._forked(cells, SPLIT_MIN_CELLS,
-                         lambda: _render(table, 0, half, repeated),
-                         lambda: _render(table, half, rows, repeated))
-    body = _render(table, 0, rows, repeated) if both is None else b"".join(both)
+    body = b"".join(split._run(cells, SPLIT_MIN_CELLS,
+                               lambda: _render(table, 0, half, repeated),
+                               lambda: _render(table, half, rows, repeated),
+                               lambda: [_render(table, 0, rows, repeated)]))
     return header.encode("utf-8") + b"\n" + body
 
 

@@ -70,7 +70,7 @@ MIN_MOVE_CELLS = 0.5
 SNAP_DENOMINATOR_CAP = 64
 SNAP_REL_TOL = 1e-9
 SNAP_REFINE_CAP = 16
-# split._forked runs a child only for at least this much work in the
+# split._run runs a child only for at least this much work in the
 # child's half: cell-steps (n x grid points) of convergence_experiment's
 # solves, about 20 ms at 4.5 ns per cell-step; path steps (paths x n) of
 # policy_simulate, about 80 ms at 20 ns per path step; or cell-steps of a
@@ -604,14 +604,12 @@ def _solve_all(solves, phi: TestFunction, side: str) -> list:
 
     The solves are split into two halves of near-equal cell-steps (n x grid
     points; the largest first, each to the lighter half).  When
-    split._forks allows, split._forked solves the lighter half in a child
-    and the other half here.  It gives every root or none: after any
-    failure in either process every solve runs again here, in order, so
-    every exception is the serial one.
+    split._forks allows, split._run solves the lighter half in a child and
+    the other half here.  After any failure in either process every solve
+    runs again here, in order, so every exception is the serial one.
     """
-    def root(k):
-        model, grid = solves[k]
-        return _solve(model, phi, side, grid)[0]
+    def roots(ks):
+        return {k: _solve(solves[k][0], phi, side, solves[k][1])[0] for k in ks}
 
     work = [model.n * len(grid[0]) for model, grid in solves]
     halves, loads = ([], []), [0, 0]
@@ -621,13 +619,11 @@ def _solve_all(solves, phi: TestFunction, side: str) -> list:
         loads[lighter] += work[k]
     light = int(loads[1] < loads[0])
     mine, theirs = halves[1 - light], halves[light]
-    both = split._forked(
-        loads[light], FORK_MIN_WORK, lambda: [root(k) for k in mine],
-        lambda: np.array([root(k) for k in theirs], dtype=np.float64).tobytes())
-    if both is None:
-        return [root(k) for k in range(len(solves))]
-    here, data = both
-    found = dict(zip(mine + theirs, here + np.frombuffer(data).tolist()))
+    found = {}
+    for part in split._run(loads[light], FORK_MIN_WORK, lambda: roots(mine),
+                           lambda: roots(theirs),
+                           lambda: [roots(range(len(solves)))]):
+        found.update(part)
     return [found[k] for k in range(len(solves))]
 
 
@@ -669,7 +665,7 @@ def policy_simulate(model: RectangularModel, policy: AdversaryPolicy,
     strategy, so its simulated value cannot exceed the DP value beyond
     noise.  The replay may use 2 CPUs with unchanged bits: when
     split._forks allows for half the paths' steps (reps // 2 x n; the CLI
-    defaults, n = 100 and reps = 1e4, stay serial), split._forked walks the
+    defaults, n = 100 and reps = 1e4, stay serial), split._run walks the
     second half of the paths in a child, and each half skips the other's
     uniforms (see _replay_paths).  phi, the mean and the standard error are
     taken here over every path, as in the serial replay.
@@ -691,10 +687,8 @@ def policy_simulate(model: RectangularModel, policy: AdversaryPolicy,
         return lambda: _replay_paths(model, policy, reps, spec, lo, hi)
 
     half = reps // 2
-    halves = split._forked(half * model.n, FORK_MIN_WORK, walk(0, half),
-                           lambda: walk(half, reps)().tobytes())
-    x = walk(0, reps)() if halves is None else \
-        np.concatenate([halves[0], np.frombuffer(halves[1])])
+    x = np.concatenate(split._run(half * model.n, FORK_MIN_WORK, walk(0, half),
+                                  walk(half, reps), lambda: [walk(0, reps)()]))
     vals = phi(x)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0

@@ -1,12 +1,12 @@
 """One forked child beside the parent: the package's only use of os.fork.
 
-_forked(work, min_work, mine, theirs) computes mine() here and theirs() in
-one child process pinned off this process's CPU, when _forks allows: the
-process runs one Python thread, two CPUs are usable and work is at least
-min_work.  The child sends theirs(), bytes, through a pipe.  The result is
-both or None: after a refused gate or any failure in either process the
-caller runs all of the work itself, so its values and its exceptions are
-the serial ones.
+_run(work, min_work, mine, theirs, serial) computes mine() here and
+theirs() in one child process pinned off this process's CPU, when _forks
+allows: the process runs one Python thread, two CPUs are usable and work
+is at least min_work.  The child sends theirs() back by pickle through a
+pipe; exceptions never cross it.  The result is (mine(), theirs()), or
+serial() after a refused gate or any failure in either process, so the
+caller's values and exceptions are its serial ones.
 
 Four callers split here, each with its own threshold:
 measure_dp.convergence_experiment's lattice solves and policy_simulate's
@@ -18,6 +18,7 @@ one CPU, OpenBLAS threads there take about 100 times as long as serial.
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 from typing import Callable, Optional
 
@@ -41,7 +42,7 @@ def _current_cpu() -> Optional[int]:
 
 
 def _forks(work: float, min_work: float) -> bool:
-    """Whether _forked runs a child for work: the process runs one Python
+    """Whether _run runs a child for work: the process runs one Python
     thread (a fork copies no other thread, and numpy's BLAS pool stops
     itself across a fork), two CPUs are usable, and the work is at least
     min_work."""
@@ -49,18 +50,20 @@ def _forks(work: float, min_work: float) -> bool:
             and threading.active_count() == 1 and len(_usable_cpus()) >= 2)
 
 
-def _forked(work: float, min_work: float, mine: Callable,
-            theirs: Callable[[], bytes]) -> Optional[tuple]:
+def _run(work: float, min_work: float, mine: Callable, theirs: Callable,
+         serial: Callable):
     """(mine(), theirs()), mine() computed here and theirs() in one forked
-    child pinned off this process's CPU, or None.
+    child pinned off this process's CPU, or serial().
 
-    None unless _forks(work, min_work).  The child writes theirs() through
-    a pipe and exits 0, or exits non-zero; mine() is returned as it is.  A
-    raise here kills the child, and the child is always reaped.  On None
-    the caller runs all of the work itself.
+    serial() unless _forks(work, min_work).  The child pickles theirs()
+    into a pipe and exits 0, or exits non-zero.  After a failed fork, an
+    exception here or in the child, a non-zero exit or a truncated pipe,
+    serial() runs all of the work here.  A BaseException that is not an
+    Exception (KeyboardInterrupt) kills the child and is raised; the child
+    is always reaped.
     """
     if not _forks(work, min_work):
-        return None
+        return serial()
     parent_cpu = _current_cpu()
     read_end, write_end = os.pipe()
     try:
@@ -68,7 +71,7 @@ def _forked(work: float, min_work: float, mine: Callable,
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        return None
+        return serial()
     if pid == 0:
         code = 1
         try:
@@ -80,26 +83,24 @@ def _forked(work: float, min_work: float, mine: Callable,
                     os.sched_setaffinity(0, others)
                 except OSError:
                     pass  # the child runs wherever it is
-            data = theirs()
             with os.fdopen(write_end, "wb") as pipe:
-                pipe.write(data)
+                pickle.dump(theirs(), pipe, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             # never return into the caller's frames in the child
             os._exit(code)
     os.close(write_end)
-    data = None
+    both = None
     try:
         with os.fdopen(read_end, "rb") as pipe:
-            here = mine()
-            data = pipe.read()
+            both = mine(), pickle.load(pipe)
     except Exception:
-        pass  # the caller runs all of the work again and raises
+        pass  # serial() runs all of the work again and raises
     finally:
-        if data is None:  # the child's result is not wanted
+        if both is None:  # the child's result is not wanted
             import signal  # only here: its import costs 0.7 ms of set-up
             os.kill(pid, signal.SIGKILL)
         _, status = os.waitpid(pid, 0)
-    if data is None or os.waitstatus_to_exitcode(status) != 0:
-        return None
-    return here, data
+    if both is None or os.waitstatus_to_exitcode(status) != 0:
+        return serial()
+    return both

@@ -10,7 +10,7 @@ solve reports the two-grid Richardson extrapolation.  The lattice oracle
 checks both faces against the adversarial DP: a call of measure_dp's
 backward induction with +-1 innovations on the problem's domain.  A solve
 asked for the oracle may run the coarse march and the oracle in one forked
-child while the fine march runs here, through split._forked, whose third
+child while the fine march runs here, through split._run, whose third
 caller it is (see _solve); every value keeps its bits.
 """
 from __future__ import annotations
@@ -282,7 +282,7 @@ class ValueGrid:
     x and the layer as columns.  A solve asked for tree_steps also holds
     the lattice oracle's root.  The coarse march and the oracle may run in
     one forked child beside the fine march, with the same bits: _solve is
-    the third caller of split._forked, after convergence_experiment's
+    the third caller of split._run, after convergence_experiment's
     solves and policy_simulate's paths.
     """
 
@@ -499,34 +499,6 @@ def _plan(problem: HjbProblem, space_points: int,
     return march, coarse_steps * len(x[::2])
 
 
-def _marches(problem: HjbProblem, space_points: int,
-             time_steps: Optional[int]) -> tuple:
-    """The fine and the coarse march of the problem (see _plan), as two
-    _March records."""
-    march, _ = _plan(problem, space_points, time_steps)
-    return march(True), march(False)
-
-
-def _sent(coarse: _March, tree: list) -> np.ndarray:
-    """The coarse march's lo, hi and dt_ratio, layer times and layers, then
-    the oracle's root if there is one, as one float64 array."""
-    return np.concatenate([(coarse.lo, coarse.hi, coarse.dt_ratio),
-                           coarse.times, coarse.values.ravel(), tree])
-
-
-def _received(sent: np.ndarray, fine: _March) -> tuple:
-    """(coarse march, [oracle root] or []) from a _sent array, with the
-    grid, step count and layer count the fine march fixes."""
-    x = fine.x[::2]
-    layers = len(fine.times)
-    lo, hi, dt_ratio = sent[:3].tolist()
-    end = 3 + layers * (1 + len(x))
-    coarse = _March(x, fine.steps // 4, sent[3:3 + layers],
-                    sent[3 + layers:end].reshape(layers, len(x)),
-                    lo, hi, dt_ratio)
-    return coarse, sent[end:].tolist()
-
-
 def _solve(problem: HjbProblem, space_points: int, time_steps: Optional[int],
            tree_steps: Optional[int] = None) -> ValueGrid:
     """The two marches of the problem, extrapolated layer by layer, and the
@@ -535,13 +507,12 @@ def _solve(problem: HjbProblem, space_points: int, time_steps: Optional[int],
     The coarse march and the oracle need nothing from the fine march.  When
     split._forks allows for their cell-steps (the coarse march's, plus
     tree_steps times the oracle's target points) against
-    measure_dp.FORK_MIN_WORK, split._forked runs them in one child while
-    the fine march runs here.  The child sends the coarse march and the
-    oracle's root back as float64 bytes (see _sent), so every value keeps
-    its bits.  If either process fails, every march and
-    the oracle run again here, so every exception is the serial one.  An
-    oracle lattice that does not resolve its step is refused before any
-    march (measure_dp._check_resolution).
+    measure_dp.FORK_MIN_WORK, split._run runs them in one child while the
+    fine march runs here.  The child sends the coarse _March and the
+    oracle's root back by pickle, so every value keeps its bits.  If either
+    process fails, every march and the oracle run again here, so every
+    exception is the serial one.  An oracle lattice that does not resolve
+    its step is refused before any march (measure_dp._check_resolution).
     """
     points = measure_dp.DEFAULT_GRID_POINTS
     if tree_steps is not None:
@@ -551,17 +522,14 @@ def _solve(problem: HjbProblem, space_points: int, time_steps: Optional[int],
 
     def oracle():
         # through the module attribute, which a tracer may wrap
-        return [] if tree_steps is None else [
-            tree_value_oracle(problem, tree_steps, points)]
+        return None if tree_steps is None else \
+            tree_value_oracle(problem, tree_steps, points)
 
     work = coarse_cells + (tree_steps or 0) * points
-    both = split._forked(work, measure_dp.FORK_MIN_WORK, lambda: march(True),
-                         lambda: _sent(march(False), oracle()).tobytes())
-    if both is None:
-        fine, coarse, tree = march(True), march(False), oracle()
-    else:
-        fine, sent = both
-        coarse, tree = _received(np.frombuffer(sent), fine)
+    fine, (coarse, tree) = split._run(
+        work, measure_dp.FORK_MIN_WORK, lambda: march(True),
+        lambda: (march(False), oracle()),
+        lambda: (march(True), (march(False), oracle())))
     x = fine.x
     fine_root = _root(x, fine.values[-1])
     values = fine.values
@@ -576,7 +544,7 @@ def _solve(problem: HjbProblem, space_points: int, time_steps: Optional[int],
                      max_seen=max(fine.hi, float(values.max())),
                      steps=fine.steps, richardson_gap=u0 - fine_root,
                      dt_ratio=fine.dt_ratio,
-                     tree_value=tree[0] if tree else None)
+                     tree_value=tree)
 
 
 def solve_g_heat(v: VarianceInterval, terminal: TestFunction, side: str = "sup",

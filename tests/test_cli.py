@@ -7,8 +7,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import threading
-import time
 import warnings
 
 import numpy as np
@@ -17,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers_dp import assert_no_child_left, forked  # noqa: F401 (a fixture)
-from nlclt import cli, csvio, measure_dp, split
+from nlclt import cli, csvio, measure_dp
 from nlclt.cli import (OPTIONS, build_parser, main, merge_config, parse_grid,
                        validate_config)
 from nlclt.densities import (DensityParams, MeanInterval, VarianceInterval,
@@ -26,6 +24,7 @@ from nlclt.errors import ConfigError
 from nlclt.numerics import std_normal_pdf
 from nlclt.sublinear import (DEFAULT_SPACE_POINTS, SShapeSpec, ValueGrid,
                              make_s_shaped, named_test_function, solve_g_heat)
+from test_split import ForkProtocol
 
 
 def read(path):
@@ -1584,8 +1583,13 @@ class TestCsvRecordPath:
         assert_no_child_left()
 
 
-class TestCsvSplit:
-    """render_csv's rows split over one forked child (see split)."""
+class TestCsvSplit(ForkProtocol):
+    """render_csv's rows split over one forked child; the fork protocol
+    comes from ForkProtocol (test_split.py)."""
+
+    hot = (csvio, "_render")
+    threshold = (csvio, "SPLIT_MIN_CELLS")
+    assert_same = staticmethod(assert_same_csv)
 
     @staticmethod
     def table(rows=9001):
@@ -1597,39 +1601,15 @@ class TestCsvSplit:
         rows = [row for block in blocks for row in block_rows(block)]
         return ref_render_csv("y,c,d", rows).encode("utf-8")
 
-    def test_failed_child_gives_the_serial_bytes(self, monkeypatch, forked):
-        parent, render = os.getpid(), csvio._render
-
-        def child_fails(*args):
-            if os.getpid() != parent:
-                raise RuntimeError("the child fails")
-            return render(*args)
-
-        monkeypatch.setattr(csvio, "SPLIT_MIN_CELLS", 1)
-        monkeypatch.setattr(csvio, "_render", child_fails)
+    def case(self):
         blocks = self.table()
-        got = csvio.render_csv("y,c,d", blocks)
-        assert len(forked) == 1
-        assert_no_child_left()
-        assert_same_csv(got, self.reference(blocks))
+        return (lambda: csvio.render_csv("y,c,d", blocks),
+                lambda: self.reference(blocks))
 
-    def test_interrupted_parent_kills_and_reaps_the_child(self, monkeypatch,
-                                                         forked):
-        parent = os.getpid()
-
-        def interrupted(*args):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            time.sleep(60)  # only a kill ends the child sooner
-
-        monkeypatch.setattr(csvio, "SPLIT_MIN_CELLS", 1)
-        monkeypatch.setattr(csvio, "_render", interrupted)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            csvio.render_csv("y,c,d", self.table())
-        assert time.monotonic() - start < 30
-        assert len(forked) == 1
-        assert_no_child_left()
+    def below(self):
+        # 27003 cells (the recurring y counts once), above any default
+        # table: `density` writes 801 rows and `figures` 1201 per curve
+        return self.case()
 
     def test_work_is_the_cells_outside_str_columns(self, forked):
         # two float64 columns: rows x 2 cells against SPLIT_MIN_CELLS, and a
@@ -1648,30 +1628,3 @@ class TestCsvSplit:
             assert_same_csv(csvio.render_csv("y,c,d", blocks), self.reference(blocks))
             assert len(forked) == forks
         assert_no_child_left()
-
-    def never_forks(self, monkeypatch):
-        def fork():
-            raise AssertionError("os.fork called")
-
-        monkeypatch.setattr(csvio, "SPLIT_MIN_CELLS", 1)
-        monkeypatch.setattr(os, "fork", fork)
-        blocks = self.table()
-        assert_same_csv(csvio.render_csv("y,c,d", blocks), self.reference(blocks))
-
-    def test_not_with_a_second_thread(self, monkeypatch):
-        monkeypatch.setattr(split, "_usable_cpus", lambda: {0, 1})
-        done = threading.Event()
-        thread = threading.Thread(target=done.wait)
-        thread.start()
-        try:
-            self.never_forks(monkeypatch)
-        finally:
-            done.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-
-    def test_not_on_one_usable_cpu(self, monkeypatch):
-        # under `taskset -c 0` the real affinity mask has one CPU
-        if len(os.sched_getaffinity(0)) > 1:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        self.never_forks(monkeypatch)

@@ -2,17 +2,15 @@
 
 ``sublinear._solve`` marches its fine grid here and, when ``split._forks``
 allows, its coarse grid and its lattice oracle in one child of
-``split._forked``.  This file requires every field of the
-forked ``ValueGrid`` to equal the serial one byte for byte, the CLI's
-criterion-6 solves to write the serial bytes, and the fork's gate and
-clean-up to hold: a failed child gives the serial result, an interrupted
-parent kills and reaps its child, and small solves, a second thread or one
-usable CPU never fork.
+``split._run``.  This file requires every field of the forked
+``ValueGrid`` to equal the serial one byte for byte, the CLI's
+criterion-6 solves to write the serial bytes, a failed oracle to give the
+serial result, and the gate to sit at the coarse march's and the oracle's
+cell-steps; the rest of the fork protocol comes from ``ForkProtocol``
+(test_split.py).
 """
 import math
 import os
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -27,13 +25,12 @@ from nlclt.sublinear import (
     GVariance,
     HjbProblem,
     _plan,
-    _received,
     _scheme,
-    _sent,
     named_test_function,
     solve_g_expectation,
     solve_g_heat,
 )
+from test_split import ForkProtocol
 
 # read before the forked fixture lowers it
 FORK_MIN_WORK = measure_dp.FORK_MIN_WORK
@@ -96,8 +93,19 @@ def serial(monkeypatch, solve):
         return solve()
 
 
-class TestForkedMarch:
+class TestForkedMarch(ForkProtocol):
     """sublinear._solve's coarse march and oracle in one forked child."""
+
+    hot = (sublinear, "_march")
+    threshold = (measure_dp, "FORK_MIN_WORK")
+
+    def case(self):
+        return lambda: bits(small_solve()()), None
+
+    def below(self):
+        # the warm-up solve, 201 points and 200 oracle steps: about 8e5
+        # cell-steps in the child
+        return lambda: bits(small_solve(space_points=201, tree_steps=200)()), None
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow,
@@ -111,37 +119,6 @@ class TestForkedMarch:
         want = serial(monkeypatch, lambda: run(*case))
         assert len(forked) == forks + 1
         assert (got.tree_value is None) == (case[2]["tree_steps"] is None)
-        assert bits(got) == bits(want)
-
-    @settings(max_examples=30, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(case=solves(), root=st.one_of(st.none(), st.floats()))
-    def test_coarse_march_survives_the_pipe(self, case, root):
-        _, problem, kwargs = case
-        march, _ = _plan(problem, kwargs["space_points"], kwargs["time_steps"])
-        fine, coarse = march(True), march(False)
-        tree = [] if root is None else [root]
-        piped = np.frombuffer(_sent(coarse, tree).tobytes(), dtype=np.float64)
-        got, got_tree = _received(piped, fine)
-        assert np.array(got_tree).tobytes() == np.array(tree).tobytes()
-        for field, value in coarse._asdict().items():
-            assert np.asarray(getattr(got, field)).tobytes() \
-                == np.asarray(value).tobytes(), field
-        assert got.values.shape == coarse.values.shape
-
-    def test_failed_child_gives_the_serial_result(self, monkeypatch, forked):
-        parent, march = os.getpid(), sublinear._march
-
-        def child_fails(*args):
-            if os.getpid() != parent:
-                raise RuntimeError("the child fails")
-            return march(*args)
-
-        want = serial(monkeypatch, small_solve())
-        monkeypatch.setattr(sublinear, "_march", child_fails)
-        got = small_solve()()
-        assert len(forked) == 1
-        assert_no_child_left()
         assert bits(got) == bits(want)
 
     def test_failed_oracle_gives_the_serial_result(self, monkeypatch, forked):
@@ -159,23 +136,6 @@ class TestForkedMarch:
         assert_no_child_left()
         assert bits(got) == bits(want)
 
-    def test_interrupted_parent_kills_and_reaps_the_child(self, monkeypatch,
-                                                         forked):
-        parent = os.getpid()
-
-        def interrupted(*args):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            time.sleep(60)  # only a kill ends the child sooner
-
-        monkeypatch.setattr(sublinear, "_march", interrupted)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            small_solve()()
-        assert time.monotonic() - start < 30
-        assert len(forked) == 1
-        assert_no_child_left()
-
     @pytest.mark.parametrize("tree_steps", [None, 20])
     def test_work_is_the_coarse_march_and_the_oracle(self, monkeypatch,
                                                     forked, tree_steps):
@@ -185,45 +145,8 @@ class TestForkedMarch:
         _, coarse_cells = _plan(problem, 41, None)
         work = coarse_cells + (tree_steps or 0) * 4001
         solve = small_solve(tree_steps=tree_steps)
-        want = serial(monkeypatch, solve)
-        for threshold, forks in ((work + 1, 0), (work, 1)):
-            monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", threshold)
-            assert bits(solve()) == bits(want)
-            assert len(forked) == forks
-
-    def never_forks(self, monkeypatch, solve):
-        def fork():
-            raise AssertionError("os.fork called")
-
-        want = serial(monkeypatch, solve)
-        monkeypatch.setattr(os, "fork", fork)
-        assert bits(solve()) == bits(want)
-
-    def test_not_for_the_warm_up_solve(self, monkeypatch):
-        # 201 points and 200 oracle steps: about 8e5 cell-steps in the child
-        monkeypatch.setattr(split, "_usable_cpus", lambda: {0, 1})
-        self.never_forks(monkeypatch,
-                         small_solve(space_points=201, tree_steps=200))
-
-    def test_not_with_a_second_thread(self, monkeypatch):
-        monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
-        monkeypatch.setattr(split, "_usable_cpus", lambda: {0, 1})
-        done = threading.Event()
-        thread = threading.Thread(target=done.wait)
-        thread.start()
-        try:
-            self.never_forks(monkeypatch, small_solve())
-        finally:
-            done.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-
-    def test_not_on_one_usable_cpu(self, monkeypatch):
-        # under `taskset -c 0` the real affinity mask has one CPU
-        monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
-        if len(os.sched_getaffinity(0)) > 1:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        self.never_forks(monkeypatch, small_solve())
+        self.assert_forks_from(monkeypatch, forked, work,
+                               (lambda: bits(solve()), None))
 
 
 S_SHAPE = ["--terminal", "s-shape", "--s-phi1", "tanh", "--s-theta", "0.5",

@@ -27,7 +27,7 @@ from nlclt.sublinear import (
     GVariance,
     HjbProblem,
     SShapeSpec,
-    _marches,
+    _plan,
     make_s_shaped,
     named_test_function,
     solve_g_expectation,
@@ -210,12 +210,19 @@ def legacy(kind, interval, terminal, side, space_points, steps):
     return legacy_g_expectation(interval, terminal, side, space_points, steps)
 
 
+def marches(problem, space_points, time_steps):
+    """The fine and the coarse march of the problem, as sublinear._solve
+    runs them."""
+    march, _ = _plan(problem, space_points, time_steps)
+    return march(True), march(False)
+
+
 def assert_marches_bit_identical(kind, interval, terminal, side, space_points,
                                  steps):
-    marches = _marches(solver_problem(kind, interval, terminal, side),
-                       space_points, steps)
+    both = marches(solver_problem(kind, interval, terminal, side),
+                   space_points, steps)
     refs = reference(kind, interval, terminal, side, space_points, steps)
-    for march, (x, n, times, values, lo, hi) in zip(marches, refs):
+    for march, (x, n, times, values, lo, hi) in zip(both, refs):
         assert march.x.tobytes() == x.tobytes()
         assert march.steps == n
         assert march.times.tobytes() == times.tobytes()
@@ -314,10 +321,10 @@ def test_folded_stencil_stays_within_rounding_of_the_legacy_steps(problem):
     # measured: at most 2.2e-16 relative on these draws, 4.4e-16 on the six
     # criterion-6 problems
     kind, interval, terminal, side, space_points, steps = problem
-    marches = _marches(solver_problem(kind, interval, terminal, side),
-                       space_points, steps)
+    both = marches(solver_problem(kind, interval, terminal, side),
+                   space_points, steps)
     for march, (x, n, times, values, _, _) in zip(
-            marches, legacy(kind, interval, terminal, side, space_points, steps)):
+            both, legacy(kind, interval, terminal, side, space_points, steps)):
         assert march.steps == n and march.times.tobytes() == times.tobytes()
         tol = 1e-13 * max(1.0, float(np.abs(values[0]).max()))
         assert np.max(np.abs(march.values - values)) <= tol
@@ -353,8 +360,8 @@ def test_g_heat_dominates_the_heat_solve_at_sigma_high(data):
     problem = HjbProblem(GVariance(v), terminal)
     steps = data.draw(time_steps(heat_dt_bound(v)(spacing(problem, space_points))))
     heat = HjbProblem(GVariance(VarianceInterval(sigma_high, sigma_high)), terminal)
-    assert march_excess(_marches(problem, space_points, steps),
-                        _marches(heat, space_points, steps)) <= 1.0
+    assert march_excess(marches(problem, space_points, steps),
+                        marches(heat, space_points, steps)) <= 1.0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True,
@@ -370,8 +377,8 @@ def test_drift_sup_dominates_inf_below_peclet_one(data):
     m = MeanInterval(low / (2.0 * dx), high / (2.0 * dx))
     terminal = data.draw(terminals(bounded_only=True))
     steps = data.draw(time_steps(dx * dx))
-    sup, inf = (_marches(HjbProblem(GMean(m, side), terminal, halfwidth),
-                         space_points, steps) for side in ("sup", "inf"))
+    sup, inf = (marches(HjbProblem(GMean(m, side), terminal, halfwidth),
+                        space_points, steps) for side in ("sup", "inf"))
     assert march_excess(sup, inf) <= 1.0
 
 

@@ -1,6 +1,5 @@
 import math
 import os
-import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -22,6 +21,7 @@ from helpers_dp import (
     standardized_bernoulli,
 )
 from helpers_numpy import CountingNumpy
+from test_split import ForkProtocol
 from nlclt import measure_dp, split, sublinear
 from nlclt.classical import DiscreteLaw
 from nlclt.densities import DensityParams, MeanInterval, VarianceInterval, chen_epstein_pdf
@@ -35,6 +35,7 @@ from nlclt.measure_dp import (
     _interpolates,
     _lattice_induction,
     _lattice_stencil,
+    _refinement_grids,
     lindeberg_condition_value,
     convergence_experiment,
     policy_simulate,
@@ -709,8 +710,25 @@ def serial(monkeypatch):
     monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", math.inf)
 
 
-class TestForkedSolves:
-    """convergence_experiment's solves split over one forked child."""
+class TestForkedSolves(ForkProtocol):
+    """convergence_experiment's solves split over one forked child; the
+    fork protocol comes from ForkProtocol (test_split.py)."""
+
+    hot = (measure_dp, "_solve")
+    threshold = (measure_dp, "FORK_MIN_WORK")
+
+    @staticmethod
+    def converge(case, schedule):
+        model, phi = mean_and_variance("sup")[case]
+        return lambda: np.array(
+            convergence_experiment(model, phi, schedule, "sup")).tobytes()
+
+    def case(self):
+        return self.converge(0, [200, 10]), None
+
+    def below(self):
+        # the benchmark's warm-up schedule: 120 thousand cell-steps
+        return self.converge(1, [10, 20]), None
 
     @pytest.mark.parametrize("side", ["sup", "inf"])
     @pytest.mark.parametrize("case", [0, 1], ids=["mean", "variance"])
@@ -743,8 +761,8 @@ class TestForkedSolves:
 
     def test_child_exception_is_raised_by_the_parent(self, monkeypatch,
                                                      forked, tmp_path):
-        # NonConvergence takes three arguments past its message, so it
-        # cannot cross a pipe by pickle; the parent solves n = 10 again
+        # results cross the pipe by pickle, but exceptions never do: the
+        # parent solves n = 10 again and raises its own NonConvergence
         log = tmp_path / "raised"
         solve = measure_dp._solve
 
@@ -765,23 +783,6 @@ class TestForkedSolves:
         assert len(forked) == 1
         assert_no_child_left()
         assert log.read_text().split() == [str(forked[0]), str(os.getpid())]
-
-    def test_interrupted_parent_kills_and_reaps_the_child(self, monkeypatch,
-                                                         forked):
-        parent = os.getpid()
-        solve = measure_dp._solve
-
-        def interrupted(model, phi, side, grid, record_policy=False):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            return solve(model, phi, side, grid, record_policy)
-
-        monkeypatch.setattr(measure_dp, "_solve", interrupted)
-        model, phi = mean_and_variance("sup")[0]
-        with pytest.raises(KeyboardInterrupt):
-            convergence_experiment(model, phi, [200, 10], "sup")
-        assert len(forked) == 1
-        assert_no_child_left()
 
     def test_failed_child_runs_every_solve_here_in_order(self, monkeypatch,
                                                         forked):
@@ -810,39 +811,32 @@ class TestForkedSolves:
         ref = convergence_experiment(model, phi, [200, 10], "sup")
         assert np.array(rows).tobytes() == np.array(ref).tobytes()
 
-    def never_forks(self, monkeypatch, schedule=(125, 250)):
-        def fork():
-            raise AssertionError("os.fork called")
+    def test_serial_path_solves_in_schedule_order(self, monkeypatch):
+        # with [10, 200] the halves' order (200 fine here; 200 coarse, then
+        # the 10-step solves in the child) is not the schedule's
+        calls, solve = [], measure_dp._solve
 
-        monkeypatch.setattr(os, "fork", fork)
-        model, phi = mean_and_variance("sup")[1]
-        rows = convergence_experiment(model, phi, list(schedule), "sup")
-        assert [n for n, *_ in rows] == list(schedule)
+        def recorded(model, phi, side, grid, record_policy=False):
+            calls.append((model.n, len(grid[0])))
+            return solve(model, phi, side, grid, record_policy)
 
-    def test_not_below_fork_min_work(self, monkeypatch):
-        # the benchmark's warm-up schedule: 120 thousand cell-steps
-        monkeypatch.setattr(split, "_usable_cpus", lambda: {0, 1})
-        self.never_forks(monkeypatch, (10, 20))
+        monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", math.inf)
+        monkeypatch.setattr(measure_dp, "_solve", recorded)
+        model, phi = mean_and_variance("sup")[0]
+        convergence_experiment(model, phi, [10, 200], "sup")
+        assert calls == [(n, len(_dp_grid(replace(model, n=n), points)[0]))
+                         for n in (10, 200)
+                         for points in (DEFAULT_GRID_POINTS, COARSE_GRID_POINTS)]
 
-    def test_not_with_a_second_thread(self, monkeypatch):
-        monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
-        monkeypatch.setattr(split, "_usable_cpus", lambda: {0, 1})
-        done = threading.Event()
-        thread = threading.Thread(target=done.wait)
-        thread.start()
-        try:
-            self.never_forks(monkeypatch)
-        finally:
-            done.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-
-    def test_not_on_one_usable_cpu(self, monkeypatch):
-        # under `taskset -c 0` the real affinity mask has one CPU
-        monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
-        if len(os.sched_getaffinity(0)) > 1:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        self.never_forks(monkeypatch)
+    def test_work_is_the_lighter_half(self, monkeypatch, forked):
+        # one exact lattice per n: the 200-step solve here, the 10-step one
+        # (10 x its lattice's points) in the child
+        model, _ = mean_and_variance("sup")[1]
+        grids = [_refinement_grids(replace(model, n=n), DEFAULT_GRID_POINTS,
+                                   COARSE_GRID_POINTS) for n in (200, 10)]
+        assert [len(lattices) for lattices in grids] == [1, 1]
+        self.assert_forks_from(monkeypatch, forked, 10 * len(grids[1][0][0]),
+                               (self.converge(1, [200, 10]), None))
 
 
 class TestExactLatticeSkip:

@@ -12,9 +12,6 @@ replay (one ``gen.choice`` and fresh arrays per step) whose
 for bit.
 """
 import math
-import os
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -22,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers_dp import assert_no_child_left, forked, standardized_bernoulli
-from nlclt import measure_dp, split
+from nlclt import measure_dp
 from nlclt.classical import DiscreteLaw
 from nlclt.densities import MeanInterval, VarianceInterval
 from nlclt.errors import InvalidParams
@@ -35,6 +32,7 @@ from nlclt.measure_dp import (
 )
 from nlclt.numerics import Categorical, SeedSpec, generator, skip_uniforms
 from nlclt.sublinear import SShapeSpec, make_s_shaped, named_test_function
+from test_split import ForkProtocol
 
 SEEDS = st.integers(0, 2**64 - 1)
 STREAMS = st.integers(0, 2**20)
@@ -261,8 +259,12 @@ def test_replay_is_bit_identical_at_larger_n(model, side):
         np.array(ref_policy_simulate(model, policy, phi, 5000, spec)).tobytes()
 
 
-class TestForkedReplay:
-    """policy_simulate's paths split over one forked child."""
+class TestForkedReplay(ForkProtocol):
+    """policy_simulate's paths split over one forked child; the fork
+    protocol comes from ForkProtocol (test_split.py)."""
+
+    hot = (measure_dp, "_replay_paths")
+    threshold = (measure_dp, "FORK_MIN_WORK")
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow,
@@ -284,83 +286,28 @@ class TestForkedReplay:
         assert np.array(got).tobytes() == np.array(serial).tobytes()
         assert np.array(got).tobytes() == np.array(ref).tobytes()
 
-    def replay(self, n=20, reps=1001):
+    def case(self, n=20, reps=1001):
+        """(the replay, the frozen replay), each as the bytes of
+        (estimate, stderr)."""
         model = RectangularModel.variance_uncertain(VarianceInterval(1.0, 2.0), n)
         phi = named_test_function("gauss")
         _, policy = sup_expectation_dp(model, phi, "sup")
-        return lambda: policy_simulate(model, policy, phi, reps, SeedSpec(11, 2)), \
-            lambda: ref_policy_simulate(model, policy, phi, reps, SeedSpec(11, 2))
 
-    def test_failed_child_gives_the_serial_result(self, monkeypatch, forked):
-        parent, walk = os.getpid(), measure_dp._replay_paths
+        def run(replay):
+            return lambda: np.array(
+                replay(model, policy, phi, reps, SeedSpec(11, 2))).tobytes()
 
-        def child_fails(*args):
-            if os.getpid() != parent:
-                raise RuntimeError("the child fails")
-            return walk(*args)
+        return run(policy_simulate), run(ref_policy_simulate)
 
-        monkeypatch.setattr(measure_dp, "_replay_paths", child_fails)
-        simulate, ref = self.replay()
-        got = simulate()
-        assert len(forked) == 1
-        assert_no_child_left()
-        assert np.array(got).tobytes() == np.array(ref()).tobytes()
-
-    def test_interrupted_parent_kills_and_reaps_the_child(self, monkeypatch,
-                                                         forked):
-        parent = os.getpid()
-
-        def interrupted(*args):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            time.sleep(60)  # only a kill ends the child sooner
-
-        monkeypatch.setattr(measure_dp, "_replay_paths", interrupted)
-        simulate, _ = self.replay()
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            simulate()
-        assert time.monotonic() - start < 30
-        assert len(forked) == 1
-        assert_no_child_left()
+    def below(self):
+        # the CLI defaults, n = 100 and reps = 1e4: 500 thousand path steps
+        return self.case(100, 10_000)
 
     def test_work_is_half_the_paths_times_n(self, monkeypatch, forked):
         # reps // 2 * n path steps against FORK_MIN_WORK: 99 x 10, then 100 x 10
         monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1000)
         for reps, forks in ((199, 0), (200, 1)):
-            simulate, ref = self.replay(n=10, reps=reps)
-            assert np.array(simulate()).tobytes() == np.array(ref()).tobytes()
+            simulate, ref = self.case(n=10, reps=reps)
+            assert simulate() == ref()
             assert len(forked) == forks
-
-    def never_forks(self, monkeypatch, n=20, reps=1001):
-        def fork():
-            raise AssertionError("os.fork called")
-
-        monkeypatch.setattr(os, "fork", fork)
-        simulate, ref = self.replay(n, reps)
-        assert np.array(simulate()).tobytes() == np.array(ref()).tobytes()
-
-    def test_not_below_fork_min_work(self, monkeypatch):
-        # the CLI defaults, n = 100 and reps = 1e4: 500 thousand path steps
-        monkeypatch.setattr(split, "_usable_cpus", lambda: {0, 1})
-        self.never_forks(monkeypatch, 100, 10_000)
-
-    def test_not_with_a_second_thread(self, monkeypatch):
-        monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
-        monkeypatch.setattr(split, "_usable_cpus", lambda: {0, 1})
-        done = threading.Event()
-        thread = threading.Thread(target=done.wait)
-        thread.start()
-        try:
-            self.never_forks(monkeypatch)
-        finally:
-            done.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-
-    def test_not_on_one_usable_cpu(self, monkeypatch):
-        # under `taskset -c 0` the real affinity mask has one CPU
-        monkeypatch.setattr(measure_dp, "FORK_MIN_WORK", 1)
-        if len(os.sched_getaffinity(0)) > 1:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        self.never_forks(monkeypatch)
+        assert_no_child_left()

@@ -27,7 +27,7 @@ from nlclt.sublinear import (
     HjbProblem,
     SShapeSpec,
     TestFunction,
-    _marches,
+    _plan,
     make_s_shaped,
     named_test_function,
     solve_g_expectation,
@@ -90,10 +90,10 @@ def assert_kernel_obeys_the_sides(generator, phi, halfwidth, solve, points):
                           for side in ("inf", "sup"))
     assert_grids_are_dual(inf, dual_sup)
     assert_grids_are_dual(sup, dual_inf)
-    assert_marches_ordered(
-        *(_marches(HjbProblem(type(generator)(generator.interval, side), phi,
-                              halfwidth), points, None)
-          for side in ("inf", "sup")))
+    plans = (_plan(HjbProblem(type(generator)(generator.interval, side), phi,
+                              halfwidth), points, None)[0]
+             for side in ("inf", "sup"))
+    assert_marches_ordered(*((march(True), march(False)) for march in plans))
 
 
 @SETTINGS
