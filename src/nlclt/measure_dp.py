@@ -377,7 +377,12 @@ def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
         if record_policy else None
     beats = np.greater if side == "sup" else np.less
     wins = np.empty(points, dtype=bool)
-    copyto, multiply, add = np.copyto, np.multiply, np.add
+    if record_policy:
+        # control k marks the points it wins with k (a 0-d array of the
+        # table's type, so the product is the table's type, unmasked)
+        marks = [np.array(k, dtype=policy.dtype) for k in range(len(reads))]
+        marked = np.empty(points, dtype=policy.dtype)
+    copyto, multiply, add, maximum = np.copyto, np.multiply, np.add, np.maximum
     for step in range(steps - 1, -1, -1):
         copyto(head, first)
         copyto(tail, last)
@@ -401,9 +406,12 @@ def _lattice_induction(terminal: np.ndarray, offsets: np.ndarray,
             if k:
                 if record_policy:
                     # only a row strictly past the best so far takes the
-                    # point: np.argmax's first index for non-NaN rows
+                    # point: np.argmax's first index for non-NaN rows.  As
+                    # chosen < k here, max(chosen, wins * k) writes k where
+                    # the row wins and keeps chosen elsewhere
                     beats(row, running, out=wins)
-                    copyto(chosen, k, where=wins)
+                    multiply(wins, marks[k], marked)
+                    maximum(chosen, marked, out=chosen)
                 best(running, row, out=values)
             running = values if k else row
         if running is not values:  # a lone control
@@ -708,37 +716,48 @@ def _replay_paths(model: RectangularModel, policy: AdversaryPolicy,
     innovations = Categorical(model.innovation.probs, size)
     atoms = np.asarray(model.innovation.values, dtype=float)
     cvals = np.asarray(policy.control_values, dtype=float)
+    points = policy.controls.shape[1]
     mean_model = model.kind == MEAN_KIND
     if mean_model:
         # x + chosen/n + k*eps adds two looked-up terms: chosen/n per
         # control and k*eps per atom, each rounded as in the sum
         cvals = cvals / model.n
         atoms = model.mean_step_scale() * atoms
-    rtn = math.sqrt(model.n)
-    # every step writes into these buffers
+    else:
+        # x + (chosen*eps)/rtn adds one looked-up term: per step, the table
+        # of (c*a)/rtn over (atom, point), rounded as in the sum
+        moves = np.empty((len(atoms), points))
+        column = atoms[:, None]
+        rtn = math.sqrt(model.n)
+        spot = np.empty(size, dtype=np.intp)
+    # the path buffers; the raw words of each draw come in a fresh array
     x = np.zeros(size)
-    eps = np.empty(size)
-    chosen = np.empty(size)
-    scratch = np.empty(size)
-    cell = np.empty(size, dtype=int)
-    row = np.empty(policy.controls.shape[1])
+    move = np.empty(size)
+    cell = np.empty(size, dtype=np.intp)
+    row = np.empty(points)
     for step in range(model.n):
-        # cell = rint((x - x0)/h) cast to int; mode="clip" in the take
-        # clamps it to the grid as np.clip did
-        np.subtract(x, policy.x0, out=scratch)
-        np.divide(scratch, policy.h, out=scratch)
-        np.rint(scratch, out=scratch)
-        np.copyto(cell, scratch, casting="unsafe")
+        # cell = rint((x - x0)/h) cast to int, clamped to the grid
+        np.subtract(x, policy.x0, out=move)
+        np.divide(move, policy.h, out=move)
+        np.rint(move, out=move)
+        np.copyto(cell, move, casting="unsafe")
         np.take(cvals, policy.controls[step], out=row)
-        np.take(row, cell, out=chosen, mode="clip")
-        skip_uniforms(gen, lo)
-        np.take(atoms, innovations.draw(gen), out=eps)
-        skip_uniforms(gen, reps - hi)
         if mean_model:  # (x + chosen/n) + k*eps
-            np.add(x, chosen, out=x)
-            np.add(x, eps, out=x)
-        else:  # x + (chosen*eps)/rtn
-            np.multiply(chosen, eps, out=scratch)
-            np.divide(scratch, rtn, out=scratch)
-            np.add(x, scratch, out=x)
+            np.take(row, cell, out=move, mode="clip")
+            np.add(x, move, out=x)
+        else:
+            np.clip(cell, 0, points - 1, out=cell)
+            np.multiply(row, column, out=moves)
+            np.divide(moves, rtn, out=moves)
+        skip_uniforms(gen, lo)
+        index = innovations.draw(gen)
+        skip_uniforms(gen, reps - hi)
+        # every index is in range: mode="clip" only skips take's bounds check
+        if mean_model:
+            np.take(atoms, index, out=move, mode="clip")
+        else:  # x + table[atom, cell]
+            np.multiply(index, points, out=spot)
+            np.add(spot, cell, out=spot)
+            np.take(moves, spot, out=move, mode="clip")
+        np.add(x, move, out=x)
     return x

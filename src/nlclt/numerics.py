@@ -127,28 +127,37 @@ class Categorical:
     ``gen.choice(a, size, p=probs)`` builds ``cdf = probs.cumsum()``,
     divides it by ``cdf[-1]``, draws ``u = gen.random(size)`` and returns
     ``a[cdf.searchsorted(u, side="right")]``.  As ``u < 1 = cdf[-1]``, that
-    index is the number of inner edges ``cdf[:-1]`` that u reaches.  This
-    class builds the edges once from probabilities that
-    ``classical.DiscreteLaw`` has checked, then each ``draw`` fills
-    preallocated buffers of ``size``: the same indices from the same
-    uniforms, leaving the generator in the same state.
+    index is the number of inner edges ``cdf[:-1]`` that u reaches.
+
+    Each uniform is ``u = (w >> 11) * 2**-53`` of one raw Philox word w, so
+    u reaches an edge e exactly when ``w >= ceil(e * 2**53) << 11``.  This
+    class builds those uint64 thresholds once from probabilities that
+    ``classical.DiscreteLaw`` has checked, dropping every edge >= 1 (no u
+    reaches it, and its threshold would not fit in 64 bits).  Each ``draw``
+    takes ``size`` raw words, the words ``gen.random(size)`` would take, and
+    counts the thresholds each word reaches: the same indices, leaving the
+    generator in the same state.
     """
 
     def __init__(self, probs, size: int):
         cdf = np.asarray(probs, dtype=float).cumsum()
         cdf /= cdf[-1]
-        self._edges = cdf[:-1].tolist()
-        self._uniforms = np.empty(size)
-        self._reached = np.empty(size, dtype=bool)
-        self._index = np.empty(size, dtype=np.intp)
+        self._thresholds = [np.uint64(math.ceil(edge * 2**53) << 11)
+                            for edge in cdf[:-1].tolist() if edge < 1.0]
+        self._size = size
+        # a law with no threshold keeps these zeros
+        self._index = np.zeros(size, dtype=np.intp)
+        self._reached = np.empty(size, dtype=np.intp)
 
     def draw(self, gen: np.random.Generator) -> np.ndarray:
         """Fresh atom indices, in a buffer the next draw overwrites."""
-        gen.random(out=self._uniforms)
-        self._index.fill(0)
-        for edge in self._edges:
-            np.greater_equal(self._uniforms, edge, out=self._reached)
-            self._index += self._reached
+        words = gen.bit_generator.random_raw(self._size)
+        if self._thresholds:
+            first, *later = self._thresholds
+            np.greater_equal(words, first, out=self._index)
+            for threshold in later:
+                np.greater_equal(words, threshold, out=self._reached)
+                np.add(self._index, self._reached, out=self._index)
         return self._index
 
 

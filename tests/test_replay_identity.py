@@ -1,12 +1,14 @@
 """Draw-for-draw guard for the categorical sampler and the policy replay.
 
-``Categorical`` counts the cdf edges a uniform reaches instead of calling
-``Generator.choice``; ``DiscreteLaw.draw`` and ``policy_simulate`` read
-atoms at its indices, and ``policy_simulate`` writes every step into
-preallocated buffers, and may walk half of its paths in a forked child
-that skips the other half's uniforms with ``skip_uniforms``.  This file
-requires the same draws and generator state as ``Generator.choice`` and
-as drawing the skipped uniforms, and keeps a frozen copy of the earlier
+``Categorical`` counts the integer thresholds of the cdf edges that each
+raw Philox word reaches instead of calling ``Generator.choice``;
+``DiscreteLaw.draw`` and ``policy_simulate`` read atoms at its indices.
+``policy_simulate`` reads each variance step's move from a per-step table,
+and may walk half of its paths in a forked child that skips the other
+half's uniforms with ``skip_uniforms``.  This file requires the same draws
+and generator state as ``Generator.choice`` (also for edges on and next to
+the uniforms' 2**-53 lattice) and as drawing the skipped uniforms, pins the
+replay's numpy calls per step, and keeps a frozen copy of the earlier
 replay (one ``gen.choice`` and fresh arrays per step) whose
 ``(estimate, stderr)`` the replay, serial or forked, must reproduce bit
 for bit.
@@ -19,7 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers_dp import assert_no_child_left, forked, standardized_bernoulli
-from nlclt import measure_dp
+from helpers_numpy import CountingNumpy
+from nlclt import measure_dp, numerics
 from nlclt.classical import DiscreteLaw
 from nlclt.densities import MeanInterval, VarianceInterval
 from nlclt.errors import InvalidParams
@@ -156,6 +159,85 @@ def test_skip_is_drawing(drawn, seed, stream, k):
     ref_gen.random(k)
     assert state_bytes(gen) == state_bytes(ref_gen)
     assert gen.random(9).tobytes() == ref_gen.random(9).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# categorical sampler at the edges of the uniforms' lattice
+# ---------------------------------------------------------------------------
+
+EDGE_FORMS = ("on", "ulp-below", "ulp-above", "next", "tiny")
+# below 2**-53: every uniform but 0 reaches these
+TINY_EDGES = (5e-324, 3 * 5e-324, 2.0**-60, math.nextafter(2.0**-53, 0.0))
+
+
+def edge_against(data, words, form):
+    """An edge placed against one of the raw words w a draw takes, whose
+    uniform is u = (w >> 11) * 2**-53: on u, one ulp below or above it, on
+    the next multiple of 2**-53, or below 2**-53 ("tiny").  "on" takes a
+    word whose 11 low bits are clear where there is one, so w is the edge's
+    threshold itself; "next" one whose 11 low bits are set, so w is the
+    threshold less one."""
+    if form == "tiny":
+        return data.draw(st.sampled_from(TINY_EDGES))
+    low = {"on": 0, "next": 2047}.get(form)
+    pool = np.flatnonzero(words & 2047 == low) if low is not None else []
+    if len(pool) == 0:
+        pool = np.arange(len(words))
+    word = int(words[pool[data.draw(st.integers(0, len(pool) - 1))]])
+    u = (word >> 11) * 2.0**-53
+    return {"on": u, "ulp-below": math.nextafter(u, 0.0),
+            "ulp-above": math.nextafter(u, 1.0), "next": u + 2.0**-53}[form]
+
+
+def law_with_edge(data, edge):
+    """Probabilities whose normalised cdf has `edge` as an inner edge, bit
+    for bit: 0 to 2 zero-mass atoms first (edges at 0), then mass `edge`,
+    maybe a zero-mass atom and a second atom of any mass, then the rest of
+    the mass, with a total of exactly 1.0 so that the normalisation keeps
+    every edge, and 0 to 2 zero-mass atoms last (edges at 1).  Maybe a last
+    atom of mass 2**-60, which leaves the total at 1.0: its edge, 1.0,
+    comes before mass that no uniform reaches."""
+    probs = [0.0] * data.draw(st.integers(0, 2)) + [edge]
+    probs += [0.0] * data.draw(st.integers(0, 1))
+    if data.draw(st.booleans()):
+        probs.append(data.draw(st.floats(0.0, 1.0 - edge)))
+    # c + (1 - c) rounds to exactly 1.0 for every c in [0, 1]
+    probs.append(1.0 - float(np.cumsum(probs)[-1]))
+    probs += [0.0] * data.draw(st.integers(0, 2))
+    if data.draw(st.booleans()):
+        probs.append(2.0**-60)
+    return np.array(probs)
+
+
+class TestLatticeEdges:
+    """Categorical against Generator.choice where the integer thresholds
+    decide: edges on the uniforms' 2**-53 lattice and one ulp either side,
+    below 2**-53, at 0 (zero mass first) and at exactly 1.0 (zero mass
+    last, or an inner edge that normalises to 1.0), from every position in
+    Philox's 4-word block after a skip_uniforms."""
+
+    @pytest.mark.parametrize("drawn", [0, 1, 2, 3], ids=lambda d: f"{d}-drawn")
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), seed=SEEDS, stream=STREAMS, skip=st.integers(0, 9),
+           size=st.sampled_from([1, 3, 10_000]), form=st.sampled_from(EDGE_FORMS))
+    def test_indices_and_state_match_generator_choice(self, drawn, data, seed,
+                                                      stream, skip, size, form):
+        spec = SeedSpec(seed, stream)
+        gen, ref_gen, peek = generator(spec), generator(spec), generator(spec)
+        for g in (gen, ref_gen, peek):
+            g.random(drawn)
+        skip_uniforms(gen, skip)
+        ref_gen.random(skip)
+        peek.random(skip)
+        # the words the draw takes
+        words = peek.bit_generator.random_raw(size)
+        probs = law_with_edge(data, edge_against(data, words, form))
+        atoms = np.arange(len(probs), dtype=float)
+        expected = ref_gen.choice(atoms, size=size, p=probs)
+        assert atoms[Categorical(probs, size).draw(gen)].tobytes() == expected.tobytes()
+        assert state_bytes(gen) == state_bytes(ref_gen)
+        assert gen.random(3).tobytes() == ref_gen.random(3).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -311,3 +393,42 @@ class TestForkedReplay(ForkProtocol):
             assert simulate() == ref()
             assert len(forked) == forks
         assert_no_child_left()
+
+
+class TestReplayOperationsPerStep:
+    """A replay step makes only the numpy calls its model asks for, and
+    none passes a where= mask.  Mean model: 4 for the cell, 1 row take,
+    1 chosen take and add, 1 compare per inner edge (and 1 add per edge
+    after the first), 1 atom take and add.  Variance model: 4 for the cell
+    and 1 clip, 1 row take, 2 for the move table, the compares, 2 for the
+    gather index, 1 gather and 1 add."""
+
+    @pytest.mark.parametrize("make,ops", [
+        (lambda n, law: RectangularModel.mean_uncertain(
+            MeanInterval(-0.5, 0.5), 1.0, n, innovation=law), 10),
+        (lambda n, law: RectangularModel.variance_uncertain(
+            VarianceInterval(1.0, 2.0), n, innovation=law), 13),
+    ], ids=["mean", "variance"])
+    @pytest.mark.parametrize("law,edges", [
+        (DiscreteLaw.rademacher(), 1),
+        (DiscreteLaw((-math.sqrt(2.0), 0.0, math.sqrt(2.0)), (0.25, 0.5, 0.25)), 2),
+    ], ids=["rademacher", "three-atoms"])
+    def test_numpy_calls_per_step(self, monkeypatch, make, ops, law, edges):
+        phi = named_test_function("gauss")
+        cases = []
+        for n in (1, 2, 3):
+            model = make(n, law)
+            cases.append((model, sup_expectation_dp(model, phi, "sup",
+                                                    check_points=None)[1]))
+        counter = CountingNumpy()
+        monkeypatch.setattr(measure_dp, "np", counter)
+        monkeypatch.setattr(numerics, "np", counter)
+        calls = []
+        for model, policy in cases:
+            counter.calls = 0
+            measure_dp._replay_paths(model, policy, 64, SeedSpec(3), 0, 64)
+            calls.append(counter.calls)
+        # the set-up is the same whatever the step count, and each step
+        # repeats the same calls
+        assert calls[1] - calls[0] == calls[2] - calls[1] == ops + 2 * (edges - 1)
+        assert counter.masked == []
