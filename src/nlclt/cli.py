@@ -820,12 +820,16 @@ def _fuse_flag_values(argv):
     return out
 
 
+_parser = None  # main's parser, built by its first call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_fuse_flag_values(list(argv)))
+        args = _parser.parse_args(_fuse_flag_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

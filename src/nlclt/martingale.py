@@ -64,6 +64,11 @@ class MdsModel:
         if not all(math.isfinite(self.n * float(s) * float(s)) for s in scales):
             raise InvalidParams(f"n times a squared scale must be finite, got "
                                 f"scales {scales} at n = {self.n}")
+        # levy_condition_terms divides by a path's b_n^2: a hall path keeps
+        # one eta, and a feedback path may keep its first scale, sigma_plus
+        for s in {HALL_MIXTURE: etas, VAR_FEEDBACK: (self.sigma_plus,)}.get(self.kind, ()):
+            if float(s) * float(s) == 0.0:
+                raise InvalidParams(f"scale {s!r} squares to 0, so a path's b_n^2 can be 0")
 
     @classmethod
     def iid_rademacher(cls, n: int) -> "MdsModel":

@@ -22,9 +22,8 @@ interpolated controls.
 
 convergence_experiment checks each fine root against a coarser lattice
 only where one of the two lattices interpolates.  It may solve half of its
-lattices, policy_simulate may walk half of its paths, and sublinear's
-solve may march its coarse grid and run its lattice oracle, in one forked
-child that sends all of its part or nothing (see split).
+lattices, and policy_simulate may walk half of its paths, in one forked
+child (see split).
 """
 from __future__ import annotations
 

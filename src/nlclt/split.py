@@ -3,17 +3,19 @@
 _run(work, min_work, mine, theirs, serial) computes mine() here and
 theirs() in one child process pinned off this process's CPU, when _forks
 allows: the process runs one Python thread, two CPUs are usable and work
-is at least min_work.  The child sends theirs() back by pickle through a
-pipe; exceptions never cross it.  The result is (mine(), theirs()), or
-serial() after a refused gate or any failure in either process, so the
-caller's values and exceptions are its serial ones.
+is at least min_work.  The child pickles theirs() into a pipe, and only
+plain data crosses it: numbers, strings, bytes, float64 arrays, and tuples,
+lists or dicts of them, never a type of this package or an exception.
+The result is (mine(), theirs()), or serial() after a refused gate or any
+failure in either process, so the caller's values and exceptions are its
+serial ones.
 
 Four callers split here, each with its own threshold:
-measure_dp.convergence_experiment's lattice solves and policy_simulate's
-paths, sublinear._solve's coarse march and lattice oracle (all three
-against measure_dp.FORK_MIN_WORK), and csvio.render_csv's rows (against
-csvio.SPLIT_MIN_CELLS).  The child must not call threaded BLAS: pinned to
-one CPU, OpenBLAS threads there take about 100 times as long as serial.
+measure_dp.convergence_experiment's lattice roots and policy_simulate's
+path end points, sublinear._solve's coarse layers and oracle root (all
+three against measure_dp.FORK_MIN_WORK), and csvio.render_csv's row bytes
+(against csvio.SPLIT_MIN_CELLS).  The child must not call threaded BLAS:
+pinned to one CPU, OpenBLAS threads there take about 100 times as long.
 """
 from __future__ import annotations
 

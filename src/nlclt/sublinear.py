@@ -9,9 +9,8 @@ scheme marches either face on its grid and every other point of it, and a
 solve reports the two-grid Richardson extrapolation.  The lattice oracle
 checks both faces against the adversarial DP: a call of measure_dp's
 backward induction with +-1 innovations on the problem's domain.  A solve
-asked for the oracle may run the coarse march and the oracle in one forked
-child while the fine march runs here, through split._run, whose third
-caller it is (see _solve); every value keeps its bits.
+may run the coarse march and the oracle in one forked child while the fine
+march runs here (see _solve); every value keeps its bits.
 """
 from __future__ import annotations
 
@@ -281,9 +280,7 @@ class ValueGrid:
     `solve --grid-out` writes each stored layer as one CSV block: its time,
     x and the layer as columns.  A solve asked for tree_steps also holds
     the lattice oracle's root.  The coarse march and the oracle may run in
-    one forked child beside the fine march, with the same bits: _solve is
-    the third caller of split._run, after convergence_experiment's
-    solves and policy_simulate's paths.
+    one forked child beside the fine march, with the same bits (see _solve).
     """
 
     x: np.ndarray
@@ -436,12 +433,6 @@ def _scheme(gen) -> tuple:
     return diffusion_bound, dt_bound, make_step
 
 
-def _root(x: np.ndarray, layer: np.ndarray) -> float:
-    """The layer's value at x = 0, interpolated linearly (at a node, its
-    value)."""
-    return float(np.interp(0.0, x, layer))
-
-
 def _plan(problem: HjbProblem, space_points: int,
           time_steps: Optional[int]) -> tuple:
     """(march, coarse_cells): march(fine) runs the fine (fine = True) or
@@ -489,7 +480,7 @@ def _plan(problem: HjbProblem, space_points: int,
     every = max(1, coarse_steps // (MAX_VALUE_SNAPSHOTS - 1))
 
     def march(fine: bool) -> _March:
-        grid, spacing, refine = (x, dx, 4) if fine else (x[::2].copy(), 2.0 * dx, 1)
+        grid, spacing, refine = (x, dx, 4) if fine else (x[::2], 2.0 * dx, 1)
         steps = refine * coarse_steps
         dt = 1.0 / steps
         return _March(grid, steps, *_march(
@@ -508,8 +499,8 @@ def _solve(problem: HjbProblem, space_points: int, time_steps: Optional[int],
     split._forks allows for their cell-steps (the coarse march's, plus
     tree_steps times the oracle's target points) against
     measure_dp.FORK_MIN_WORK, split._run runs them in one child while the
-    fine march runs here.  The child sends the coarse _March and the
-    oracle's root back by pickle, so every value keeps its bits.  If either
+    fine march runs here.  The child sends the coarse layers, one float64
+    array, and the oracle's root, so every value keeps its bits.  If either
     process fails, every march and the oracle run again here, so every
     exception is the serial one.  An oracle lattice that does not resolve
     its step is refused before any march (measure_dp._check_resolution).
@@ -528,17 +519,16 @@ def _solve(problem: HjbProblem, space_points: int, time_steps: Optional[int],
     work = coarse_cells + (tree_steps or 0) * points
     fine, (coarse, tree) = split._run(
         work, measure_dp.FORK_MIN_WORK, lambda: march(True),
-        lambda: (march(False), oracle()),
-        lambda: (march(True), (march(False), oracle())))
-    x = fine.x
-    fine_root = _root(x, fine.values[-1])
-    values = fine.values
+        lambda: (march(False).values, oracle()),
+        lambda: (march(True), (march(False).values, oracle())))
+    x, values = fine.x, fine.values
+    fine_root = float(np.interp(0.0, x, values[-1]))
     # An even grid's last point lies past the coarse grid's (x[::2] ends at
     # L - dx), so it has no coarse partner and keeps the fine march's value:
     # the terminal's, as at every end point.
-    for layer, coarse_layer in zip(values, coarse.values):
-        layer += np.interp(x, coarse.x, layer[::2] - coarse_layer, right=0.0) / 3.0
-    u0 = _root(x, values[-1])
+    for layer, coarse_layer in zip(values, coarse):
+        layer += np.interp(x, x[::2], layer[::2] - coarse_layer, right=0.0) / 3.0
+    u0 = float(np.interp(0.0, x, values[-1]))
     return ValueGrid(x=x, times=fine.times, values=values, u0=u0,
                      min_seen=min(fine.lo, float(values.min())),
                      max_seen=max(fine.hi, float(values.max())),

@@ -914,6 +914,29 @@ class TestExtremeScales:
              "--delta", "3", "--ns", "100"],
             "the Lyapunov ratio at n = 100, delta = 3 exceeds the largest float")
 
+    @pytest.mark.parametrize("argv", [
+        ["--mds", "var-feedback", "--sigma-plus", "1e-300", "--sigma-minus", "1"],
+        ["--mds", "hall", "--etas", "1e-300", "--probs", "1"],
+        ["--mds", "hall", "--etas", "1e-300,1", "--probs", "0.5,0.5"],
+    ], ids=["sigma-plus", "eta", "one-eta-of-two"])
+    def test_scale_whose_square_underflows(self, tmp_path, capsys, argv):
+        # a path with b_n^2 = 0 would divide by zero in the Levy terms
+        assert_one_config_error(
+            tmp_path, capsys,
+            ["check", "--chain", "martingale", *argv, "--ns", "1", "--reps", "100"],
+            "scale 1e-300 squares to 0, so a path's b_n^2 can be 0")
+
+    def test_feedback_sigma_minus_whose_square_underflows(self, tmp_path, capsys):
+        # every feedback path starts at sigma_plus, so b_n^2 >= 1
+        out = tmp_path / "report.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("check", "--chain", "martingale", "--mds", "var-feedback",
+                       "--sigma-plus", "1", "--sigma-minus", "1e-300", "--ns", "1,2",
+                       "--reps", "100", "--out", str(out))
+        assert code == 0 and capsys.readouterr().err == ""
+        assert out.exists()
+
     def test_feedback_scale_whose_square_overflows(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         code = run("check", "--chain", "martingale", "--mds", "var-feedback",
@@ -977,6 +1000,25 @@ KIND_SAMPLES = {cli._number: 0.25, cli._integer: 3, cli._text: "gauss",
 
 
 class TestOptionTable:
+    def test_main_builds_one_parser(self, monkeypatch, tmp_path):
+        # the parser outlives a failed parse and serves every later call
+        built = []
+
+        def counted():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        argv = ["check", "--chain", "lindeberg", "--model", "variance",
+                "--sigma-low", "1", "--sigma-high", "2", "--ns", "1"]
+        assert run("transmogrify") == 2
+        for k in range(2):
+            out = tmp_path / f"{k}.csv"
+            assert run(*argv, "--out", str(out)) == 0
+        assert len(built) == 1
+        assert read(tmp_path / "0.csv") == read(tmp_path / "1.csv")
+
     def test_flag_and_config_key_give_the_same_config(self, tmp_path):
         parser = build_parser()
         cfg_path = tmp_path / "cfg.json"
@@ -1565,6 +1607,7 @@ def mixed_blocks(draw):
     return blocks
 
 
+@pytest.mark.fork
 class TestCsvRecordPath:
     """render_csv against the per-cell renderer, encoded as UTF-8, with the
     rows split over a forked child and without."""

@@ -166,6 +166,7 @@ CRITERION_6 = {
 }
 
 
+@pytest.mark.fork
 class TestForkedMarchCli:
     """The criterion-6 solves with 2000 oracle steps fork at the real
     FORK_MIN_WORK and write the serial bytes."""

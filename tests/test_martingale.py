@@ -249,3 +249,22 @@ def test_scales_whose_squares_overflow_are_rejected():
         MdsModel.var_feedback(1.0, 1e300, 5)
     with pytest.raises(InvalidParams, match="squared scale"):
         MdsModel.hall_mixture([1.0, 1e200], [0.5, 0.5], 3)
+
+
+def test_scales_whose_squares_underflow_to_zero_are_rejected():
+    # levy_condition_terms divides by a path's b_n^2 = sum of sigma_i^2: a
+    # hall path keeps one eta, a feedback path may keep sigma_plus
+    for make in (lambda: MdsModel.var_feedback(1e-300, 1.0, 1),
+                 lambda: MdsModel.var_feedback(1e-170, 1.0, 2),
+                 lambda: MdsModel.hall_mixture([1e-300], [1.0], 2),
+                 lambda: MdsModel.hall_mixture([1e-300, 1.0], [0.5, 0.5], 1)):
+        with pytest.raises(InvalidParams, match="squares to 0, so a path's b_n"):
+            make()
+    # 1e-160 squares to a subnormal, and every feedback path starts at
+    # sigma_plus = 1: each b_n^2 stays positive
+    for model in (MdsModel.var_feedback(1e-160, 1.0, 2),
+                  MdsModel.var_feedback(1.0, 1e-300, 2),
+                  MdsModel.hall_mixture([1e-160, 1.0], [0.5, 0.5], 1)):
+        for seed in range(1, 7):
+            terms = levy_condition_terms(model, SeedSpec(seed, 0))
+            assert all(math.isfinite(v) for v in terms)

@@ -839,6 +839,7 @@ class TestForkedSolves(ForkProtocol):
                                (self.converge(1, [200, 10]), None))
 
 
+@pytest.mark.fork
 class TestExactLatticeSkip:
     """The refinement re-solve runs only where a lattice interpolates."""
 

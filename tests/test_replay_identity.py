@@ -209,6 +209,7 @@ def law_with_edge(data, edge):
     return np.array(probs)
 
 
+@pytest.mark.fork
 class TestLatticeEdges:
     """Categorical against Generator.choice where the integer thresholds
     decide: edges on the uniforms' 2**-53 lattice and one ulp either side,
@@ -395,6 +396,7 @@ class TestForkedReplay(ForkProtocol):
         assert_no_child_left()
 
 
+@pytest.mark.fork
 class TestReplayOperationsPerStep:
     """A replay step makes only the numpy calls its model asks for, and
     none passes a where= mask.  Mean model: 4 for the cell, 1 row take,

@@ -2,9 +2,9 @@
 
 ``ForkProtocol`` holds the checks that every caller of ``split._run``
 must pass: a failed child gives the serial result, an interrupted parent
-kills and reaps its child, and nothing forks with a second thread, on one
-usable CPU or below the caller's real threshold.  Each caller's test class
-inherits it and names the caller (see ``ForkProtocol``):
+kills and reaps its child, nothing forks with a second thread, on one
+usable CPU or below the caller's real threshold, and the child sends only
+plain data (no type of this package).  Each caller's test class inherits it and names the caller (see ``ForkProtocol``):
 ``TestForkedSolves`` (test_measure_dp.py), ``TestForkedReplay``
 (test_replay_identity.py), ``TestForkedMarch`` (test_forked_solve.py) and
 ``TestCsvSplit`` (test_cli.py).  Each of those also checks that its gate
@@ -29,6 +29,7 @@ from helpers_dp import assert_no_child_left, forked  # noqa: F401 (a fixture)
 from nlclt import split
 
 
+@pytest.mark.fork
 class ForkProtocol:
     """The protocol checks, run for the caller that a subclass names:
 
@@ -138,6 +139,23 @@ class ForkProtocol:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         self.assert_never_forks(monkeypatch, self.case())
 
+    def test_the_child_sends_plain_data(self, monkeypatch):
+        # split's contract: no type of this package crosses the pipe.  Each
+        # theirs() runs here, and its pickle stands in for the child's
+        sent = []
+
+        def in_process(work, min_work, mine, theirs, serial):
+            sent.append(pickle.dumps(theirs(), pickle.HIGHEST_PROTOCOL))
+            return mine(), pickle.loads(sent[-1])
+
+        case = self.case()
+        want = self.expected(monkeypatch, case)
+        monkeypatch.setattr(split, "_run", in_process)
+        self.assert_same(case[0](), want)
+        assert sent
+        for payload in sent:
+            assert b"nlclt" not in payload
+
 
 class Unpicklable:
     def __reduce__(self):
@@ -165,6 +183,7 @@ def float_bits(value):
     return struct.pack("<d", value)
 
 
+@pytest.mark.fork
 class TestSplitRun:
     """split._run on paths that none of its callers reaches."""
 
